@@ -61,6 +61,10 @@ struct MilpResult {
   double best_bound = 0.0;   ///< proven bound on the optimum (original sense)
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
+  /// Infeasible LP re-solves proven by a Farkas row vs. confirmed by a
+  /// cold solve (SimplexSolver::infeasible_certified / _cold).
+  std::int64_t infeasible_certified = 0;
+  std::int64_t infeasible_cold = 0;
   double seconds = 0.0;
 
   bool has_solution() const {

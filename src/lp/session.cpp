@@ -55,9 +55,14 @@ class BranchAndBound {
   MilpResult run() {
     Stopwatch watch;
     const std::int64_t iter_base = engine_.total_iterations();
+    const std::int64_t certified_base = engine_.infeasible_certified();
+    const std::int64_t cold_base = engine_.infeasible_cold();
     MilpResult result = search();
     result.seconds = watch.seconds();
     result.lp_iterations = engine_.total_iterations() - iter_base;
+    result.infeasible_certified =
+        engine_.infeasible_certified() - certified_base;
+    result.infeasible_cold = engine_.infeasible_cold() - cold_base;
     return result;
   }
 
@@ -535,6 +540,8 @@ MilpResult MilpSession::solve() {
                                               : "milp.solve.warm");
   stats_.nodes += result.nodes;
   stats_.lp_iterations += result.lp_iterations;
+  stats_.infeasible_certified += result.infeasible_certified;
+  stats_.infeasible_cold += result.infeasible_cold;
   if (result.has_solution()) {
     last_x_ = result.x;
     has_last_x_ = true;
@@ -563,6 +570,8 @@ MilpResult MilpSession::solve_direct() {
     engine_->set_time_limit(lp_limit);
     Stopwatch watch;
     const std::int64_t iter_base = engine_->total_iterations();
+    const std::int64_t certified_base = engine_->infeasible_certified();
+    const std::int64_t cold_base = engine_->infeasible_cold();
     LpResult lp;
     bool solved = false;
     if (!first) {
@@ -584,6 +593,9 @@ MilpResult MilpSession::solve_direct() {
     MilpResult result;
     result.nodes = 1;
     result.lp_iterations = engine_->total_iterations() - iter_base;
+    result.infeasible_certified =
+        engine_->infeasible_certified() - certified_base;
+    result.infeasible_cold = engine_->infeasible_cold() - cold_base;
     result.seconds = watch.seconds();
     switch (lp.status) {
       case LpStatus::kOptimal:

@@ -26,7 +26,8 @@
 /// session falls back to the cold path whenever the warm state is
 /// missing, structurally stale, or the `milp.warm` fail point fires --
 /// and the warm path itself degrades to `SimplexSolver::solve()` inside
-/// `resolve()` on any dual-infeasibility or numeric trouble. The
+/// `resolve()` on any dual-infeasibility or numeric trouble, and on any
+/// infeasibility verdict its Farkas certificate cannot prove. The
 /// remaining risk -- a warm search visiting nodes in a different order
 /// and returning a different optimum among exact ties -- is pinned
 /// empirically by the differential tests in tests/lp and tests/flow
@@ -86,6 +87,8 @@ struct SessionStats {
   std::int64_t presolves = 0;       ///< presolve recomputations
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
+  std::int64_t infeasible_certified = 0;  ///< Farkas-proven LP verdicts
+  std::int64_t infeasible_cold = 0;       ///< ... confirmed by a cold solve
   double solve_seconds = 0.0;
 };
 

@@ -3,12 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/trace.hpp"
+
 namespace elrr::lp {
 
 namespace {
 constexpr double kRatioEps = 1e-9;   // |alpha| below this never blocks
 constexpr double kTieTol = 1e-9;     // Harris-style tie window in the ratio test
 constexpr std::int64_t kBlandTrigger = 512;  // degenerate steps before Bland
+// Farkas certificate: |r_j| <= kFarkasZero * max(1, max|y|) counts as
+// zero (round-off on free columns), and the bound interval of r^T x must
+// clear 0 by kFarkasMargin * feas_tol * max(1, max|term|) for round-off,
+// plus feas_tol * sum|r_j|: the most a point whose variables each miss
+// their bounds by at most feas_tol -- what solve() accepts as feasible --
+// can move r^T x.
+constexpr double kFarkasZero = 1e-9;
+constexpr double kFarkasMargin = 64.0;
 }  // namespace
 
 const char* to_string(LpStatus status) {
@@ -50,6 +60,7 @@ SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
     lo_[slack] = row.lo;
     hi_[slack] = row.hi;
   }
+  farkas_.assign(total_, 0.0);
 }
 
 std::int64_t SimplexSolver::iteration_budget() const {
@@ -450,7 +461,10 @@ LpStatus SimplexSolver::dual_phase(const Deadline& deadline) {
         entering = j;
       }
     }
-    if (entering == -1) return LpStatus::kInfeasible;
+    if (entering == -1) {
+      infeasible_row_ = row;
+      return LpStatus::kInfeasible;
+    }
 
     const double target = below ? lo_[leaving] : hi_[leaving];
     const double delta_leaving = target - value_[leaving];
@@ -466,6 +480,50 @@ LpStatus SimplexSolver::dual_phase(const Deadline& deadline) {
     where_[leaving] = below ? Where::kAtLower : Where::kAtUpper;
     pivot(row, entering);
   }
+}
+
+bool SimplexSolver::certify_infeasible(int row) {
+  // Row `row` of B^-1 is y^T; B^-1 = -tab[:, n..n+m) because the slack
+  // block of [A | -I] is -I.
+  const double* trow = &tab_[static_cast<std::size_t>(row) * total_ + n_];
+  double y_max = 0.0;
+  std::fill(farkas_.begin(), farkas_.end(), 0.0);
+  for (int k = 0; k < m_; ++k) {
+    const double y = -trow[k];
+    if (y == 0.0) continue;
+    y_max = std::max(y_max, std::abs(y));
+    const double* arow = &dense_a_[static_cast<std::size_t>(k) * total_];
+    for (int j = 0; j < total_; ++j) farkas_[j] += y * arow[j];
+  }
+  // Every feasible point has r^T x = y^T [A | -I] x = 0. Bound r^T x over
+  // the box [lo, hi]; an interval that excludes 0 proves infeasibility.
+  const double zero = kFarkasZero * std::max(1.0, y_max);
+  double low = 0.0, high = 0.0, max_term = 0.0, r_sum = 0.0;
+  bool low_finite = true, high_finite = true;
+  for (int j = 0; j < total_; ++j) {
+    const double r = farkas_[j];
+    if (std::abs(r) <= zero) continue;
+    r_sum += std::abs(r);
+    const double at_low = r > 0.0 ? lo_[j] : hi_[j];
+    const double at_high = r > 0.0 ? hi_[j] : lo_[j];
+    if (low_finite && std::isfinite(at_low)) {
+      low += r * at_low;
+      max_term = std::max(max_term, std::abs(r * at_low));
+    } else {
+      low_finite = false;
+    }
+    if (high_finite && std::isfinite(at_high)) {
+      high += r * at_high;
+      max_term = std::max(max_term, std::abs(r * at_high));
+    } else {
+      high_finite = false;
+    }
+    if (!low_finite && !high_finite) return false;
+  }
+  const double margin =
+      options_.feas_tol *
+      (kFarkasMargin * std::max(1.0, max_term) + r_sum);
+  return (low_finite && low > margin) || (high_finite && high < -margin);
 }
 
 LpResult SimplexSolver::finish(LpStatus status) {
@@ -518,9 +576,22 @@ LpResult SimplexSolver::resolve() {
   call_iter_base_ = iterations_;
   LpStatus status = dual_phase(deadline);
   if (status == LpStatus::kNumericError) return solve();
-  // A dual-simplex infeasibility claim prunes a branch-and-bound subtree;
-  // confirm it with a from-scratch primal solve before trusting it.
-  if (status == LpStatus::kInfeasible) return solve();
+  // A dual-simplex infeasibility claim prunes a branch-and-bound subtree,
+  // so it must be proven: by a Farkas row checked against the original
+  // matrix, or -- when that check is inconclusive -- by a from-scratch
+  // primal solve.
+  if (status == LpStatus::kInfeasible) {
+    if (!certify_infeasible(infeasible_row_)) {
+      ++infeasible_cold_;
+      obs::count("lp.infeasible.cold");
+      return solve();
+    }
+    ++infeasible_certified_;
+    obs::count("lp.infeasible.certified");
+    LpResult result = finish(status);
+    result.certified = true;
+    return result;
+  }
   if (status == LpStatus::kOptimal && infeasibility() > 64 * options_.feas_tol) {
     return solve();
   }

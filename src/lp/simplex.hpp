@@ -14,6 +14,16 @@
 ///  * `save_state` / `restore_state` snapshot the full tableau so a branch
 ///    and bound search can replay bound changes from the root relaxation
 ///    and re-optimize with the dual simplex (see milp.hpp).
+///  * A dual-simplex "infeasible" verdict prunes a branch & bound subtree,
+///    so `resolve()` certifies it before returning it: the leaving row's
+///    multipliers y = e_i^T B^-1 are read off the tableau's slack columns
+///    and the Farkas row r = y^T [A | -I] is recomputed from the original
+///    matrix, which no pivot touches. If the interval of r^T x over the
+///    current bounds excludes 0 by a scaled margin, no point satisfies
+///    [A | -I] x = 0 within the bounds and the verdict stands. Only an
+///    inconclusive check (e.g. r touches an infinite bound) falls back to
+///    a cold `solve()`. See src/lp/README.md, "Infeasibility
+///    certificates".
 ///
 /// Suitable for the dense, medium-size MILPs of the DAC'09 flow
 /// (hundreds to a few thousands of rows). Not a sparse industrial code.
@@ -42,6 +52,9 @@ struct LpResult {
   double objective = 0.0;          ///< in the model's original sense
   std::vector<double> x;           ///< structural variable values
   std::int64_t iterations = 0;
+  /// kInfeasible proven by a Farkas row off the warm basis (resolve()
+  /// only); false for verdicts from a cold solve.
+  bool certified = false;
 };
 
 struct SimplexOptions {
@@ -64,7 +77,8 @@ class SimplexSolver {
 
   /// Re-optimizes after set_col_bounds calls, starting from the current
   /// (dual-feasible) basis using the dual simplex. Falls back to a full
-  /// primal solve if the basis is not dual feasible.
+  /// primal solve if the basis is not dual feasible, on numeric trouble,
+  /// and when a dual infeasibility verdict cannot be certified.
   LpResult resolve();
 
   /// Tightens/changes bounds of a structural column. Keeps the tableau
@@ -86,6 +100,12 @@ class SimplexSolver {
   std::vector<double> structural_values() const;
 
   std::int64_t total_iterations() const { return iterations_; }
+
+  /// Cumulative resolve() infeasibility verdicts: proven by a Farkas row
+  /// vs. handed to a cold solve() because the certificate was
+  /// inconclusive.
+  std::int64_t infeasible_certified() const { return infeasible_certified_; }
+  std::int64_t infeasible_cold() const { return infeasible_cold_; }
 
   /// Adjusts the wall-clock budget of subsequent solve/resolve calls
   /// (branch & bound passes the remaining global budget down).
@@ -115,6 +135,10 @@ class SimplexSolver {
   std::int64_t call_iter_base_ = 0;   ///< iterations_ at entry of this call
   std::int64_t degenerate_streak_ = 0;
   bool bland_ = false;
+  std::int64_t infeasible_certified_ = 0;
+  std::int64_t infeasible_cold_ = 0;
+  std::vector<double> farkas_;  ///< size total_, certificate scratch
+  int infeasible_row_ = -1;     ///< leaving row of the last dual verdict
 
   double& tab(int i, int j) { return tab_[static_cast<std::size_t>(i) * total_ + j]; }
   double tab(int i, int j) const { return tab_[static_cast<std::size_t>(i) * total_ + j]; }
@@ -133,6 +157,9 @@ class SimplexSolver {
   LpStatus primal_phase1(const Deadline& deadline);
   LpStatus primal_phase2(const Deadline& deadline);
   LpStatus dual_phase(const Deadline& deadline);
+  /// True when tableau row `row` yields a Farkas proof of infeasibility
+  /// under the current bounds (see the design notes above).
+  bool certify_infeasible(int row);
 
   LpResult finish(LpStatus status);
   std::int64_t iteration_budget() const;

@@ -149,20 +149,25 @@ struct LineBuf {
 };
 
 /// Integer upper bound (ns) of the log2 bucket holding the q-percent
-/// rank: the handler cannot use the floating-point interpolation the
-/// normal summary uses, so postmortem percentiles are `<=` brackets.
+/// rank, clamped to the largest sample: the handler cannot use the
+/// floating-point interpolation the normal summary uses, so postmortem
+/// percentiles are `<=` brackets, and like the summary's they never
+/// exceed the observed max.
 std::uint64_t hist_pct_le_ns(const std::uint64_t* buckets,
-                             std::uint64_t count, std::uint64_t q_num) {
+                             std::uint64_t count, std::uint64_t max_ns,
+                             std::uint64_t q_num) {
   if (count == 0) return 0;
   const std::uint64_t rank = (q_num * count + 99) / 100;
   std::uint64_t cum = 0;
   for (std::size_t b = 0; b < obs::detail::kSigHistBuckets; ++b) {
     cum += buckets[b];
     if (cum >= rank) {
-      return b + 1 < 64 ? (std::uint64_t{1} << (b + 1)) : ~std::uint64_t{0};
+      const std::uint64_t edge =
+          b + 1 < 64 ? (std::uint64_t{1} << (b + 1)) : ~std::uint64_t{0};
+      return edge < max_ns ? edge : max_ns;
     }
   }
-  return ~std::uint64_t{0};
+  return max_ns;
 }
 
 /// The dump body. Async-signal-safe: static/stack data, write(2) only.
@@ -210,11 +215,13 @@ void dump_to_fd(int fd, const char* reason) {
   for (std::size_t i = 0; i < n_hists; ++i) {
     const obs::detail::SigHistView& h = hist_views[i];
     const std::uint64_t count = *h.count;
+    const std::uint64_t max_ns = *h.max_ns;
     lb.s("hist: ").s(h.name).s(" count=").u(count);
     lb.s(" total_ns=").u(*h.total_ns);
-    lb.s(" p50_le_ns=").u(hist_pct_le_ns(h.buckets, count, 50));
-    lb.s(" p95_le_ns=").u(hist_pct_le_ns(h.buckets, count, 95));
-    lb.s(" p99_le_ns=").u(hist_pct_le_ns(h.buckets, count, 99));
+    lb.s(" p50_le_ns=").u(hist_pct_le_ns(h.buckets, count, max_ns, 50));
+    lb.s(" p95_le_ns=").u(hist_pct_le_ns(h.buckets, count, max_ns, 95));
+    lb.s(" p99_le_ns=").u(hist_pct_le_ns(h.buckets, count, max_ns, 99));
+    lb.s(" max_ns=").u(max_ns);
     lb.line(fd);
   }
   lb.s("end").line(fd);

@@ -42,7 +42,7 @@
 ///   event: seq=80 t_ns=123456 tid=3 name=slice.recv a=128 b=16
 ///   counter: milp.solve.warm 5
 ///   hist: work.slice count=10 total_ns=12345 p50_le_ns=1024
-///         p95_le_ns=4096 p99_le_ns=4096   (one line in the file)
+///         p95_le_ns=4096 p99_le_ns=4000 max_ns=4000   (one line)
 ///   end
 /// Events are oldest-first, so the journal's tail (the last lines
 /// before the counters) is what the process was doing when it died.

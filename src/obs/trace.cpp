@@ -49,11 +49,14 @@ struct ThreadBuffer {
 };
 
 /// Log2-bucketed latency histogram: bucket b holds durations in
-/// [2^b, 2^(b+1)) ns, except bucket 0 which also takes 0.
+/// [2^b, 2^(b+1)) ns, except bucket 0 which also takes 0. The exact
+/// extremes bound every percentile read off the buckets.
 struct Hist {
   std::uint64_t buckets[kHistBuckets] = {0};
   std::uint64_t count = 0;
   std::uint64_t total_ns = 0;
+  std::uint64_t min_ns = ~std::uint64_t{0};
+  std::uint64_t max_ns = 0;
 };
 
 /// Leaked singleton (same LSan-safe pattern as the fail-point
@@ -139,21 +142,28 @@ void feed_hist_locked(State& s, const char* name, std::int64_t dur_ns) {
   if (inserted) {
     const std::size_t n = g_sig_hist_count.load(std::memory_order_relaxed);
     if (n < kMaxSigViews) {
-      g_sig_hists[n] = {it->first.c_str(), h.buckets, &h.count, &h.total_ns};
+      g_sig_hists[n] = {it->first.c_str(), h.buckets, &h.count, &h.total_ns,
+                        &h.max_ns};
       g_sig_hist_count.store(n + 1, std::memory_order_release);
     }
   }
+  const std::uint64_t dur = static_cast<std::uint64_t>(dur_ns > 0 ? dur_ns : 0);
   ++h.buckets[hist_bucket(dur_ns)];
   ++h.count;
-  h.total_ns += static_cast<std::uint64_t>(dur_ns > 0 ? dur_ns : 0);
+  h.total_ns += dur;
+  h.min_ns = std::min(h.min_ns, dur);
+  h.max_ns = std::max(h.max_ns, dur);
 }
 
 /// Percentile from the log2 buckets: walk to the bucket holding the
-/// q-th rank, interpolate linearly inside its [2^b, 2^(b+1)) bracket.
+/// q-th rank, interpolate linearly inside its [2^b, 2^(b+1)) bracket,
+/// and clamp to the observed [min, max] -- a landing bucket's upper edge
+/// can lie far past the largest sample in it.
 double hist_percentile_s(const Hist& h, double q) {
   if (h.count == 0) return 0.0;
   const double rank = q * static_cast<double>(h.count);
   double cum = 0.0;
+  double ns = static_cast<double>(h.max_ns);
   for (std::size_t b = 0; b < kHistBuckets; ++b) {
     if (h.buckets[b] == 0) continue;
     const double width = static_cast<double>(h.buckets[b]);
@@ -162,11 +172,14 @@ double hist_percentile_s(const Hist& h, double q) {
       const double hi = std::ldexp(1.0, static_cast<int>(b) + 1);
       const double frac =
           std::clamp((rank - cum) / width, 0.0, 1.0);
-      return (lo + frac * (hi - lo)) * 1e-9;
+      ns = lo + frac * (hi - lo);
+      break;
     }
     cum += width;
   }
-  return std::ldexp(1.0, static_cast<int>(kHistBuckets)) * 1e-9;
+  return std::clamp(ns, static_cast<double>(h.min_ns),
+                    static_cast<double>(h.max_ns)) *
+         1e-9;
 }
 
 void atexit_export() {

@@ -85,6 +85,7 @@ struct SigHistView {
   const std::uint64_t* buckets = nullptr;  ///< kSigHistBuckets log2 buckets
   const std::uint64_t* count = nullptr;
   const std::uint64_t* total_ns = nullptr;
+  const std::uint64_t* max_ns = nullptr;  ///< largest sample so far
 };
 /// Points `*out` at the mirror array; returns the published entry
 /// count. Async-signal-safe (two loads, no locks).
@@ -219,8 +220,9 @@ std::uint64_t dropped_spans();
 
 /// One histogram row: per-site count / total / percentiles, in seconds.
 /// Percentiles come from log2 ns buckets with linear interpolation
-/// inside the landing bucket, so they are exact to within a factor-2
-/// bracket -- aggregate shape, not sample-exact order statistics.
+/// inside the landing bucket, clamped to the observed min and max, so
+/// they are exact to within a factor-2 bracket and never exceed the
+/// largest sample -- aggregate shape, not sample-exact order statistics.
 struct PhaseSummary {
   std::string name;
   std::uint64_t count = 0;

@@ -1,26 +1,114 @@
 #include "support/bench_json.hpp"
 
+#include <cctype>
 #include <cstdlib>
 #include <string>
 
 namespace elrr::bench_json {
 
+namespace {
+
+using Pos = std::string_view::size_type;
+constexpr Pos kNpos = std::string_view::npos;
+
+Pos skip_space(std::string_view json, Pos at) {
+  while (at < json.size() &&
+         std::isspace(static_cast<unsigned char>(json[at])) != 0) {
+    ++at;
+  }
+  return at;
+}
+
+/// One past the closing quote of the string opening at `at`.
+Pos skip_string(std::string_view json, Pos at) {
+  for (++at; at < json.size(); ++at) {
+    if (json[at] == '\\') {
+      ++at;
+    } else if (json[at] == '"') {
+      return at + 1;
+    }
+  }
+  return kNpos;
+}
+
+/// One past the end of the value starting at `at`: a string, a
+/// brace/bracket-matched object or array, or a bare scalar.
+Pos skip_value(std::string_view json, Pos at) {
+  if (at >= json.size()) return kNpos;
+  if (json[at] == '"') return skip_string(json, at);
+  if (json[at] == '{' || json[at] == '[') {
+    int depth = 0;
+    while (at < json.size()) {
+      const char c = json[at];
+      if (c == '"') {
+        at = skip_string(json, at);
+        if (at == kNpos) return kNpos;
+        continue;
+      }
+      if (c == '{' || c == '[') ++depth;
+      if (c == '}' || c == ']') {
+        if (--depth == 0) return at + 1;
+      }
+      ++at;
+    }
+    return kNpos;
+  }
+  while (at < json.size() && json[at] != ',' && json[at] != '}' &&
+         json[at] != ']') {
+    ++at;
+  }
+  return at;
+}
+
+/// The numeric value of `key` among the direct members of the object
+/// opening at `open` (nested objects are skipped whole).
+std::optional<double> member_number(std::string_view json, Pos open,
+                                    std::string_view key) {
+  Pos at = skip_space(json, open + 1);
+  while (at < json.size() && json[at] == '"') {
+    const Pos key_end = skip_string(json, at);
+    if (key_end == kNpos) return std::nullopt;
+    const std::string_view name = json.substr(at + 1, key_end - at - 2);
+    at = skip_space(json, key_end);
+    if (at >= json.size() || json[at] != ':') return std::nullopt;
+    at = skip_space(json, at + 1);
+    const Pos value_end = skip_value(json, at);
+    if (value_end == kNpos) return std::nullopt;
+    if (name == key) {
+      // strtod needs a terminated buffer; copy the scalar.
+      const std::string scalar(json.substr(at, value_end - at));
+      char* end = nullptr;
+      const double value = std::strtod(scalar.c_str(), &end);
+      if (end == scalar.c_str()) return std::nullopt;
+      return value;
+    }
+    at = skip_space(json, value_end);
+    if (at < json.size() && json[at] == ',') at = skip_space(json, at + 1);
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 std::optional<double> find_number(std::string_view json,
                                   std::string_view section,
                                   std::string_view key) {
+  if (section.empty()) {
+    const Pos open = skip_space(json, 0);
+    if (open >= json.size() || json[open] != '{') return std::nullopt;
+    return member_number(json, open, key);
+  }
   const std::string quoted_section = "\"" + std::string(section) + "\"";
-  const std::size_t at = json.find(quoted_section);
-  if (at == std::string_view::npos) return std::nullopt;
-  const std::string quoted_key = "\"" + std::string(key) + "\":";
-  const std::size_t key_at = json.find(quoted_key, at);
-  if (key_at == std::string_view::npos) return std::nullopt;
-  // strtod needs a terminated buffer; copy the short numeric tail.
-  const std::size_t begin = key_at + quoted_key.size();
-  const std::string tail(json.substr(begin, 64));
-  char* end = nullptr;
-  const double value = std::strtod(tail.c_str(), &end);
-  if (end == tail.c_str()) return std::nullopt;
-  return value;
+  for (Pos at = json.find(quoted_section); at != kNpos;
+       at = json.find(quoted_section, at + 1)) {
+    Pos open = skip_space(json, at + quoted_section.size());
+    if (open >= json.size() || json[open] != ':') continue;
+    open = skip_space(json, open + 1);
+    if (open < json.size() && json[open] == '{') {
+      return member_number(json, open, key);
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace elrr::bench_json

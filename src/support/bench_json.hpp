@@ -1,21 +1,27 @@
 #pragma once
 
 /// \file bench_json.hpp
-/// Minimal reader for the repo's own BENCH_*.json perf-trajectory files.
+/// Minimal reader for the repo's own machine-written JSON files: the
+/// BENCH_*.json perf trajectories, Chrome trace `otherData`, and the
+/// scheduler's stats snapshots.
 ///
-/// Not a JSON parser: the files are machine-written by bench/perf_smoke
-/// with a fixed, flat shape, so a positional key scan is exact for them.
-/// Used by perf_smoke (to embed before/after ratios against the
-/// committed baseline) and by `elrr bench-diff` (the regression gate in
-/// tools/bench_gate.sh).
+/// Not a full JSON parser, but it reads by structure, not by string
+/// position: a key is found only among the direct members of its
+/// section's brace-matched object. Used by perf_smoke (to embed
+/// before/after ratios against the committed baseline), `elrr
+/// bench-diff` (the regression gate in tools/bench_gate.sh), `elrr top`
+/// and `elrr trace-summary`.
 
 #include <optional>
 #include <string_view>
 
 namespace elrr::bench_json {
 
-/// The first number following `"key":` after the first occurrence of
-/// `"section"` in `json`; nullopt when either is absent. Sections in
+/// The number stored under `"key"` in the object labelled `"section"`:
+/// the first `"section": {...}` in `json`, searched among its direct
+/// members only (a nested object or a later section never answers for
+/// it). An empty `section` names the document's root object. nullopt
+/// when the section, the key, or a numeric value is absent. Sections in
 /// BENCH_sim.json are unique object labels ("small", "fleet", ...), keys
 /// are their numeric fields ("cycles_per_sec", "fleet_seconds", ...).
 std::optional<double> find_number(std::string_view json,

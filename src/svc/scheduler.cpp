@@ -884,6 +884,8 @@ std::string Scheduler::stats_json() const {
       milp.presolves += m.presolves;
       milp.nodes += m.nodes;
       milp.lp_iterations += m.lp_iterations;
+      milp.infeasible_certified += m.infeasible_certified;
+      milp.infeasible_cold += m.infeasible_cold;
       milp.solve_seconds += m.solve_seconds;
     }
   }
@@ -941,6 +943,7 @@ std::string Scheduler::stats_json() const {
                 "\"warm_roots\": %lld, \"warm_fallbacks\": %lld, "
                 "\"cold_solves\": %lld, \"presolves\": %lld, "
                 "\"nodes\": %lld, \"lp_iterations\": %lld, "
+                "\"infeasible_certified\": %lld, \"infeasible_cold\": %lld, "
                 "\"solve_seconds\": %.4f}}",
                 static_cast<long long>(milp.solves),
                 static_cast<long long>(milp.warm_attempts),
@@ -950,6 +953,8 @@ std::string Scheduler::stats_json() const {
                 static_cast<long long>(milp.presolves),
                 static_cast<long long>(milp.nodes),
                 static_cast<long long>(milp.lp_iterations),
+                static_cast<long long>(milp.infeasible_certified),
+                static_cast<long long>(milp.infeasible_cold),
                 milp.solve_seconds);
   out += buf;
   return out;

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <tuple>
 
 #include "bench89/generator.hpp"
 #include "core/analysis.hpp"
@@ -28,8 +29,10 @@ FlowOptions fast_options(std::uint64_t seed) {
   return options;
 }
 
+// std::string rather than const char*: ctest names each case after
+// GetParam(), and a printed pointer would differ from run to run.
 class FlowInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(FlowInvariants, HoldOnSmallCircuits) {
   const auto& [name, seed] = GetParam();

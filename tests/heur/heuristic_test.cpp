@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "bench89/generator.hpp"
 #include "core/analysis.hpp"
 #include "core/figures.hpp"
@@ -119,8 +122,10 @@ TEST(Heuristic, RejectsNonStronglyConnected) {
   EXPECT_THROW(heur_eff_cyc(rrg), InvalidInputError);
 }
 
+// std::string rather than const char*: ctest names each case after
+// GetParam(), and a printed pointer would differ from run to run.
 class HeuristicSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(HeuristicSweep, WellFormedOnSyntheticCircuits) {
   const auto& [name, seed] = GetParam();

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "bench89/generator.hpp"
 #include "core/figures.hpp"
@@ -257,6 +260,61 @@ TEST(Mps, GoldenParsesBackToTheSameMilp) {
     ASSERT_EQ(a.x.size(), b.x.size());
     for (std::size_t j = 0; j < a.x.size(); ++j) {
       EXPECT_EQ(a.x[j], b.x[j]) << g.circuit << " col " << j;
+    }
+  }
+}
+
+// The branch & bound tree each golden model grows, pinned: node count,
+// status, objective and incumbent, bit for bit. Solver changes that only
+// remove work (e.g. certifying infeasible nodes instead of re-solving
+// them) must leave all of it in place; a diff here means the search
+// visited a different tree. Values recorded on x86-64 with the default
+// (non -march=native) code generation.
+struct PinnedTree {
+  const char* file;
+  std::int64_t nodes;
+  double objective;
+  std::vector<double> x;
+};
+
+const PinnedTree kPinnedTrees[] = {
+    {"s208_min_cyc_x1.mps", 39, 29.961546206663407,
+     {29.961546206663407, 1, 0, 1, 1, -0.0, 1, 0, 0, 2, 0,
+      2.4946374194139126e-15, 3.5128150388530344e-16, 6.0715321659188248e-16,
+      7.5373735031192268e-16, -0.999999999999999, -5.3973201897902797e-17,
+      1.0000000000000013, 13.420440950343064, 29.961546206663442,
+      25.065631866056869, 20.752429979956698, 29.961546206663424,
+      29.961546206663428, 29.961546206663314, 12.11348461393036, 0,
+      -2.3836151169513969e-15, -5.4470317145671743e-16,
+      -5.2822329843493776e-16, -5.9501015226004483e-16, 0.99999999999999922,
+      5.3973201897902797e-17, -1.0000000000000011, -1.0000000000000011,
+      -1.0000000000000011, -1.0000000000000011, -2.0000000000000004,
+      -1.0000000000000011}},
+    {"s420_min_cyc_x1.25.mps", 151, 52.800295013874006,
+     {52.800295013874006, -0.0, 0, 1, 0, 0, 0, 1, -0.0, 1, 0,
+      -2.8863732964571693e-16, -1.0000000000000004, -0.99999999999999978, 0,
+      -0.99999999999999978, -1.0000000000000002, -1.0000000000000007,
+      39.590641062935859, 11.958681107313218, 52.800295013873992,
+      38.099869897431113, 23.050964466604078, 19.001956553801406,
+      52.80029501387402, 43.501384370316423, 0, 2.8863732964571693e-16,
+      1.0000000000000004, 1.4460855348286976, 0, 1.4460855348286983,
+      1.2500000000000018, 1.0000000000000002, 1.500000000000002,
+      0.25000000000000144, 1.500000000000002, -1, 0.24999999999999811}},
+};
+
+TEST(Mps, GoldenBranchAndBoundTreeIsPinned) {
+  for (const PinnedTree& pin : kPinnedTrees) {
+    MilpOptions options;
+    options.time_limit_s = 60.0;
+    const MilpResult r = solve_milp(from_mps(read_golden(pin.file)), options);
+    ASSERT_EQ(r.status, MilpStatus::kOptimal) << pin.file;
+    EXPECT_EQ(r.nodes, pin.nodes) << pin.file;
+    EXPECT_EQ(r.objective, pin.objective) << pin.file;
+    ASSERT_EQ(r.x.size(), pin.x.size()) << pin.file;
+    for (std::size_t j = 0; j < pin.x.size(); ++j) {
+      EXPECT_EQ(r.x[j], pin.x[j]) << pin.file << " col " << j;
+      EXPECT_EQ(std::signbit(r.x[j]), std::signbit(pin.x[j]))
+          << pin.file << " col " << j;
     }
   }
 }

@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -165,6 +167,44 @@ TEST_F(ObsTest, HistogramPercentilesStayInLog2Bracket) {
   }
   EXPECT_LE(row.p50_s, row.p95_s);
   EXPECT_LE(row.p95_s, row.p99_s);
+}
+
+TEST_F(ObsTest, HeavyTailPercentilesNeverExceedTheMax) {
+  configure("", 1024);
+  arm(true);
+  // 94 fast spans and 6 of 108 s: the slow ones land in the
+  // [2^36, 2^37) ns bucket (68.7-137.4 s), whose interpolation alone put
+  // p99 near 126 s -- past the largest sample.
+  const std::int64_t max_ns = 108'000'000'000;
+  for (int i = 0; i < 94; ++i) record_span("tail", 0, 1000);
+  for (int i = 0; i < 6; ++i) record_span("tail", 0, max_ns - i);
+  // A Pareto(1.1) stream on a second site: any percentile the buckets
+  // can place must still sit inside [min, max].
+  std::uint64_t state = 7;
+  std::int64_t pareto_min = INT64_MAX, pareto_max = 0;
+  for (int i = 0; i < 5000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double u = (static_cast<double>(state >> 11) + 0.5) * 0x1p-53;
+    const auto ns = static_cast<std::int64_t>(1000.0 / std::pow(u, 1 / 1.1));
+    pareto_min = std::min(pareto_min, ns);
+    pareto_max = std::max(pareto_max, ns);
+    record_span("pareto", 0, ns);
+  }
+  const std::vector<PhaseSummary> rows = histogram_summary();
+  ASSERT_EQ(rows.size(), 2u);
+  const PhaseSummary& pareto = rows[0];
+  const PhaseSummary& tail = rows[1];
+  ASSERT_EQ(tail.name, "tail");
+  EXPECT_LE(tail.p95_s, max_ns * 1e-9);
+  EXPECT_EQ(tail.p99_s, max_ns * 1e-9);
+  EXPECT_LE(tail.p50_s, 1024e-9);  // inside the fast spans' bucket
+  ASSERT_EQ(pareto.name, "pareto");
+  for (const double p : {pareto.p50_s, pareto.p95_s, pareto.p99_s}) {
+    EXPECT_GE(p, pareto_min * 1e-9);
+    EXPECT_LE(p, pareto_max * 1e-9);
+  }
+  EXPECT_LE(pareto.p50_s, pareto.p95_s);
+  EXPECT_LE(pareto.p95_s, pareto.p99_s);
 }
 
 TEST_F(ObsTest, ExpandTracePathSubstitutesPid) {

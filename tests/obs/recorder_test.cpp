@@ -21,6 +21,7 @@
 #include <string>
 
 #include "obs/recorder.hpp"
+#include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace elrr::obs::rec {
@@ -150,6 +151,24 @@ TEST_F(RecorderTest, WritePostmortemPublishesAtomicallyAndOnce) {
   // First-wins: the pre-opened fd is spent, a second dump must refuse
   // (in a real crash the second caller is a concurrent fatal signal).
   EXPECT_FALSE(write_postmortem("again"));
+}
+
+TEST_F(RecorderTest, PostmortemPercentilesNeverExceedTheMax) {
+  // The signal-safe mirror carries each histogram's max, so the dump's
+  // `<=` brackets clamp to it exactly as the live summary does.
+  obs::configure("", 1024);
+  obs::arm(true);
+  for (int i = 0; i < 94; ++i) obs::record_span("pm.tail", 0, 1000);
+  for (int i = 0; i < 6; ++i) obs::record_span("pm.tail", 0, 108'000'000'000);
+  configure(dir_.string(), 64);
+  ASSERT_TRUE(write_postmortem("test-hist"));
+  obs::reset();
+  const std::string text = slurp(postmortem_path());
+  EXPECT_NE(text.find("hist: pm.tail count=100 total_ns=648000094000 "
+                      "p50_le_ns=1024 p95_le_ns=108000000000 "
+                      "p99_le_ns=108000000000 max_ns=108000000000\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(RecorderTest, ClearedInflightMarksDoNotDump) {

@@ -985,14 +985,13 @@ int cmd_top(Args& args, std::ostream& out) {
   ELRR_REQUIRE(!path.empty(), "usage: elrr top <snapshot.json>");
   args.finish();
   const std::string text = io::load_text_file(path);
-  // The snapshot is machine-written with a fixed shape (the same
-  // contract BENCH_sim.json relies on), so the positional scanner is
-  // exact here too.
+  // The snapshot's gauges sit at its root ("" below); the scheduler's
+  // stats nest in labelled objects.
   const auto get = [&text](const char* section,
                            const char* key) -> std::optional<double> {
     return bench_json::find_number(text, section, key);
   };
-  ELRR_REQUIRE(get("snapshot", "uptime_s").has_value(), path,
+  ELRR_REQUIRE(get("", "uptime_s").has_value(), path,
                " is not a stats snapshot (expected the JSON published "
                "by ELRR_STATS_SNAPSHOT=path:period_ms)");
   const auto n = [](std::optional<double> v) -> long long {
@@ -1002,9 +1001,8 @@ int cmd_top(Args& args, std::ostream& out) {
   std::snprintf(row, sizeof(row),
                 "elrr top -- %s\nuptime %.1fs   queued %lld   running %lld"
                 "   scheduler workers %lld\n",
-                path.c_str(), *get("snapshot", "uptime_s"),
-                n(get("snapshot", "queued")), n(get("snapshot", "running")),
-                n(get("snapshot", "workers")));
+                path.c_str(), *get("", "uptime_s"), n(get("", "queued")),
+                n(get("", "running")), n(get("", "workers")));
   out << row;
   const long long pool = n(get("fleet", "pool"));
   const long long busy = n(get("fleet", "busy"));
