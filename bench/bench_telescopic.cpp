@@ -48,8 +48,8 @@ int main() {
   std::printf("%6s %6s %9s %10s %10s %10s\n", "p", "extra", "cap",
               "Theta_lp", "Th_markov", "Th_sim");
   // The whole (p, extra) grid is one fleet workload: every grid point's
-  // replications run batched (telescopic graphs included) and drain over
-  // all cores, instead of one solo simulation per point.
+  // replications run batched (telescopic graphs included) across all
+  // cores, instead of one solo simulation per point.
   const int extras[] = {1, 2, 4};
   const double probs[] = {0.5, 0.7, 0.9, 0.95};
   std::vector<Rrg> grid;
@@ -59,8 +59,10 @@ int main() {
   sim::SimOptions sopt;
   sopt.measure_cycles = 20000;
   sim::SimFleet fleet(0);
-  for (const Rrg& rrg : grid) fleet.submit(rrg, sopt);
-  const std::vector<sim::SimReport> sims = fleet.drain();
+  std::vector<sim::SimTicket> tickets;
+  for (const Rrg& rrg : grid) {
+    tickets.push_back(fleet.submit_async(Rrg(rrg), sopt));
+  }
   std::size_t point = 0;
   for (const int extra : extras) {
     for (const double p : probs) {
@@ -69,7 +71,7 @@ int main() {
       const auto mc = sim::exact_throughput(rrg);
       std::printf("%6.2f %6d %9.3f %10.4f %10.4f %10.4f%s\n", p, extra,
                   throughput_cap(rrg), lp, mc.ok ? mc.theta : -1.0,
-                  sims[point].theta, mc.ok && mc.theta > lp + 1e-9 ? "  !" : "");
+                  fleet.wait(tickets[point]).theta, mc.ok && mc.theta > lp + 1e-9 ? "  !" : "");
       ++point;
     }
   }

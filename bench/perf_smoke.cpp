@@ -12,7 +12,7 @@
 /// section runs a multi-circuit manifest through the svc::Scheduler
 /// (one shared fleet for the whole batch) against the historical
 /// per-circuit engine loop, bit-exactness gated the same way. The `proc`
-/// section drains the fleet workload through real process-isolated
+/// section scores the fleet workload through real process-isolated
 /// `elrr work` workers and reports the isolation overhead, with the same
 /// bit-exactness gate.
 ///
@@ -33,7 +33,7 @@
 /// replications, interleaved by the batched stepper on the fast path --
 /// telescopic graphs included since the fleet PR). The fleet workload is
 /// the table/figure shape: many candidate configurations, a few
-/// replications each, scored in one drain.
+/// replications each, scored in one ticket wave (run_wave).
 
 #include <algorithm>
 #include <chrono>
@@ -44,6 +44,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench89/generator.hpp"
@@ -127,7 +128,7 @@ Row measure(const Case& c) {
 
 struct FleetRow {
   double loop_s = 0.0;   ///< PR-1 per-candidate loop, best of reps
-  double fleet_s = 0.0;  ///< one SimFleet drain, best of reps
+  double fleet_s = 0.0;  ///< one SimFleet ticket wave, best of reps
   std::size_t candidates = 0;
   std::size_t workers = 0;
   bool bit_exact = false;
@@ -144,6 +145,30 @@ std::vector<elrr::Rrg> fleet_candidates() {
   return candidates;
 }
 
+/// Scores `candidates` on `fleet` as one ticket wave: submits a copy of
+/// each in order, then waits and releases the tickets in order. Returns
+/// the thetas in submission order; `fresh` (optional) counts the
+/// submissions that started a new simulation instead of hitting the
+/// fleet's session cache.
+std::vector<double> run_wave(elrr::sim::SimFleet& fleet,
+                             const std::vector<elrr::Rrg>& candidates,
+                             const elrr::sim::SimOptions& options,
+                             std::size_t* fresh = nullptr) {
+  std::vector<elrr::sim::SimTicket> tickets;
+  tickets.reserve(candidates.size());
+  for (const elrr::Rrg& candidate : candidates) {
+    tickets.push_back(fleet.submit_async(elrr::Rrg(candidate), options));
+  }
+  std::vector<double> thetas;
+  thetas.reserve(tickets.size());
+  for (const elrr::sim::SimTicket ticket : tickets) {
+    thetas.push_back(fleet.wait(ticket).theta);
+    fleet.release(ticket);
+    if (fresh != nullptr && ticket.fresh) ++*fresh;
+  }
+  return thetas;
+}
+
 elrr::sim::SimOptions fleet_sim_options() {
   elrr::sim::SimOptions options;
   options.warmup_cycles = 200;
@@ -157,9 +182,9 @@ elrr::sim::SimOptions fleet_sim_options() {
 /// is PR 1's per-candidate loop: sequential simulate_throughput calls,
 /// and -- as in PR 1, where step_batch refused telescopic graphs --
 /// max_batch = 1 (solo stepping) for the telescopic candidates. The fleet
-/// scores the identical jobs through one batched work queue; the fleet
-/// object (and with it the persistent worker pool) lives across the
-/// measurement reps, as it does across a flow's drains.
+/// scores the identical jobs through one batched work queue. Each timed
+/// rep builds a fresh fleet: the session cache outlives a wave, so a
+/// reused fleet would serve reps 2-3 from memory.
 FleetRow measure_fleet() {
   const std::vector<elrr::Rrg> candidates = fleet_candidates();
   const elrr::sim::SimOptions options = fleet_sim_options();
@@ -168,9 +193,8 @@ FleetRow measure_fleet() {
   row.candidates = candidates.size();
 
   std::vector<double> loop_thetas(candidates.size());
-  std::vector<double> fleet_thetas(candidates.size());
+  std::vector<double> fleet_thetas;
   double best_loop = 1e300, best_fleet = 1e300;
-  elrr::sim::SimFleet fleet(0);  // all cores; pool persists across reps
   for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
     auto t0 = Clock::now();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -183,15 +207,10 @@ FleetRow measure_fleet() {
     best_loop = std::min(best_loop, seconds_since(t0));
 
     t0 = Clock::now();
-    for (const elrr::Rrg& candidate : candidates) {
-      fleet.submit(candidate, options);
-    }
-    const std::vector<elrr::sim::SimReport> reports = fleet.drain();
+    elrr::sim::SimFleet fleet(0);  // all cores
+    fleet_thetas = run_wave(fleet, candidates, options);
     best_fleet = std::min(best_fleet, seconds_since(t0));
-    row.workers = fleet.last_worker_count();
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      fleet_thetas[i] = reports[i].theta;
-    }
+    row.workers = fleet.pool_size();
   }
   row.loop_s = best_loop;
   row.fleet_s = best_fleet;
@@ -219,26 +238,26 @@ DedupRow measure_dedup() {
   DedupRow row;
   row.jobs = candidates.size() * kCopies;
 
+  std::vector<elrr::Rrg> jobs;
+  for (int copy = 0; copy < kCopies; ++copy) {
+    jobs.insert(jobs.end(), candidates.begin(), candidates.end());
+  }
+
   std::vector<double> off_thetas, on_thetas;
   double best_off = 1e300, best_on = 1e300;
   for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
     for (const bool dedup : {false, true}) {
-      elrr::sim::SimFleet fleet(0, dedup);
-      for (int copy = 0; copy < kCopies; ++copy) {
-        for (const elrr::Rrg& candidate : candidates) {
-          fleet.submit(candidate, options);
-        }
-      }
+      std::size_t fresh = 0;
       const auto t0 = Clock::now();
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
+      elrr::sim::SimFleet fleet(0, dedup);
+      std::vector<double> thetas = run_wave(fleet, jobs, options, &fresh);
       const double s = seconds_since(t0);
-      std::vector<double>& thetas = dedup ? on_thetas : off_thetas;
-      thetas.clear();
-      for (const auto& report : reports) thetas.push_back(report.theta);
       if (dedup) {
+        on_thetas = std::move(thetas);
         best_on = std::min(best_on, s);
-        row.unique = fleet.last_unique_jobs();
+        row.unique = fresh;
       } else {
+        off_thetas = std::move(thetas);
         best_off = std::min(best_off, s);
       }
     }
@@ -256,13 +275,14 @@ struct ProcRow {
   bool bit_exact = false;  ///< proc-tier thetas == in-process thetas
 };
 
-/// The process-isolation overhead: the fleet workload drained through the
+/// The process-isolation overhead: the fleet workload scored through the
 /// in-process pool vs through real `elrr work` worker processes (spawn +
 /// serialize + pipe round-trips). ELRR_PROC_WORKERS is read at fleet
-/// construction, so each mode builds its own fleet; both fleets persist
-/// across the measurement reps so the proc number amortises worker spawns
-/// the way a long batch does. The bit_exact gate is the isolation tier's
-/// whole contract: identical thetas at any worker count.
+/// construction, and each timed rep builds a fresh fleet (the session
+/// cache would otherwise serve later reps from memory), so the proc
+/// number includes one worker spawn per slot per rep. The bit_exact gate
+/// is the isolation tier's whole contract: identical thetas at any
+/// worker count.
 ProcRow measure_proc() {
   const std::vector<elrr::Rrg> candidates = fleet_candidates();
   const elrr::sim::SimOptions options = fleet_sim_options();
@@ -270,38 +290,21 @@ ProcRow measure_proc() {
   ProcRow row;
   row.candidates = candidates.size();
 
-  std::vector<double> inproc_thetas(candidates.size());
-  std::vector<double> proc_thetas(candidates.size());
+  std::vector<double> inproc_thetas, proc_thetas;
   double best_inproc = 1e300, best_proc = 1e300;
-  {
+  for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
+    const auto t0 = Clock::now();
     elrr::sim::SimFleet fleet(1);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_inproc = std::min(best_inproc, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        inproc_thetas[i] = reports[i].theta;
-      }
-    }
+    inproc_thetas = run_wave(fleet, candidates, options);
+    best_inproc = std::min(best_inproc, seconds_since(t0));
   }
   ::setenv("ELRR_PROC_WORKERS", "2", 1);
   ::setenv("ELRR_WORK_BIN", ELRR_CLI_BIN, 1);
-  {
+  for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
+    const auto t0 = Clock::now();
     elrr::sim::SimFleet fleet(1);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_proc = std::min(best_proc, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        proc_thetas[i] = reports[i].theta;
-      }
-    }
+    proc_thetas = run_wave(fleet, candidates, options);
+    best_proc = std::min(best_proc, seconds_since(t0));
   }
   ::unsetenv("ELRR_PROC_WORKERS");
   ::unsetenv("ELRR_WORK_BIN");
@@ -339,41 +342,24 @@ ObsRow measure_obs() {
 
   ObsRow row;
   row.candidates = candidates.size();
-  std::vector<double> disarmed_thetas(candidates.size());
-  std::vector<double> armed_thetas(candidates.size());
+  std::vector<double> disarmed_thetas, armed_thetas;
   double best_disarmed = 1e300, best_armed = 1e300;
 
   elrr::obs::reset();  // tracing off: the disarmed fast path
-  {
+  for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
+    const auto t0 = Clock::now();
     elrr::sim::SimFleet fleet(0);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_disarmed = std::min(best_disarmed, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        disarmed_thetas[i] = reports[i].theta;
-      }
-    }
+    disarmed_thetas = run_wave(fleet, candidates, options);
+    best_disarmed = std::min(best_disarmed, seconds_since(t0));
   }
 
   elrr::obs::configure("", 1 << 16);  // big rings; still disarmed (no path)
   elrr::obs::arm(true);
-  {
+  for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
+    const auto t0 = Clock::now();
     elrr::sim::SimFleet fleet(0);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_armed = std::min(best_armed, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        armed_thetas[i] = reports[i].theta;
-      }
-    }
+    armed_thetas = run_wave(fleet, candidates, options);
+    best_armed = std::min(best_armed, seconds_since(t0));
   }
   row.spans = elrr::obs::snapshot_spans().size();
   elrr::obs::reset();
@@ -386,22 +372,14 @@ ObsRow measure_obs() {
   // contract tracing honors. The dump dir is cwd; the pre-opened temp
   // file is unlinked by reset() below, so a crash-free run leaves
   // nothing behind.
-  std::vector<double> recorder_thetas(candidates.size());
+  std::vector<double> recorder_thetas;
   double best_recorder = 1e300;
   elrr::obs::rec::configure(".", 1 << 16);
-  {
+  for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
+    const auto t0 = Clock::now();
     elrr::sim::SimFleet fleet(0);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_recorder = std::min(best_recorder, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        recorder_thetas[i] = reports[i].theta;
-      }
-    }
+    recorder_thetas = run_wave(fleet, candidates, options);
+    best_recorder = std::min(best_recorder, seconds_since(t0));
   }
   row.events = elrr::obs::rec::snapshot_events().size() +
                static_cast<std::size_t>(elrr::obs::rec::dropped_events());

@@ -14,8 +14,8 @@
 /// flow::Engine overlaps them: the walk runs step-wise (core/opt's
 /// resumable ParetoWalk), and every candidate a step emits is streamed
 /// into a sim::SimFleet *asynchronously* (owning submissions -- the
-/// configured Rrg moves into the fleet, no borrow-until-drain hazard)
-/// while the next MILP step solves on the caller's thread. The fleet's
+/// configured Rrg moves into the fleet) while the next MILP step solves
+/// on the caller's thread. The fleet's
 /// session cache (canonical-key dedup, PR 3) persists across walk
 /// iterations and across Engine::score calls, so revisited
 /// configurations -- a routine artifact of Pareto walks -- are simulated
@@ -180,7 +180,7 @@ class Engine {
     return cancel_.load(std::memory_order_relaxed);
   }
 
-  /// The underlying fleet (observability: async_cache_size, pool_size;
+  /// The underlying fleet (observability: cache_stats, pool_size;
   /// reusable after cancellation like after a normal run). The shared
   /// one when the engine was constructed onto it.
   sim::SimFleet& fleet() { return *fleet_; }

@@ -165,17 +165,16 @@ double run_reference(const Kernel& kernel, const GuardTable& guards,
 /// the dedup cache each hold a reference, so neither ticket release nor
 /// cache eviction can free a job a worker still executes.
 struct JobContext {
-  /// `remaining` value of a reserved-but-not-yet-built async context
+  /// `remaining` value of a reserved-but-not-yet-built context
   /// (two-phase submission: the cache entry is visible -- and aliasable
   /// -- while the kernels build outside the lock).
   static constexpr std::size_t kBuilding = static_cast<std::size_t>(-1);
 
-  const Rrg* rrg = nullptr;
+  std::unique_ptr<Rrg> rrg;  ///< the candidate, owned until completion
   SimOptions options;
   SimPath path = SimPath::kFlat;
   FlatCap fallback = FlatCap::kNone;
   std::size_t lane_cap = 1;  ///< batch width cap this job's slices use
-  std::unique_ptr<Rrg> owned_rrg;  ///< owning submissions (kept alive here)
   std::unique_ptr<FlatKernel> flat_kernel;
   std::unique_ptr<Kernel> ref_kernel;
   std::unique_ptr<GuardTable> guards;
@@ -195,23 +194,18 @@ struct JobContext {
   /// ones -- degradation is observable only through this counter.
   std::once_flag ref_fallback_once;
   std::atomic<std::uint32_t> degraded_slices{0};
-  /// Async contexts drop their kernels/tables/borrows once complete:
-  /// the session cache keeps only the per_run results (cheap) while the
-  /// heavy execution state is freed as soon as the last slice lands.
-  /// Also the "this context counts toward in_flight" marker.
-  bool release_on_done = false;
 
   bool done() const { return remaining == 0; }
 
-  /// Frees everything execution needed; per_run/path/fallback survive
-  /// for report merging and the session cache.
+  /// Frees everything execution needed once the last slice lands: the
+  /// session cache keeps only per_run/path/fallback (cheap) for report
+  /// merging, never the candidate, kernels or tables.
   void release_execution_state() {
     flat_kernel.reset();
     ref_kernel.reset();
     guards.reset();
     latencies.reset();
-    owned_rrg.reset();
-    rrg = nullptr;  // the borrow (if any) ends with the job
+    rrg.reset();
     rrg_text.clear();
     rrg_text.shrink_to_fit();
   }
@@ -321,7 +315,7 @@ std::string canonical_key(const Rrg& rrg, const SimOptions& options) {
 
 /// Classifies the execution path and builds kernels, chooser tables,
 /// result slots and the slice partition for one unique job. Runs on the
-/// submitting thread (sync and async alike), outside the fleet mutex.
+/// submitting thread, outside the fleet mutex.
 /// `build_kernels = false` (the proc tier) skips the kernel and chooser
 /// construction: classification, result slots and the slice partition
 /// still happen here -- identically, so the partition and the report
@@ -390,18 +384,18 @@ std::size_t entry_bytes(const std::string& key, const JobContext& ctx) {
 
 }  // namespace
 
-/// Pool, queue and async-session state. Workers and client threads meet
-/// only here, under `mutex`:
+/// Pool, queue and session state. Workers and client threads meet only
+/// here, under `mutex`:
 ///  * `queue` holds unclaimed slices; workers pop front, execute
-///    unlocked, then decrement their context's `remaining` under the
-///    lock and signal `cv_done` when a job finishes;
-///  * drain() and the async waiters block on `cv_done` until the
-///    contexts they care about complete -- a claimed slice holds a
-///    shared_ptr, so context storage outlives its execution no matter
-///    what tickets or the cache do meanwhile;
-///  * the async session -- the LRU dedup `cache` and the `tickets`
-///    table -- persists for the fleet's lifetime and is fully guarded by
-///    `mutex`: any number of client threads may submit/poll/wait/release
+///    unlocked, then land the slice (finish_slice) under the lock and
+///    signal `cv_done` when a job finishes;
+///  * waiters block on `cv_done` until the contexts they care about
+///    complete -- a claimed slice holds a shared_ptr, so context storage
+///    outlives its execution no matter what tickets or the cache do
+///    meanwhile;
+///  * the session -- the LRU dedup `cache` and the `tickets` table --
+///    persists for the fleet's lifetime and is fully guarded by `mutex`:
+///    any number of client threads may submit/poll/wait/release
 ///    concurrently (multi-client sharing, the svc::Scheduler shape).
 struct FleetCore {
   struct CacheEntry {
@@ -428,7 +422,7 @@ struct FleetCore {
   bool stop = false;
   std::deque<QueueEntry> queue;
 
-  // Async session (all under `mutex`).
+  // Session (all under `mutex`).
   std::unordered_map<std::string, CacheEntry> cache;  ///< canonical -> entry
   std::list<const std::string*> lru;  ///< front = most recently used
   std::size_t cache_bytes = 0;
@@ -436,11 +430,10 @@ struct FleetCore {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  std::size_t in_flight = 0;  ///< async contexts not yet completed
+  std::size_t in_flight = 0;  ///< contexts not yet completed
 
   std::unordered_map<std::size_t, std::shared_ptr<JobContext>> tickets;
   std::size_t next_ticket = 0;
-  std::size_t reported = 0;  ///< tickets consumed by wait_all
 
   // Process-isolated tier bookkeeping (all under `mutex`; zero/empty
   // while the fleet runs in-process).
@@ -465,6 +458,26 @@ struct FleetCore {
         cache.erase(it);
         break;
       }
+    }
+  }
+
+  /// Lands one claimed slice under `mutex`: clears the slot's heartbeat,
+  /// records the job's first failure and, on its last slice, frees the
+  /// execution state and wakes the waiters. A failed job is purged from
+  /// the dedup cache: existing tickets still rethrow the failure, but a
+  /// *re-submission* of the same candidate must run fresh -- that is
+  /// what makes a transient fault (injected or real) recoverable by the
+  /// scheduler's retry, instead of the cache replaying it forever.
+  void finish_slice(std::size_t slot, JobContext& ctx,
+                    std::exception_ptr failure) {
+    beats[slot].busy = false;
+    if (failure && !ctx.failure) ctx.failure = failure;
+    if (ctx.failure) purge_entry(&ctx);
+    if (--ctx.remaining == 0) {
+      ctx.release_execution_state();
+      ELRR_ASSERT(in_flight > 0, "in_flight underflow");
+      --in_flight;
+      cv_done.notify_all();
     }
   }
 
@@ -573,21 +586,6 @@ std::size_t SimFleet::hardware_concurrency_cached() {
   return hardware;
 }
 
-std::size_t SimFleet::submit(const Rrg& rrg, const SimOptions& options) {
-  ELRR_REQUIRE(options.measure_cycles > 0, "measure_cycles must be positive");
-  ELRR_REQUIRE(options.runs > 0, "need at least one run");
-  jobs_.push_back(Job{&rrg, options});
-  return jobs_.size() - 1;
-}
-
-std::size_t SimFleet::submit(Rrg&& rrg, const SimOptions& options) {
-  ELRR_REQUIRE(options.measure_cycles > 0, "measure_cycles must be positive");
-  ELRR_REQUIRE(options.runs > 0, "need at least one run");
-  sync_owned_.push_back(std::make_unique<Rrg>(std::move(rrg)));
-  jobs_.push_back(Job{sync_owned_.back().get(), options});
-  return jobs_.size() - 1;
-}
-
 void SimFleet::ensure_pool(std::size_t workers) {
   const std::lock_guard<std::mutex> lock(core_->mutex);
   while (core_->pool.size() < workers) {
@@ -639,24 +637,7 @@ void SimFleet::worker_main(std::size_t slot) {
       obs::rec::clear_inflight();
     }
     lock.lock();
-    core.beats[slot].busy = false;
-    if (failure && !ctx.failure) ctx.failure = failure;
-    if (ctx.failure) {
-      // Purge a failed job from the dedup cache: existing tickets still
-      // rethrow the failure, but a *re-submission* of the same candidate
-      // must run fresh -- that is what makes a transient fault (injected
-      // or real) recoverable by the scheduler's retry, instead of the
-      // cache replaying the failure forever.
-      core.purge_entry(&ctx);
-    }
-    if (--ctx.remaining == 0) {
-      if (ctx.release_on_done) {
-        ctx.release_execution_state();
-        ELRR_ASSERT(core.in_flight > 0, "in_flight underflow");
-        --core.in_flight;
-      }
-      core.cv_done.notify_all();
-    }
+    core.finish_slice(slot, ctx, failure);
   }
 }
 
@@ -703,17 +684,7 @@ void SimFleet::proc_supervisor_main(std::size_t slot) {
       obs::rec::clear_inflight();
     }
     lock.lock();
-    core.beats[slot].busy = false;
-    if (failure && !ctx.failure) ctx.failure = failure;
-    if (ctx.failure) core.purge_entry(&ctx);
-    if (--ctx.remaining == 0) {
-      if (ctx.release_on_done) {
-        ctx.release_execution_state();
-        ELRR_ASSERT(core.in_flight > 0, "in_flight underflow");
-        --core.in_flight;
-      }
-      core.cv_done.notify_all();
-    }
+    core.finish_slice(slot, ctx, failure);
   }
   core.child_pids[slot] = 0;
   lock.unlock();
@@ -873,121 +844,7 @@ void SimFleet::proc_run_slice(std::size_t slot, const QueueEntry& entry,
       ") of a fleet job (last: ", last_death, ")"));
 }
 
-std::vector<SimReport> SimFleet::drain() {
-  if (jobs_.empty()) return {};
-  // The queue empties no matter how this drain ends (success, a job
-  // exception on either the inline or the pooled path, a context-build
-  // throw): a failed drain never leaks its jobs into the next one. The
-  // owned candidates of this drain die with it too (after execution).
-  const std::vector<Job> jobs = std::move(jobs_);
-  jobs_.clear();
-  struct OwnedGuard {
-    std::vector<std::unique_ptr<Rrg>>* owned;
-    ~OwnedGuard() { owned->clear(); }
-  } owned_guard{&sync_owned_};
-
-  // Deduplicate: jobs whose canonical (rrg content, options) key matches
-  // an earlier submission share that submission's context -- one
-  // simulation, results fanned out below. Precompute every unique job's
-  // kernel, tables and slice partition. The lane cap is per job:
-  // options.max_batch == 0 means the driver default, anything else
-  // clamps (1 = solo stepping); reference-path jobs go run by run (the
-  // reference kernel has no batched stepper).
-  std::vector<std::size_t> group(jobs.size());
-  std::vector<std::shared_ptr<JobContext>> contexts;
-  {
-    std::unordered_map<std::string, std::size_t> seen;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (dedup_) {
-        const std::string key =
-            fleet_detail::canonical_key(*jobs[j].rrg, jobs[j].options);
-        const auto [it, inserted] = seen.emplace(key, contexts.size());
-        group[j] = it->second;
-        if (!inserted) continue;
-      } else {
-        group[j] = contexts.size();
-      }
-      contexts.push_back(std::make_shared<JobContext>());
-      JobContext& ctx = *contexts.back();
-      ctx.rrg = jobs[j].rrg;
-      ctx.options = jobs[j].options;
-    }
-  }
-  last_unique_ = contexts.size();
-
-  std::vector<QueueEntry> entries;
-  for (const std::shared_ptr<JobContext>& ctx : contexts) {
-    std::vector<QueueEntry> slices;
-    fleet_detail::build_context(*ctx, &slices, ctx,
-                                /*build_kernels=*/proc_workers_ == 0);
-    ctx->remaining = slices.size();
-    entries.insert(entries.end(), slices.begin(), slices.end());
-  }
-
-  // An explicit thread request never consults hardware_concurrency():
-  // the queried value is irrelevant then, and the call is not free on
-  // every drain of a hot flow loop. In proc mode the pool width is the
-  // supervisor count (ELRR_PROC_WORKERS), still capped by the queue.
-  const std::size_t hardware =
-      threads_ == 0 && proc_workers_ == 0 ? hardware_concurrency_cached() : 0;
-  const std::size_t workers =
-      proc_workers_ > 0
-          ? resolve_worker_count(proc_workers_, 0, entries.size())
-          : resolve_worker_count(threads_, hardware, entries.size());
-  last_workers_ = workers;
-  if (workers <= 1 && proc_workers_ == 0) {
-    for (const QueueEntry& entry : entries) {
-      OBS_SPAN_ID("fleet.slice", entry.first);
-      obs::rec::event("slice.dispatch", entry.first, entry.count);
-      obs::rec::set_inflight("slice", entry.first);
-      fleet_detail::execute_slice(*entry.ctx, entry.first, entry.count);
-      obs::rec::clear_inflight();
-    }
-  } else {
-    ensure_pool(workers);
-    {
-      std::unique_lock<std::mutex> lock(core_->mutex);
-      for (const QueueEntry& entry : entries) {
-        core_->queue.push_back(entry);
-      }
-      core_->cv_work.notify_all();
-      core_->cv_done.wait(lock, [&] {
-        for (const std::shared_ptr<JobContext>& ctx : contexts) {
-          if (!ctx->done()) return false;
-        }
-        return true;
-      });
-    }
-    // Rethrow the first failure in context (submission) order --
-    // deterministic regardless of which worker hit it first.
-    for (const std::shared_ptr<JobContext>& ctx : contexts) {
-      if (ctx->failure) std::rethrow_exception(ctx->failure);
-    }
-  }
-
-  // Merge in run order, job by job (each through its unique context):
-  // neither the queue interleaving, the pool size nor dedup can reach
-  // this reduction.
-  std::vector<SimReport> reports;
-  reports.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    reports.push_back(fleet_detail::report_for(*contexts[group[j]]));
-  }
-  return reports;
-}
-
-SimTicket SimFleet::submit_async(const Rrg& rrg, const SimOptions& options) {
-  return enqueue_async(&rrg, options, nullptr);
-}
-
 SimTicket SimFleet::submit_async(Rrg&& rrg, const SimOptions& options) {
-  auto owned = std::make_unique<Rrg>(std::move(rrg));
-  const Rrg* ptr = owned.get();
-  return enqueue_async(ptr, options, std::move(owned));
-}
-
-SimTicket SimFleet::enqueue_async(const Rrg* rrg, const SimOptions& options,
-                                  std::unique_ptr<Rrg> owned) {
   ELRR_REQUIRE(options.measure_cycles > 0, "measure_cycles must be positive");
   ELRR_REQUIRE(options.runs > 0, "need at least one run");
   FleetCore& core = *core_;
@@ -997,7 +854,7 @@ SimTicket SimFleet::enqueue_async(const Rrg* rrg, const SimOptions& options,
   // of any number of concurrent identical submissions builds the job and
   // the rest alias it -- even while it is still building.
   std::string key;
-  if (dedup_) key = fleet_detail::canonical_key(*rrg, options);
+  if (dedup_) key = fleet_detail::canonical_key(rrg, options);
 
   auto fresh = std::make_shared<JobContext>();
   const std::string* reserved_key = nullptr;
@@ -1019,7 +876,6 @@ SimTicket SimFleet::enqueue_async(const Rrg* rrg, const SimOptions& options,
       }
     }
     fresh->remaining = JobContext::kBuilding;
-    fresh->release_on_done = true;
     ++core.cache_misses;
     ++core.in_flight;
     if (dedup_) {
@@ -1035,9 +891,8 @@ SimTicket SimFleet::enqueue_async(const Rrg* rrg, const SimOptions& options,
   // Build kernels/tables/slices outside the lock -- concurrent clients
   // keep submitting meanwhile. Aliasing tickets simply wait: `remaining`
   // stays at the kBuilding sentinel until the slices are queued.
-  fresh->rrg = rrg;
+  fresh->rrg = std::make_unique<Rrg>(std::move(rrg));
   fresh->options = options;
-  fresh->owned_rrg = std::move(owned);
   std::vector<QueueEntry> slices;
   std::size_t backlog = 0;
   SimTicket ticket;
@@ -1078,10 +933,10 @@ SimTicket SimFleet::enqueue_async(const Rrg* rrg, const SimOptions& options,
       core.evict_over_cap();
     }
   }
-  // Async work always runs on the pool (that is the point: the caller's
-  // thread keeps optimizing); grow it to cover the queued backlog up to
-  // the configured width. 0 = hardware concurrency, queried once. In
-  // proc mode the pool is the supervisor set, one worker process each.
+  // Work always runs on the pool (that is the point: the caller's thread
+  // keeps optimizing); grow it to cover the queued backlog up to the
+  // configured width. 0 = hardware concurrency, queried once. In proc
+  // mode the pool is the supervisor set, one worker process each.
   ensure_pool(
       proc_workers_ > 0
           ? resolve_worker_count(proc_workers_, 0, backlog)
@@ -1155,45 +1010,10 @@ void SimFleet::release(SimTicket ticket) {
   core.tickets.erase(ticket.id);
 }
 
-std::vector<SimReport> SimFleet::wait_all() {
-  FleetCore& core = *core_;
-  std::unique_lock<std::mutex> lock(core.mutex);
-  core.cv_done.wait(lock, [&] { return core.in_flight == 0; });
-  // The wave is consumed whether it succeeded or not: a failed ticket
-  // rethrows (first in ticket order, deterministically) but never wedges
-  // later wait_all() calls -- `reported` advances past the wave first,
-  // and individual results stay retrievable through wait(ticket).
-  // Released tickets are skipped.
-  std::vector<SimReport> reports;
-  std::exception_ptr failure;
-  for (std::size_t t = core.reported; t < core.next_ticket; ++t) {
-    const auto it = core.tickets.find(t);
-    if (it == core.tickets.end()) continue;  // released
-    const JobContext& ctx = *it->second;
-    if (ctx.failure) {
-      if (!failure) failure = ctx.failure;
-      continue;
-    }
-    reports.push_back(fleet_detail::report_for(ctx));
-  }
-  core.reported = core.next_ticket;
-  if (failure) std::rethrow_exception(failure);
-  return reports;
-}
-
 std::size_t SimFleet::async_pending() const {
   FleetCore& core = *core_;
   const std::lock_guard<std::mutex> lock(core.mutex);
   return core.in_flight;
-}
-
-std::size_t SimFleet::async_cache_size() const {
-  FleetCore& core = *core_;
-  const std::lock_guard<std::mutex> lock(core.mutex);
-  // A dedup-off session has no cache; its unique-simulation count is the
-  // historical reading of this accessor, so keep reporting it.
-  return dedup_ ? core.cache.size()
-                : static_cast<std::size_t>(core.cache_misses);
 }
 
 SimCacheStats SimFleet::cache_stats() const {
@@ -1245,8 +1065,7 @@ SliceRunner::SliceRunner(Rrg rrg, const SimOptions& options) {
   ELRR_REQUIRE(options.measure_cycles > 0, "measure_cycles must be positive");
   ELRR_REQUIRE(options.runs > 0, "need at least one run");
   ctx_ = std::make_shared<JobContext>();
-  ctx_->owned_rrg = std::make_unique<Rrg>(std::move(rrg));
-  ctx_->rrg = ctx_->owned_rrg.get();
+  ctx_->rrg = std::make_unique<Rrg>(std::move(rrg));
   ctx_->options = options;
   // Full build (kernels included): the runner *is* the execution state
   // the supervisor skipped. The slice partition computed here is

@@ -11,73 +11,43 @@
 /// simulate_throughput call at a time leaves both lanes and cores idle --
 /// with the flow's 2 runs per candidate the PR-1 driver degenerates to a
 /// single work item and a single thread no matter what `threads` says.
-/// The fleet accepts every (candidate, replication) job up front,
-/// interleaves each candidate's runs up to 16 lanes wide through
-/// FlatKernel::step_batch (telescopic candidates included), and drains
-/// work items from *different* candidates concurrently across the pool.
+/// The fleet interleaves each candidate's runs up to 16 lanes wide
+/// through FlatKernel::step_batch (telescopic candidates included), and
+/// drains work items from *different* candidates concurrently across the
+/// pool.
 ///
-/// Two usage styles share the pool and the optimizations:
+/// One way in: `submit_async` moves a candidate into the fleet, queues
+/// its slices on the background pool *immediately* and returns a
+/// SimTicket; the caller keeps working and collects the result through
+/// `poll`/`wait`/`wait_for`, then `release`s the ticket. The pipelined
+/// flow engine (flow/engine.hpp) submits each Pareto candidate while the
+/// next MILP step solves; simulate_throughput is a one-ticket fleet.
+/// Every public method is thread-safe: any number of client threads may
+/// drive one fleet concurrently (the svc::Scheduler shape, one fleet per
+/// batch).
 ///
-///  * **Synchronous** (`submit` + `drain`): enqueue every candidate, then
-///    drain(); results come back in submission order and the fleet is
-///    reusable. The calling thread participates (and runs everything
-///    inline when one worker suffices).
-///
-///  * **Asynchronous** (`submit_async` + `poll`/`wait`/`wait_all`): each
-///    submission is dispatched to the background pool *immediately* and
-///    returns a SimTicket; the caller keeps working -- the pipelined flow
-///    engine (flow/engine.hpp) submits each Pareto candidate while the
-///    next MILP step solves. Async submissions feed a session-persistent
-///    result cache: a candidate with identical canonical content +
-///    options to any earlier async submission (this drain, a previous
-///    walk iteration, a previous wait_all, *another client's job*)
-///    reuses the finished result instead of re-simulating.
-///
-/// Multi-client sharing (the svc::Scheduler shape): the asynchronous API
-/// -- submit_async, poll, wait, release -- is thread-safe and may be
-/// driven by any number of client threads concurrently; one fleet serves
-/// every optimization job of a batch, and the session cache dedups
-/// identical candidates *across* jobs. wait_all() and the synchronous
-/// submit/drain pair remain single-client (one thread at a time): their
-/// wave/queue bookkeeping is caller-wide by design.
-///
-/// Session cache bound: the canonical-key result cache is LRU-evicted
-/// past a byte cap (`cache_cap_bytes`; default 256 MiB, 0 = unbounded),
-/// so a long multi-circuit batch no longer grows it without limit.
-/// Eviction only forgets a *result for dedup purposes* -- outstanding
-/// tickets keep their job alive (shared ownership) and stay waitable, so
-/// correctness never depends on the cap. cache_stats() exposes live
-/// entries/bytes plus cumulative hits/misses/evictions; the
+/// Session cache: a candidate with identical canonical content + options
+/// to any earlier submission (a previous walk iteration, *another
+/// client's job*) aliases that job instead of re-simulating -- duplicate
+/// candidates, a routine artifact of Pareto walks revisiting
+/// configurations, simulate once (the determinism contract makes the
+/// shared result bit-identical to simulating each copy). The cache is
+/// LRU-evicted past a byte cap (`cache_cap_bytes`; default 256 MiB, 0 =
+/// unbounded). Eviction only forgets a *result for dedup purposes* --
+/// outstanding tickets keep their job alive (shared ownership) and stay
+/// waitable, so correctness never depends on the cap. cache_stats()
+/// exposes live entries/bytes plus cumulative hits/misses/evictions; the
 /// ELRR_SIM_CACHE_CAP env knob plumbs the cap through FlowOptions /
-/// svc::SchedulerOptions.
-///
-/// Ownership: `submit(const Rrg&)` / `submit_async(const Rrg&)` borrow
-/// the candidate -- it must stay alive and structurally unchanged until
-/// drain() returns / the ticket completes. The rvalue overloads
-/// (`submit(Rrg&&)`, `submit_async(Rrg&&)`) move the candidate *into*
-/// the fleet instead, removing the borrow-until-drain lifetime hazard --
-/// the right default for candidates materialized on the fly
-/// (apply_config results of a walk).
-///
-/// Two cross-candidate optimizations ride on the shared queue:
-///  * duplicate candidates -- identical buffer/retiming assignments, a
-///    routine artifact of Pareto walks revisiting configurations -- are
-///    simulated once and their scores fanned back out to every submitted
-///    duplicate (the determinism contract makes the shared result
-///    bit-identical to simulating each copy);
-///  * the worker pool persists across drain() calls and async sessions
-///    (workers park on a condition variable in between), so a flow that
-///    drains per walk iteration stops paying thread spawn/join per drain.
+/// svc::SchedulerOptions. The worker pool persists for the fleet's
+/// lifetime (workers park on a condition variable between jobs).
 ///
 /// Determinism contract (same as the PR-1 driver, fleet-wide): each job's
 /// result depends only on (rrg, options.seed, options.runs,
 /// options.*_cycles). Every run draws from its own splitmix64-derived
 /// per-node streams, per-run theta lands in a run-indexed slot, and each
 /// job's moments accumulate in run order -- so the thread count, the lane
-/// packing (options.max_batch), dedup on/off, sync vs async submission,
-/// the submission interleaving and the client count can never change a
-/// reported theta. A fleet job is bit-identical to simulate_throughput
-/// of the same (rrg, options).
+/// packing (options.max_batch), dedup on/off, the submission interleaving
+/// and the client count can never change a reported theta.
 
 #include <cstddef>
 #include <cstdint>
@@ -93,7 +63,7 @@ namespace elrr::sim {
 
 namespace fleet_detail {
 struct JobContext;  // one unique job's kernels/tables/slots (fleet.cpp)
-struct FleetCore;   // pool + queue + async session state (fleet.cpp)
+struct FleetCore;   // pool + queue + session state (fleet.cpp)
 struct QueueEntry;  // one run slice of one unique job (fleet.cpp)
 }  // namespace fleet_detail
 
@@ -101,7 +71,7 @@ namespace proc {
 class WorkerProcess;  // one `elrr work` child process (proc_fleet.hpp)
 }  // namespace proc
 
-/// Default byte cap of the async session result cache (LRU past this).
+/// Default byte cap of the session result cache (LRU past this).
 inline constexpr std::size_t kDefaultSimCacheCapBytes =
     std::size_t{256} << 20;  // 256 MiB
 
@@ -122,9 +92,9 @@ std::size_t resolve_worker_count(std::size_t requested, std::size_t hardware,
 /// the same canonical identity.
 std::string canonical_rrg_key(const Rrg& rrg);
 
-/// Handle to one asynchronously submitted job. A ticket stays waitable
-/// (and re-waitable) until it is release()d -- results are held by
-/// shared ownership, so neither cache eviction nor other clients can
+/// Handle to one submitted job. A ticket stays waitable (and
+/// re-waitable) until it is release()d -- results are held by shared
+/// ownership, so neither cache eviction nor other clients can
 /// invalidate it.
 struct SimTicket {
   static constexpr std::size_t kInvalid = static_cast<std::size_t>(-1);
@@ -181,7 +151,7 @@ struct ProcFleetStats {
                                    ///< harvested (obs/recorder.hpp)
 };
 
-/// Live + cumulative counters of the async session result cache.
+/// Live + cumulative counters of the session result cache.
 struct SimCacheStats {
   std::size_t entries = 0;         ///< results currently cached
   std::size_t bytes = 0;           ///< accounted bytes of those entries
@@ -198,37 +168,18 @@ class SimFleet {
   /// controls duplicate-candidate elimination (identical RRG content +
   /// identical options simulate once); results are bit-identical either
   /// way, off is for benchmarking the dedup itself. `cache_cap_bytes`
-  /// bounds the async session result cache (0 = unbounded).
+  /// bounds the session result cache (0 = unbounded).
   explicit SimFleet(std::size_t threads = 0, bool dedup = true,
                     std::size_t cache_cap_bytes = kDefaultSimCacheCapBytes);
   ~SimFleet();
   SimFleet(const SimFleet&) = delete;
   SimFleet& operator=(const SimFleet&) = delete;
 
-  /// Enqueues one candidate; returns its index into drain()'s result
-  /// vector. Validates options eagerly (throws on zero cycles/runs).
-  /// The borrowed Rrg must outlive the drain() call.
-  std::size_t submit(const Rrg& rrg, const SimOptions& options);
-  /// Owning overload: the candidate is moved into the fleet and kept
-  /// alive through the drain -- no lifetime obligation on the caller.
-  std::size_t submit(Rrg&& rrg, const SimOptions& options);
-
-  /// Runs every queued job to completion and clears the queue -- also on
-  /// failure, so a throwing job never leaks stale queue entries into the
-  /// next drain. Safe to submit and drain again afterwards; the worker
-  /// pool stays parked in between. Single-client (like submit).
-  std::vector<SimReport> drain();
-
-  /// Starts simulating `rrg` on the background pool immediately and
-  /// returns without waiting. The borrowed Rrg must stay alive until the
-  /// ticket completes (prefer the owning overload below when in doubt).
-  /// With dedup on, a candidate identical to any earlier async
-  /// submission reuses its (possibly already finished) simulation.
-  /// Thread-safe: any client thread may submit concurrently.
-  SimTicket submit_async(const Rrg& rrg, const SimOptions& options);
-  /// Owning async submission: the fleet keeps the candidate alive until
-  /// its simulation completes. This is the lifetime-safe default for
-  /// streaming pipelines whose candidates are temporaries.
+  /// Moves `rrg` into the fleet, starts simulating it on the background
+  /// pool immediately and returns without waiting. Validates options
+  /// eagerly (throws on zero cycles/runs). With dedup on, a candidate
+  /// identical to any earlier submission reuses its (possibly already
+  /// finished) simulation. Thread-safe.
   SimTicket submit_async(Rrg&& rrg, const SimOptions& options);
 
   /// Non-blocking: has this ticket's simulation finished? Thread-safe.
@@ -244,23 +195,13 @@ class SimFleet {
   /// past its wall budget. Thread-safe.
   std::optional<SimReport> wait_for(SimTicket ticket, double seconds);
   /// Drops the fleet's reference for this ticket: later poll/wait on it
-  /// throw, wait_all skips it, and -- once every aliasing ticket is
-  /// released and the cache entry evicted -- the job's memory is freed.
-  /// Long-lived clients (the flow engine, the scheduler) release tickets
-  /// when done so a month-long session stays bounded. Idempotent;
-  /// thread-safe.
+  /// throw, and -- once every aliasing ticket is released and the cache
+  /// entry evicted -- the job's memory is freed. Long-lived clients (the
+  /// flow engine, the scheduler) release tickets when done so a
+  /// month-long session stays bounded. Idempotent; thread-safe.
   void release(SimTicket ticket);
-  /// Blocks until every outstanding async job completes; returns the
-  /// reports of all not-yet-released tickets issued since the previous
-  /// wait_all(), in ticket order. The session result cache survives, so
-  /// later submissions still dedup against everything simulated before.
-  /// Single-client (the wave bookkeeping is caller-wide).
-  std::vector<SimReport> wait_all();
-
-  /// Async jobs submitted and not yet completed.
+  /// Jobs submitted and not yet completed.
   std::size_t async_pending() const;
-  /// Unique simulations currently held by the async session cache.
-  std::size_t async_cache_size() const;
   /// Live + cumulative session-cache counters (entries, bytes, cap,
   /// hits/misses/evictions).
   SimCacheStats cache_stats() const;
@@ -290,26 +231,14 @@ class SimFleet {
   /// before the first spawn). Chaos tests aim real SIGKILLs with this.
   std::vector<int> proc_worker_pids() const;
 
-  std::size_t num_jobs() const { return jobs_.size(); }
   std::size_t threads() const { return threads_; }
   bool dedup() const { return dedup_; }
-  /// Workers the most recent drain() actually used (0 before any
-  /// drain): resolve_worker_count over the real work-item count.
-  std::size_t last_worker_count() const { return last_workers_; }
-  /// Persistent pool threads currently alive (0 until a drain or async
-  /// submission needs more than the calling thread; the pool grows on
-  /// demand and parks between batches).
+  /// Persistent pool threads currently alive (0 before the first
+  /// submission; the pool grows on demand up to the configured width
+  /// and parks between jobs).
   std::size_t pool_size() const;
-  /// Unique simulations the most recent drain() ran (== its job count
-  /// when dedup is off or no candidates repeat).
-  std::size_t last_unique_jobs() const { return last_unique_; }
 
  private:
-  struct Job {
-    const Rrg* rrg;
-    SimOptions options;
-  };
-
   /// Grows the persistent pool to `workers` threads (thread-safe). In
   /// proc mode the threads are supervisors, each owning one worker
   /// process.
@@ -328,20 +257,14 @@ class SimFleet {
   void proc_run_slice(std::size_t slot, const fleet_detail::QueueEntry& entry,
                       std::unique_ptr<proc::WorkerProcess>* child,
                       int* spawn_generation);
-  SimTicket enqueue_async(const Rrg* rrg, const SimOptions& options,
-                          std::unique_ptr<Rrg> owned);
   std::size_t hardware_concurrency_cached();
 
   const std::size_t threads_;
   const std::size_t proc_workers_;  ///< ELRR_PROC_WORKERS; 0 = in-process
   const bool dedup_;
-  std::size_t last_workers_ = 0;
-  std::size_t last_unique_ = 0;
-  std::vector<Job> jobs_;                  ///< sync queue (single-client)
-  std::vector<std::unique_ptr<Rrg>> sync_owned_;  ///< owning sync submissions
 
   /// Mutex, condition variables, worker threads, the shared work queue
-  /// and the async session (job contexts, LRU dedup cache, tickets) --
+  /// and the session (job contexts, LRU dedup cache, tickets) --
   /// defined in fleet.cpp; workers and concurrent clients only ever
   /// touch this state under its mutex.
   std::unique_ptr<fleet_detail::FleetCore> core_;

@@ -12,12 +12,12 @@ std::uint64_t run_seed(std::uint64_t seed, std::size_t run) {
 }
 
 SimReport simulate_throughput(const Rrg& rrg, const SimOptions& options) {
-  // A one-job fleet: same kernels, same per-run streams, same run-order
-  // merge -- simulate_throughput is the single-candidate spelling of the
-  // fleet scheduler, so every determinism property is shared.
+  // A one-ticket fleet: same kernels, same per-run streams, same
+  // run-order merge -- simulate_throughput is the single-candidate
+  // spelling of the fleet scheduler, so every determinism property is
+  // shared.
   SimFleet fleet(options.threads);
-  fleet.submit(rrg, options);
-  return fleet.drain().front();
+  return fleet.wait(fleet.submit_async(Rrg(rrg), options));
 }
 
 }  // namespace elrr::sim

@@ -76,7 +76,8 @@ struct SimReport : SimResult {
 
 /// Long-run throughput Theta(RRG) by simulation. Guards are sampled i.i.d.
 /// with the RRG's gamma probabilities (per-node independent streams).
-/// Equivalent to a one-job SimFleet drained with options.threads workers.
+/// Equivalent to one SimFleet ticket (submit_async, then wait) on a fleet
+/// of options.threads workers.
 SimReport simulate_throughput(const Rrg& rrg, const SimOptions& options = {});
 
 /// The per-run RNG seed: run `run` of a simulation seeded with `seed`.

@@ -1,5 +1,6 @@
 #include "support/stats.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -43,6 +44,13 @@ double mean_of(const std::vector<double>& xs) {
   double total = 0.0;
   for (double x : xs) total += x;
   return total / static_cast<double>(xs.size());
+}
+
+double sorted_percentile(const std::vector<double>& sorted, double q) {
+  ELRR_REQUIRE(!sorted.empty(), "percentile of an empty sample");
+  const std::size_t at = static_cast<std::size_t>(
+      q * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[std::min(at, sorted.size() - 1)];
 }
 
 }  // namespace elrr

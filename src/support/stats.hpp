@@ -37,4 +37,9 @@ double relative_percent(double a, double b);
 /// Arithmetic mean of a vector (0 for empty input).
 double mean_of(const std::vector<double>& xs);
 
+/// Order-statistic percentile of an ascending-sorted, non-empty sample:
+/// the element at rank round(q * (n - 1)), q in [0, 1]. Never
+/// interpolated, so it is always an observed value in [min, max].
+double sorted_percentile(const std::vector<double>& sorted, double q);
+
 }  // namespace elrr

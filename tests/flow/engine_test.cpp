@@ -204,9 +204,9 @@ TEST(FlowEngine, ScoreHitsTheSessionCache) {
   const EngineResult result = engine.run();
   ASSERT_FALSE(result.scored.empty());
 
-  const std::size_t cache_before = engine.fleet().async_cache_size();
+  const std::uint64_t misses_before = engine.fleet().cache_stats().misses;
   const std::vector<ScoredPoint> rescored = engine.score(result.walk.points);
-  EXPECT_EQ(engine.fleet().async_cache_size(), cache_before)
+  EXPECT_EQ(engine.fleet().cache_stats().misses, misses_before)
       << "rescoring the frontier must be pure cache hits";
   ASSERT_EQ(rescored.size(), result.scored.size());
   for (std::size_t i = 0; i < rescored.size(); ++i) {

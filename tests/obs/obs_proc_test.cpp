@@ -64,7 +64,7 @@ class ObsProcTest : public ::testing::Test {
 TEST_F(ObsProcTest, WorkerSpansNestInsideSupervisorSlices) {
   const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s208"), 1);
   sim::SimFleet fleet(1);
-  const sim::SimTicket ticket = fleet.submit_async(rrg, small_options());
+  const sim::SimTicket ticket = fleet.submit_async(Rrg(rrg), small_options());
   const sim::SimReport report = fleet.wait(ticket);
   EXPECT_GT(report.theta, 0.0);
   fleet.release(ticket);
@@ -113,7 +113,7 @@ TEST_F(ObsProcTest, DisarmedRunProducesNoSpans) {
   reset();
   const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s208"), 1);
   sim::SimFleet fleet(1);
-  const sim::SimTicket ticket = fleet.submit_async(rrg, small_options());
+  const sim::SimTicket ticket = fleet.submit_async(Rrg(rrg), small_options());
   const sim::SimReport report = fleet.wait(ticket);
   EXPECT_GT(report.theta, 0.0);
   fleet.release(ticket);
@@ -128,7 +128,7 @@ TEST_F(ObsProcTest, ArmedAndDisarmedThetasAreBitExact) {
   double armed_theta = 0.0;
   {
     sim::SimFleet fleet(1);
-    const sim::SimTicket ticket = fleet.submit_async(rrg, small_options());
+    const sim::SimTicket ticket = fleet.submit_async(Rrg(rrg), small_options());
     armed_theta = fleet.wait(ticket).theta;
     fleet.release(ticket);
   }
@@ -137,7 +137,7 @@ TEST_F(ObsProcTest, ArmedAndDisarmedThetasAreBitExact) {
   double disarmed_theta = 0.0;
   {
     sim::SimFleet fleet(1);
-    const sim::SimTicket ticket = fleet.submit_async(rrg, small_options());
+    const sim::SimTicket ticket = fleet.submit_async(Rrg(rrg), small_options());
     disarmed_theta = fleet.wait(ticket).theta;
     fleet.release(ticket);
   }

@@ -4,8 +4,8 @@
 /// node-count and degree caps), the driver must (a) classify the cap,
 /// (b) route the job to the reference kernel, and (c) produce exactly the
 /// theta a forced reference run produces -- through simulate_throughput
-/// and through a SimFleet drain that mixes fallback jobs with flat-path
-/// jobs in one queue. PR 2 only *reported* these caps; this suite runs
+/// and through one SimFleet ticket wave that mixes fallback jobs with
+/// flat-path jobs in one queue. PR 2 only *reported* these caps; this suite runs
 /// them.
 
 #include <gtest/gtest.h>
@@ -150,9 +150,9 @@ TEST(FlatCapFallback, NodeCountCapRunsOnReference) {
                             fallback_options(9, 30));
 }
 
-/// One drain mixing flat-path and every-cap fallback jobs: per-job paths
-/// are classified independently and each job's theta equals its solo
-/// counterpart bit for bit, across pool sizes.
+/// One ticket wave mixing flat-path and every-cap fallback jobs: per-job
+/// paths are classified independently and each job's theta equals its
+/// solo counterpart bit for bit, across pool sizes.
 TEST(FlatCapFallback, MixedFleetMatchesSoloJobs) {
   const Rrg deep = deep_chain_rrg();
   const Rrg wide_in = wide_join_rrg(300);
@@ -167,10 +167,14 @@ TEST(FlatCapFallback, MixedFleetMatchesSoloJobs) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     SimFleet fleet(threads);
+    std::vector<SimTicket> tickets;
     for (const Rrg* rrg : {&flat, &deep, &wide_in, &wide_out}) {
-      fleet.submit(*rrg, options);
+      tickets.push_back(fleet.submit_async(Rrg(*rrg), options));
     }
-    const std::vector<SimReport> reports = fleet.drain();
+    std::vector<SimReport> reports;
+    for (const SimTicket ticket : tickets) {
+      reports.push_back(fleet.wait(ticket));
+    }
     ASSERT_EQ(reports.size(), 4u);
     EXPECT_EQ(reports[0].path, SimPath::kFlat);
     EXPECT_EQ(reports[1].fallback, FlatCap::kDeepEbChain);

@@ -1,12 +1,10 @@
 /// \file fleet_async_test.cpp
-/// The fleet's asynchronous API: submit_async tickets complete on the
-/// background pool with results bit-identical to synchronous drains and
-/// solo simulation; the owning submit overloads keep candidates alive
-/// for exactly as long as the simulation needs them (the regression
-/// tests for the old borrow-until-drain footgun, where submit(Rrg&&) was
-/// simply deleted); and the session cache dedups identical candidates
-/// across submission waves -- the cross-iteration result cache the
-/// pipelined flow engine rides on.
+/// The fleet's ticket API: submit_async tickets complete on the
+/// background pool with results bit-identical across pool sizes, dedup
+/// on/off and solo simulation; owning submission keeps candidates alive
+/// for exactly as long as the simulation needs them; and the session
+/// cache dedups identical candidates across submission waves -- the
+/// cross-iteration result cache the pipelined flow engine rides on.
 
 #include "sim/fleet.hpp"
 
@@ -87,9 +85,26 @@ SimOptions async_options(std::uint64_t seed) {
   return options;
 }
 
-/// Async tickets reproduce the synchronous drain and solo simulation
-/// bit-exactly, whatever the pool size -- the determinism contract does
-/// not care how a job entered the fleet.
+/// One ticket wave: submits a copy of every candidate in order, then
+/// waits for the tickets in order. Returns the reports in submission
+/// order.
+std::vector<SimReport> run_wave(SimFleet& fleet,
+                                const std::vector<const Rrg*>& candidates,
+                                const SimOptions& options) {
+  std::vector<SimTicket> tickets;
+  for (const Rrg* rrg : candidates) {
+    tickets.push_back(fleet.submit_async(Rrg(*rrg), options));
+  }
+  std::vector<SimReport> reports;
+  for (const SimTicket ticket : tickets) reports.push_back(fleet.wait(ticket));
+  return reports;
+}
+
+/// Tickets reproduce solo simulation bit-exactly, whatever the pool size
+/// and whether the session cache is on -- the determinism contract does
+/// not care how a job entered the fleet. Tickets are waited here in
+/// reverse submission order and compared with an in-order wave on a
+/// dedup-off fleet.
 TEST(SimFleetAsync, TicketsMatchDrainAndSolo) {
   std::vector<Rrg> candidates;
   for (std::uint64_t s = 0; s < 6; ++s) {
@@ -100,24 +115,24 @@ TEST(SimFleetAsync, TicketsMatchDrainAndSolo) {
     std::vector<SimTicket> tickets;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       tickets.push_back(
-          fleet.submit_async(candidates[i], async_options(10 + i)));
+          fleet.submit_async(Rrg(candidates[i]), async_options(10 + i)));
       EXPECT_TRUE(tickets.back().valid());
     }
-    const std::vector<SimReport> async_reports = fleet.wait_all();
-    ASSERT_EQ(async_reports.size(), candidates.size());
-
-    SimFleet sync_fleet(threads);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      sync_fleet.submit(candidates[i], async_options(10 + i));
+    std::vector<SimReport> reports(candidates.size());
+    for (std::size_t i = candidates.size(); i-- > 0;) {
+      reports[i] = fleet.wait(tickets[i]);
     }
-    const std::vector<SimReport> sync_reports = sync_fleet.drain();
+
+    SimFleet plain_fleet(threads, /*dedup=*/false);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      EXPECT_EQ(async_reports[i].theta, sync_reports[i].theta)
+      const std::vector<SimReport> plain =
+          run_wave(plain_fleet, {&candidates[i]}, async_options(10 + i));
+      EXPECT_EQ(reports[i].theta, plain[0].theta)
           << "threads " << threads << " job " << i;
-      EXPECT_EQ(async_reports[i].stderr_theta, sync_reports[i].stderr_theta);
+      EXPECT_EQ(reports[i].stderr_theta, plain[0].stderr_theta);
       const SimReport solo =
           simulate_throughput(candidates[i], async_options(10 + i));
-      EXPECT_EQ(async_reports[i].theta, solo.theta) << "job " << i;
+      EXPECT_EQ(reports[i].theta, solo.theta) << "job " << i;
     }
   }
 }
@@ -129,8 +144,8 @@ TEST(SimFleetAsync, WaitByTicketInAnyOrder) {
   const Rrg a = random_rrg(201, false);
   const Rrg b = random_rrg(202, true);
   SimFleet fleet(2);
-  const SimTicket ta = fleet.submit_async(a, async_options(1));
-  const SimTicket tb = fleet.submit_async(b, async_options(2));
+  const SimTicket ta = fleet.submit_async(Rrg(a), async_options(1));
+  const SimTicket tb = fleet.submit_async(Rrg(b), async_options(2));
 
   const SimReport rb = fleet.wait(tb);  // reverse order
   const SimReport ra = fleet.wait(ta);
@@ -145,10 +160,8 @@ TEST(SimFleetAsync, WaitByTicketInAnyOrder) {
   EXPECT_EQ(ra2.stderr_theta, ra.stderr_theta);
 }
 
-/// Regression test for the borrow-until-drain footgun: the owning
-/// submit overloads move the candidate into the fleet, so a temporary
-/// that would previously have dangled (the reason submit(Rrg&&) used to
-/// be `= delete`) now outlives its simulation by construction. Under
+/// Owning submission moves the candidate into the fleet, so a temporary
+/// the caller lets go of outlives its simulation by construction. Under
 /// ASan a lifetime bug here is a hard failure.
 TEST(SimFleetAsync, OwningSubmitOutlivesTheCaller) {
   const Rrg keeper = random_rrg(300, true);  // stays alive for the oracle
@@ -163,22 +176,22 @@ TEST(SimFleetAsync, OwningSubmitOutlivesTheCaller) {
   const SimReport async_report = fleet.wait(ticket);
   EXPECT_EQ(async_report.theta, simulate_throughput(keeper, options).theta);
 
-  // The synchronous owning overload: submit temporaries, drain after the
-  // originals are gone. (With the old deleted overload this shape forced
-  // callers into a keep-alive side vector; under ASan any lifetime slip
-  // here fails hard.)
+  // A wave of temporaries, waited in order after the originals are
+  // gone: moved lvalues and a prvalue copy, with and without aliasing.
   const Rrg oracle = random_rrg(301, false);
-  SimFleet sync_fleet(2);
+  SimFleet wave_fleet(2);
+  std::vector<SimTicket> tickets;
   {
     Rrg first = keeper;
     Rrg second = oracle;
-    sync_fleet.submit(std::move(first), options);
-    sync_fleet.submit(Rrg(second), options);  // prvalue temporary
-    sync_fleet.submit(std::move(second), options);
+    tickets.push_back(wave_fleet.submit_async(std::move(first), options));
+    tickets.push_back(wave_fleet.submit_async(Rrg(second), options));
+    tickets.push_back(wave_fleet.submit_async(std::move(second), options));
   }
   const Rrg live = random_rrg(302, false);
-  sync_fleet.submit(live, options);  // borrowed lvalue still works
-  const std::vector<SimReport> reports = sync_fleet.drain();
+  tickets.push_back(wave_fleet.submit_async(Rrg(live), options));
+  std::vector<SimReport> reports;
+  for (const SimTicket t : tickets) reports.push_back(wave_fleet.wait(t));
   ASSERT_EQ(reports.size(), 4u);
   EXPECT_EQ(reports[0].theta, simulate_throughput(keeper, options).theta);
   EXPECT_EQ(reports[1].theta, simulate_throughput(oracle, options).theta);
@@ -186,82 +199,63 @@ TEST(SimFleetAsync, OwningSubmitOutlivesTheCaller) {
   EXPECT_EQ(reports[3].theta, simulate_throughput(live, options).theta);
 }
 
-/// The session cache is cross-wave: resubmitting a candidate after
-/// wait_all() reuses the finished simulation (no new unique job), and
-/// the fanned-out report is bit-identical.
+/// The session cache is cross-wave: resubmitting a candidate after the
+/// first wave completed reuses the finished simulation (no new unique
+/// job), and the fanned-out report is bit-identical.
 TEST(SimFleetAsync, SessionCachePersistsAcrossWaves) {
   const Rrg rrg = random_rrg(400, false);
   const Rrg other = random_rrg(401, true);
   const SimOptions options = async_options(3);
 
   SimFleet fleet(2);
-  fleet.submit_async(rrg, options);
-  fleet.submit_async(other, options);
-  const std::vector<SimReport> first = fleet.wait_all();
+  const std::vector<SimReport> first =
+      run_wave(fleet, {&rrg, &other}, options);
   ASSERT_EQ(first.size(), 2u);
-  EXPECT_EQ(fleet.async_cache_size(), 2u);
+  EXPECT_EQ(fleet.cache_stats().entries, 2u);
 
   // Second wave: one repeat (cache hit), one fresh candidate.
   const Rrg copy = rrg;  // identical content, different object
   const Rrg fresh = random_rrg(402, false);
-  fleet.submit_async(copy, options);
-  fleet.submit_async(fresh, options);
-  const std::vector<SimReport> second = fleet.wait_all();
+  const std::vector<SimReport> second =
+      run_wave(fleet, {&copy, &fresh}, options);
   ASSERT_EQ(second.size(), 2u);
-  EXPECT_EQ(fleet.async_cache_size(), 3u);  // only `fresh` was new
+  EXPECT_EQ(fleet.cache_stats().entries, 3u);  // only `fresh` was new
+  EXPECT_EQ(fleet.cache_stats().misses, 3u);
   EXPECT_EQ(second[0].theta, first[0].theta);
   EXPECT_EQ(second[0].stderr_theta, first[0].stderr_theta);
 
   // With dedup off every submission is its own simulation -- results
   // still identical by the determinism contract.
   SimFleet no_dedup(2, /*dedup=*/false);
-  no_dedup.submit_async(rrg, options);
-  no_dedup.submit_async(rrg, options);
-  const std::vector<SimReport> dup = no_dedup.wait_all();
-  EXPECT_EQ(no_dedup.async_cache_size(), 2u);
+  const std::vector<SimReport> dup = run_wave(no_dedup, {&rrg, &rrg}, options);
+  EXPECT_EQ(no_dedup.cache_stats().misses, 2u);
   EXPECT_EQ(dup[0].theta, dup[1].theta);
   EXPECT_EQ(dup[0].theta, first[0].theta);
-}
-
-/// Mixing styles: async tickets and a synchronous drain share the pool
-/// but not their bookkeeping -- a drain between submit_async and wait
-/// must not disturb the tickets.
-TEST(SimFleetAsync, SyncDrainBetweenAsyncSubmitAndWait) {
-  const Rrg slow = random_rrg(500, true);
-  const Rrg quick = random_rrg(501, false);
-  SimFleet fleet(2);
-  const SimTicket ticket = fleet.submit_async(slow, async_options(11));
-  fleet.submit(quick, async_options(12));
-  const std::vector<SimReport> drained = fleet.drain();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].theta,
-            simulate_throughput(quick, async_options(12)).theta);
-  EXPECT_EQ(fleet.wait(ticket).theta,
-            simulate_throughput(slow, async_options(11)).theta);
 }
 
 TEST(SimFleetAsync, ObservabilityAndValidation) {
   SimFleet fleet(1);
   EXPECT_EQ(fleet.async_pending(), 0u);
-  EXPECT_EQ(fleet.async_cache_size(), 0u);
-  EXPECT_TRUE(fleet.wait_all().empty());
+  EXPECT_EQ(fleet.cache_stats().entries, 0u);
+  EXPECT_EQ(fleet.pool_size(), 0u);
 
   const Rrg rrg = figures::figure1b(0.5, true);
   SimOptions bad = async_options(1);
   bad.runs = 0;
-  EXPECT_THROW(fleet.submit_async(rrg, bad), Error);
+  EXPECT_THROW(fleet.submit_async(Rrg(rrg), bad), Error);
   EXPECT_THROW(fleet.wait(SimTicket{}), Error);          // invalid ticket
   EXPECT_THROW((void)fleet.poll(SimTicket{99}), Error);  // out of range
 
-  const SimTicket ticket = fleet.submit_async(rrg, async_options(1));
+  const SimTicket ticket = fleet.submit_async(Rrg(rrg), async_options(1));
   (void)fleet.wait(ticket);
   EXPECT_EQ(fleet.async_pending(), 0u);
-  EXPECT_EQ(fleet.async_cache_size(), 1u);
+  EXPECT_EQ(fleet.cache_stats().entries, 1u);
+  EXPECT_EQ(fleet.cache_stats().misses, 1u);
 
-  // wait_all after everything finished: reports the one outstanding
-  // ticket, then nothing on the next call.
-  EXPECT_EQ(fleet.wait_all().size(), 1u);
-  EXPECT_TRUE(fleet.wait_all().empty());
+  // Released: the ticket is gone, the cached result is not.
+  fleet.release(ticket);
+  EXPECT_THROW((void)fleet.poll(ticket), Error);
+  EXPECT_EQ(fleet.cache_stats().entries, 1u);
 }
 
 /// Destroying a fleet with unfinished async work must not hang or crash
@@ -276,7 +270,7 @@ TEST(SimFleetAsync, DestructionWithPendingWorkIsSafe) {
     for (int i = 0; i < 4; ++i) {
       SimOptions o = heavy;
       o.seed = 100 + i;  // distinct jobs
-      fleet.submit_async(rrg, o);
+      fleet.submit_async(Rrg(rrg), o);
     }
     // No wait: the destructor runs with work in flight.
   }

@@ -65,13 +65,13 @@ TEST(SimFleetCache, ByteCapEvictsLruAndStaysCorrect) {
   const SimOptions options = small_options(5);
 
   SimFleet fleet(1, /*dedup=*/true, /*cache_cap_bytes=*/1);
-  const SimTicket ta = fleet.submit_async(a, options);
+  const SimTicket ta = fleet.submit_async(Rrg(a), options);
   const SimReport ra = fleet.wait(ta);
   EXPECT_TRUE(ta.fresh);
 
   // Submitting b evicts a (cap fits at most one entry; the newest
   // survives -- the cache never evicts below one entry).
-  const SimTicket tb = fleet.submit_async(b, options);
+  const SimTicket tb = fleet.submit_async(Rrg(b), options);
   const SimReport rb = fleet.wait(tb);
   SimCacheStats stats = fleet.cache_stats();
   EXPECT_EQ(stats.entries, 1u);
@@ -84,7 +84,7 @@ TEST(SimFleetCache, ByteCapEvictsLruAndStaysCorrect) {
   EXPECT_EQ(fleet.wait(ta).theta, ra.theta);
 
   // Resubmitting a is a *miss* now (it was evicted) -- and bit-exact.
-  const SimTicket ta2 = fleet.submit_async(a, options);
+  const SimTicket ta2 = fleet.submit_async(Rrg(a), options);
   EXPECT_TRUE(ta2.fresh);
   EXPECT_EQ(fleet.wait(ta2).theta, ra.theta);
   stats = fleet.cache_stats();
@@ -105,8 +105,8 @@ TEST(SimFleetCache, StatsLedger) {
   EXPECT_EQ(fleet.cache_stats().entries, 0u);
   EXPECT_EQ(fleet.cache_stats().capacity_bytes, kDefaultSimCacheCapBytes);
 
-  const SimTicket t1 = fleet.submit_async(a, options);
-  const SimTicket t2 = fleet.submit_async(a, options);  // alias
+  const SimTicket t1 = fleet.submit_async(Rrg(a), options);
+  const SimTicket t2 = fleet.submit_async(Rrg(a), options);  // alias
   (void)fleet.wait(t1);
   (void)fleet.wait(t2);
   EXPECT_TRUE(t1.fresh);
@@ -120,14 +120,14 @@ TEST(SimFleetCache, StatsLedger) {
   EXPECT_LE(stats.bytes, stats.capacity_bytes);
 }
 
-/// release() forgets the ticket (poll/wait throw; wait_all skips it)
-/// but never another ticket aliasing the same job.
+/// release() forgets the ticket (poll/wait throw) but never another
+/// ticket aliasing the same job.
 TEST(SimFleetCache, ReleaseForgetsTheTicketOnly) {
   const Rrg a = random_rrg(4);
   const SimOptions options = small_options(9);
   SimFleet fleet(1);
-  const SimTicket keep = fleet.submit_async(a, options);
-  const SimTicket drop = fleet.submit_async(a, options);  // alias of keep
+  const SimTicket keep = fleet.submit_async(Rrg(a), options);
+  const SimTicket drop = fleet.submit_async(Rrg(a), options);  // alias
   const SimReport report = fleet.wait(keep);
 
   fleet.release(drop);
@@ -135,9 +135,7 @@ TEST(SimFleetCache, ReleaseForgetsTheTicketOnly) {
   EXPECT_THROW((void)fleet.poll(drop), Error);
   EXPECT_THROW((void)fleet.wait(drop), Error);
   EXPECT_EQ(fleet.wait(keep).theta, report.theta);  // alias unaffected
-
-  // wait_all reports only the surviving ticket.
-  EXPECT_EQ(fleet.wait_all().size(), 1u);
+  EXPECT_TRUE(fleet.poll(keep));
 }
 
 /// The multi-client contract: many threads submit and wait on one fleet
@@ -165,7 +163,7 @@ TEST(SimFleetCache, ConcurrentClientsShareOneFleet) {
       std::vector<SimTicket> tickets;
       for (std::size_t i = 0; i < kCandidates; ++i) {
         const std::size_t pick = (i + c) % kCandidates;
-        tickets.push_back(fleet.submit_async(candidates[pick], options));
+        tickets.push_back(fleet.submit_async(Rrg(candidates[pick]), options));
       }
       for (std::size_t i = 0; i < kCandidates; ++i) {
         thetas[c].push_back(fleet.wait(tickets[i]).theta);
@@ -245,18 +243,18 @@ TEST(SimFleetCache, ConcurrentReleaseAndEvictionUnderInjectedFailure) {
   EXPECT_EQ(fleet.async_pending(), 0u);
 }
 
-/// Dedup-off fleets keep the historical async_cache_size() meaning
-/// (unique simulations ever) and never alias tickets.
+/// Dedup-off fleets count every submission as a unique simulation
+/// (cache_stats().misses) and never alias tickets.
 TEST(SimFleetCache, DedupOffStillCountsUniqueJobs) {
   const Rrg a = random_rrg(8);
   const SimOptions options = small_options(13);
   SimFleet fleet(1, /*dedup=*/false);
-  const SimTicket t1 = fleet.submit_async(a, options);
-  const SimTicket t2 = fleet.submit_async(a, options);
+  const SimTicket t1 = fleet.submit_async(Rrg(a), options);
+  const SimTicket t2 = fleet.submit_async(Rrg(a), options);
   EXPECT_TRUE(t1.fresh);
   EXPECT_TRUE(t2.fresh);  // no cache, no aliasing
   EXPECT_EQ(fleet.wait(t1).theta, fleet.wait(t2).theta);
-  EXPECT_EQ(fleet.async_cache_size(), 2u);
+  EXPECT_EQ(fleet.cache_stats().misses, 2u);
   EXPECT_EQ(fleet.cache_stats().entries, 0u);  // no cache entries exist
 }
 

@@ -90,7 +90,30 @@ SimOptions fleet_options(std::uint64_t seed) {
   return options;
 }
 
-/// Differential anchor: a fleet drain over early-only and telescopic
+struct Job {
+  const Rrg* rrg;
+  SimOptions options;
+};
+
+/// One ticket wave: submits every job in order, then waits for the
+/// tickets in order. Returns the reports in submission order; `fresh`
+/// (optional) counts the submissions that started a new simulation
+/// rather than aliasing an earlier one.
+std::vector<SimReport> run_wave(SimFleet& fleet, const std::vector<Job>& jobs,
+                                std::size_t* fresh = nullptr) {
+  std::vector<SimTicket> tickets;
+  for (const Job& job : jobs) {
+    tickets.push_back(fleet.submit_async(Rrg(*job.rrg), job.options));
+  }
+  std::vector<SimReport> reports;
+  for (const SimTicket ticket : tickets) {
+    reports.push_back(fleet.wait(ticket));
+    if (fresh != nullptr && ticket.fresh) ++*fresh;
+  }
+  return reports;
+}
+
+/// Differential anchor: a fleet wave over early-only and telescopic
 /// candidates in one queue reproduces, job for job, the reference
 /// kernel's theta bit-exactly. The reference path shares no stepping
 /// code with the batched flat path, so this pins the whole chain
@@ -104,9 +127,8 @@ TEST_P(FleetVsReference, ThetaBitExactPerJob) {
   const SimOptions options = fleet_options(seed + 31);
 
   SimFleet fleet(3);
-  fleet.submit(plain, options);
-  fleet.submit(telescopic, options);
-  const std::vector<SimReport> reports = fleet.drain();
+  const std::vector<SimReport> reports =
+      run_wave(fleet, {{&plain, options}, {&telescopic, options}});
   ASSERT_EQ(reports.size(), 2u);
 
   SimOptions reference = options;
@@ -133,18 +155,19 @@ TEST(SimFleet, WorkerCountNeverChangesResults) {
   for (std::uint64_t s = 0; s < 6; ++s) {
     candidates.push_back(random_rrg(900 + s, (s % 2) == 1));
   }
-  const auto drain_with = [&](std::size_t threads) {
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    jobs.push_back({&candidates[i], fleet_options(77 + i)});
+  }
+  const auto run_with = [&](std::size_t threads) {
     SimFleet fleet(threads);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      fleet.submit(candidates[i], fleet_options(77 + i));
-    }
-    return fleet.drain();
+    return run_wave(fleet, jobs);
   };
-  const std::vector<SimReport> solo = drain_with(1);
+  const std::vector<SimReport> solo = run_with(1);
   ASSERT_EQ(solo.size(), candidates.size());
   for (const std::size_t threads : {std::size_t{2}, std::size_t{5},
                                     std::size_t{64}, std::size_t{0}}) {
-    const std::vector<SimReport> pooled = drain_with(threads);
+    const std::vector<SimReport> pooled = run_with(threads);
     ASSERT_EQ(pooled.size(), solo.size()) << "threads " << threads;
     for (std::size_t i = 0; i < solo.size(); ++i) {
       EXPECT_EQ(pooled[i].theta, solo[i].theta)
@@ -188,23 +211,24 @@ TEST(SimFleet, DedupSharesScoresAcrossIdenticalCandidates) {
   const Rrg other = random_rrg(322, false);
   const SimOptions options = fleet_options(9);
 
+  const std::vector<Job> jobs = {{&original, options},
+                                 {&other, options},
+                                 {&copy, options},
+                                 {&original, options}};  // resubmitted
+
   SimFleet dedup_fleet(2, /*dedup=*/true);
-  dedup_fleet.submit(original, options);
-  dedup_fleet.submit(other, options);
-  dedup_fleet.submit(copy, options);
-  dedup_fleet.submit(original, options);  // same object resubmitted
-  const std::vector<SimReport> deduped = dedup_fleet.drain();
+  std::size_t dedup_fresh = 0;
+  const std::vector<SimReport> deduped =
+      run_wave(dedup_fleet, jobs, &dedup_fresh);
   ASSERT_EQ(deduped.size(), 4u);
-  EXPECT_EQ(dedup_fleet.last_unique_jobs(), 2u);
+  EXPECT_EQ(dedup_fresh, 2u);
 
   SimFleet plain_fleet(2, /*dedup=*/false);
-  plain_fleet.submit(original, options);
-  plain_fleet.submit(other, options);
-  plain_fleet.submit(copy, options);
-  plain_fleet.submit(original, options);
-  const std::vector<SimReport> undeduped = plain_fleet.drain();
+  std::size_t plain_fresh = 0;
+  const std::vector<SimReport> undeduped =
+      run_wave(plain_fleet, jobs, &plain_fresh);
   ASSERT_EQ(undeduped.size(), 4u);
-  EXPECT_EQ(plain_fleet.last_unique_jobs(), 4u);
+  EXPECT_EQ(plain_fresh, 4u);
 
   const SimReport solo = simulate_throughput(original, options);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -220,14 +244,17 @@ TEST(SimFleet, DedupSharesScoresAcrossIdenticalCandidates) {
 /// seeds (or windows) must simulate separately.
 TEST(SimFleet, DedupDistinguishesOptions) {
   const Rrg rrg = random_rrg(77, false);
-  SimFleet fleet(1);
-  fleet.submit(rrg, fleet_options(1));
-  fleet.submit(rrg, fleet_options(2));  // different seed
   SimOptions longer = fleet_options(1);
   longer.measure_cycles += 500;
-  fleet.submit(rrg, longer);
-  const std::vector<SimReport> reports = fleet.drain();
-  EXPECT_EQ(fleet.last_unique_jobs(), 3u);
+  SimFleet fleet(1);
+  std::size_t fresh = 0;
+  const std::vector<SimReport> reports = run_wave(
+      fleet,
+      {{&rrg, fleet_options(1)},
+       {&rrg, fleet_options(2)},  // different seed
+       {&rrg, longer}},
+      &fresh);
+  EXPECT_EQ(fresh, 3u);
   EXPECT_NE(reports[0].theta, reports[1].theta);
 }
 
@@ -244,33 +271,34 @@ TEST(SimFleet, DedupDistinguishesConfigurations) {
     }
   }
   SimFleet fleet(1);
-  fleet.submit(rrg, fleet_options(4));
-  fleet.submit(recycled, fleet_options(4));
-  fleet.drain();
-  EXPECT_EQ(fleet.last_unique_jobs(), 2u);
+  std::size_t fresh = 0;
+  run_wave(fleet, {{&rrg, fleet_options(4)}, {&recycled, fleet_options(4)}},
+           &fresh);
+  EXPECT_EQ(fresh, 2u);
 }
 
-/// The worker pool persists across drains: spawned once at the first
-/// multi-worker drain, parked in between, reused afterwards -- and
-/// results stay reproducible drain over drain.
+/// The worker pool persists across waves: spawned at the first
+/// submission, parked in between, reused afterwards -- and results stay
+/// reproducible wave over wave. Dedup is off so the second wave
+/// simulates again instead of hitting the session cache; 12 runs make
+/// each job three 4-lane slices, so the first submission alone sizes
+/// the pool to its full width.
 TEST(SimFleet, WorkerPoolPersistsAcrossDrains) {
   std::vector<Rrg> candidates;
   for (std::uint64_t s = 0; s < 4; ++s) {
     candidates.push_back(random_rrg(700 + s, (s % 2) == 0));
   }
-  SimFleet fleet(3);
-  EXPECT_EQ(fleet.pool_size(), 0u);  // no drain yet: nothing spawned
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    jobs.push_back({&candidates[i], fleet_options(40 + i)});
+    jobs.back().options.runs = 12;
+  }
+  SimFleet fleet(3, /*dedup=*/false);
+  EXPECT_EQ(fleet.pool_size(), 0u);  // no submission yet: nothing spawned
 
-  const auto drain_all = [&] {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      fleet.submit(candidates[i], fleet_options(40 + i));
-    }
-    return fleet.drain();
-  };
-  const std::vector<SimReport> first = drain_all();
-  EXPECT_EQ(fleet.last_worker_count(), 3u);
+  const std::vector<SimReport> first = run_wave(fleet, jobs);
   EXPECT_EQ(fleet.pool_size(), 3u);
-  const std::vector<SimReport> second = drain_all();
+  const std::vector<SimReport> second = run_wave(fleet, jobs);
   EXPECT_EQ(fleet.pool_size(), 3u);  // reused, not respawned
   ASSERT_EQ(second.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -278,42 +306,35 @@ TEST(SimFleet, WorkerPoolPersistsAcrossDrains) {
   }
 }
 
-/// Spawn-count rules at the edges: a single work item never spawns a
-/// pool (inline execution) no matter how many threads were requested; an
-/// explicit thread count is honoured without consulting the hardware
-/// (resolve_worker_count never reads it when requested != 0); fewer
-/// items than threads clamp to the item count.
+/// Spawn-count rules at the edges: a single work item spawns one worker
+/// no matter how many threads were requested; an explicit thread count
+/// is honoured without consulting the hardware (resolve_worker_count
+/// never reads it when requested != 0); fewer items than threads clamp
+/// to the item count. Each fleet here gets one submission, so the
+/// queued backlog that sizes the pool is exactly that job's slices.
 TEST(SimFleet, SpawnCountEdgeCases) {
   const Rrg rrg = figures::figure1b(0.5, true);
 
   SimOptions one_item = fleet_options(3);
   one_item.runs = 4;  // one full lane -> exactly one work item
   SimFleet many_threads(16);
-  many_threads.submit(rrg, one_item);
-  many_threads.drain();
-  EXPECT_EQ(many_threads.last_worker_count(), 1u);
-  EXPECT_EQ(many_threads.pool_size(), 0u);  // inline, no pool
+  run_wave(many_threads, {{&rrg, one_item}});
+  EXPECT_EQ(many_threads.pool_size(), 1u);
 
   // 0 threads = hardware concurrency, whatever it reports (possibly 0 ->
   // clamped to 1); the fleet must agree with resolve_worker_count over
   // the real item count.
-  SimFleet hardware_fleet(0);
-  hardware_fleet.submit(rrg, one_item);
-  SimOptions one_item_b = one_item;
-  one_item_b.seed += 1;  // distinct job: two work items survive dedup
-  hardware_fleet.submit(rrg, one_item_b);
-  hardware_fleet.drain();
-  const std::size_t expected =
-      resolve_worker_count(0, std::thread::hardware_concurrency(), 2);
-  EXPECT_EQ(hardware_fleet.last_worker_count(), expected);
-
-  // items < threads: clamp to the queue length.
   SimOptions two_slices = fleet_options(5);
   two_slices.runs = 8;  // two 4-lane slices
+  SimFleet hardware_fleet(0);
+  run_wave(hardware_fleet, {{&rrg, two_slices}});
+  const std::size_t expected =
+      resolve_worker_count(0, std::thread::hardware_concurrency(), 2);
+  EXPECT_EQ(hardware_fleet.pool_size(), expected);
+
+  // items < threads: clamp to the queue length.
   SimFleet wide(32);
-  wide.submit(rrg, two_slices);
-  wide.drain();
-  EXPECT_EQ(wide.last_worker_count(), 2u);
+  run_wave(wide, {{&rrg, two_slices}});
   EXPECT_EQ(wide.pool_size(), 2u);
 
   // An explicit request resolves without the hardware value entirely.
@@ -397,31 +418,15 @@ TEST(SimFleet, ResolveWorkerCountEdgeCases) {
   EXPECT_EQ(resolve_worker_count(0, 0, 0), 1u);
 }
 
-TEST(SimFleet, EmptyDrainAndReuse) {
-  SimFleet fleet(2);
-  EXPECT_TRUE(fleet.drain().empty());
-  const Rrg rrg = figures::figure1b(0.5, true);
-  const SimOptions options = fleet_options(21);
-  EXPECT_EQ(fleet.submit(rrg, options), 0u);
-  const std::vector<SimReport> first = fleet.drain();
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(fleet.num_jobs(), 0u);  // drain clears the queue
-  // The fleet is reusable, and a resubmitted job reproduces its result.
-  fleet.submit(rrg, options);
-  const std::vector<SimReport> second = fleet.drain();
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second[0].theta, first[0].theta);
-}
-
 TEST(SimFleet, RejectsDegenerateOptions) {
   SimFleet fleet(1);
   const Rrg rrg = figures::figure1b(0.5, true);
   SimOptions no_cycles = fleet_options(1);
   no_cycles.measure_cycles = 0;
-  EXPECT_THROW(fleet.submit(rrg, no_cycles), Error);
+  EXPECT_THROW(fleet.submit_async(Rrg(rrg), no_cycles), Error);
   SimOptions no_runs = fleet_options(1);
   no_runs.runs = 0;
-  EXPECT_THROW(fleet.submit(rrg, no_runs), Error);
+  EXPECT_THROW(fleet.submit_async(Rrg(rrg), no_runs), Error);
 }
 
 /// More workers than runs on a single job must neither deadlock nor

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/analysis.hpp"
 #include "core/figures.hpp"
@@ -280,6 +281,14 @@ struct TelescopicCase {
   double fast_prob;
   int slow_extra;
 };
+
+/// Prints a case by value, e.g. a50_p90_e2; ctest names each case after
+/// this. gtest's fallback would dump the struct's bytes, padding
+/// included, which differ from run to run.
+void PrintTo(const TelescopicCase& c, std::ostream* os) {
+  *os << "a" << std::lround(c.alpha * 100) << "_p"
+      << std::lround(c.fast_prob * 100) << "_e" << c.slow_extra;
+}
 
 class TelescopicSimVsMarkov
     : public ::testing::TestWithParam<TelescopicCase> {};

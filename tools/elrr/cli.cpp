@@ -36,6 +36,7 @@
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
+#include "support/stats.hpp"
 #include "support/strings.hpp"
 #include "svc/disk_cache.hpp"
 #include "svc/manifest.hpp"
@@ -787,6 +788,24 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
   const std::optional<double> capacity =
       bench_json::find_number(text, "otherData", "ring_capacity");
 
+  // One row per phase, in name order; both output formats only render
+  // these.
+  struct PhaseRow {
+    std::string name;
+    std::size_t count = 0;
+    double total_s = 0.0, p50_s = 0.0, p95_s = 0.0, p99_s = 0.0;
+  };
+  std::vector<PhaseRow> rows;
+  for (auto& [name, durs] : durations_us) {
+    std::sort(durs.begin(), durs.end());
+    double total = 0.0;
+    for (const double d : durs) total += d;
+    rows.push_back({name, durs.size(), total * 1e-6,
+                    sorted_percentile(durs, 0.50) * 1e-6,
+                    sorted_percentile(durs, 0.95) * 1e-6,
+                    sorted_percentile(durs, 0.99) * 1e-6});
+  }
+
   if (json) {
     // Machine-readable twin of the table, mirroring `bench-diff --json`
     // conventions: one top-level object, per-phase rows in an array,
@@ -794,23 +813,14 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
     char buf[256];
     out << "{\n  \"input\": \"" << json_escape(path)
         << "\",\n  \"phases\": [\n";
-    std::size_t at = 0;
-    for (auto& [name, durs] : durations_us) {
-      std::sort(durs.begin(), durs.end());
-      const auto pct = [&durs](double q) {
-        const std::size_t idx = static_cast<std::size_t>(
-            q * static_cast<double>(durs.size() - 1) + 0.5);
-        return durs[std::min(idx, durs.size() - 1)] * 1e-6;
-      };
-      double total = 0.0;
-      for (const double d : durs) total += d;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const PhaseRow& r = rows[i];
       std::snprintf(buf, sizeof(buf),
                     "    {\"name\": \"%s\", \"count\": %zu, "
                     "\"total_s\": %.6f, \"p50_s\": %.9f, \"p95_s\": %.9f, "
                     "\"p99_s\": %.9f}%s\n",
-                    json_escape(name).c_str(), durs.size(), total * 1e-6,
-                    pct(0.50), pct(0.95), pct(0.99),
-                    ++at < durations_us.size() ? "," : "");
+                    json_escape(r.name).c_str(), r.count, r.total_s, r.p50_s,
+                    r.p95_s, r.p99_s, i + 1 < rows.size() ? "," : "");
       out << buf;
     }
     out << "  ]";
@@ -826,21 +836,13 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
   } else {
     out << "phase                    count      total_s       p50_s       "
            "p95_s       p99_s\n";
-    char row[200];
-    for (auto& [name, durs] : durations_us) {
-      std::sort(durs.begin(), durs.end());
-      const auto pct = [&durs](double q) {
-        const std::size_t at = static_cast<std::size_t>(
-            q * static_cast<double>(durs.size() - 1) + 0.5);
-        return durs[std::min(at, durs.size() - 1)] * 1e-6;
-      };
-      double total = 0.0;
-      for (const double d : durs) total += d;
-      std::snprintf(row, sizeof(row),
-                    "%-22s %8zu %12.6f %11.6f %11.6f %11.6f\n", name.c_str(),
-                    durs.size(), total * 1e-6, pct(0.50), pct(0.95),
-                    pct(0.99));
-      out << row;
+    char line[200];
+    for (const PhaseRow& r : rows) {
+      std::snprintf(line, sizeof(line),
+                    "%-22s %8zu %12.6f %11.6f %11.6f %11.6f\n",
+                    r.name.c_str(), r.count, r.total_s, r.p50_s, r.p95_s,
+                    r.p99_s);
+      out << line;
     }
     if (dropped.has_value() && capacity.has_value()) {
       out << "spans dropped: " << static_cast<std::uint64_t>(*dropped)
