@@ -1,9 +1,13 @@
 /// \file bench_micro.cpp
 /// google-benchmark microbenchmarks of the substrates: simplex/MILP
 /// solves, minimum cycle ratio, SCC, token-level simulation, Markov
-/// analysis and the full MILP primitives on generated circuits.
+/// analysis, the full MILP primitives on generated circuits, and the
+/// per-site cost of the obs layer (`--benchmark_filter='Obs|Rec'`).
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <filesystem>
 
 #include "bench89/generator.hpp"
 #include "core/figures.hpp"
@@ -16,6 +20,8 @@
 #include "heur/heuristic.hpp"
 #include "io/rrg_format.hpp"
 #include "lp/milp.hpp"
+#include "obs/recorder.hpp"
+#include "obs/trace.hpp"
 #include "sim/choosers.hpp"
 #include "sim/flat_kernel.hpp"
 #include "sim/markov.hpp"
@@ -305,6 +311,57 @@ void BM_TokenSimulationThreads(benchmark::State& state) {
                           static_cast<std::int64_t>(options.runs) * 5000);
 }
 BENCHMARK(BM_TokenSimulationThreads)->Arg(1)->Arg(2)->Arg(4);
+
+// Per-site cost of the obs layer: one OBS_SPAN or rec::event per
+// iteration, 10^7 iterations. Disarmed, a site is one relaxed atomic
+// load -- the "near-zero when off" promise every instrumented hot path
+// relies on. Armed, a span costs two clock reads plus a ring store and
+// an event one clock read plus a ring-slot claim; the rings wrap, so
+// the armed numbers are steady-state.
+constexpr std::int64_t kObsIterations = 10'000'000;
+
+void BM_ObsSpanDisarmed(benchmark::State& state) {
+  obs::reset();
+  for (auto _ : state) {
+    OBS_SPAN("bench.span");
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ObsSpanDisarmed)->Iterations(kObsIterations);
+
+void BM_ObsSpanArmed(benchmark::State& state) {
+  obs::configure("", 1 << 16);  // no trace path: nothing is written
+  obs::arm(true);
+  for (auto _ : state) {
+    OBS_SPAN("bench.span");
+    benchmark::ClobberMemory();
+  }
+  obs::reset();
+}
+BENCHMARK(BM_ObsSpanArmed)->Iterations(kObsIterations);
+
+void BM_RecEventDisarmed(benchmark::State& state) {
+  obs::rec::reset();
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    obs::rec::event("bench.event", i++);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RecEventDisarmed)->Iterations(kObsIterations);
+
+void BM_RecEventArmed(benchmark::State& state) {
+  // Arming pre-opens a postmortem tmp file; reset() unlinks it.
+  obs::rec::configure(std::filesystem::temp_directory_path().string(),
+                      1 << 16);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    obs::rec::event("bench.event", i++);
+    benchmark::ClobberMemory();
+  }
+  obs::rec::reset();
+}
+BENCHMARK(BM_RecEventArmed)->Iterations(kObsIterations);
 
 }  // namespace
 

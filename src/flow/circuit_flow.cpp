@@ -100,9 +100,24 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
   OptOptions late = opt;
   late.treat_all_simple = true;
   if (!options.heuristic_only) {
-    const MinEffCycResult nee = min_eff_cyc(rrg, late);
-    result.xi_nee = nee.best().xi_lp;
-    result.all_exact &= nee.all_exact;
+    // min_eff_cyc replayed step by step, so the cancel hook (user cancel
+    // or job deadline) stops this walk at a step boundary too. A
+    // cancelled baseline ends the flow with the same partial shape the
+    // engine's cancel returns below: no candidates scored.
+    ParetoWalk nee(rrg, late);
+    while (nee.advance().has_value()) {
+      if (hooks.cancelled && hooks.cancelled()) {
+        result.cancelled = true;
+        break;
+      }
+    }
+    const MinEffCycResult walked = nee.finish();
+    result.xi_nee = walked.best().xi_lp;
+    result.all_exact &= walked.all_exact;
+    if (result.cancelled) {
+      result.seconds = watch.seconds();
+      return result;
+    }
   } else {
     result.xi_nee = cycle_time(rrg).tau;  // refined by the heuristic below
     result.all_exact = false;

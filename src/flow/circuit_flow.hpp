@@ -117,9 +117,11 @@ struct FlowHooks {
   /// per-flow one (must outlive the call). Results are bit-identical to
   /// the owned-fleet run at any worker count and job interleaving.
   sim::SimFleet* fleet = nullptr;
-  /// Polled at every walk step (after each emitted candidate); returning
-  /// true stops the walk at the next step boundary. The flow returns a
-  /// partial result with `cancelled = true`; the fleet stays reusable.
+  /// Polled at every step of both walks (the late-evaluation baseline
+  /// and the early-evaluation engine's, after each emitted candidate);
+  /// returning true stops the running walk at its next step boundary.
+  /// The flow returns a partial result with `cancelled = true`; the
+  /// fleet stays reusable.
   std::function<bool()> cancelled;
   /// Observer of walk progress: called with the number of candidates
   /// emitted so far (1-based, monotone), on the flow's thread.

@@ -50,8 +50,8 @@
 /// means a file at the final path is always complete.
 ///
 /// The recorder never feeds back into results: armed runs are bit-exact
-/// with disarmed runs (the perf_smoke `obs` section pins both the
-/// overhead ceiling and the theta comparison).
+/// with disarmed runs (RecorderTest.ArmedFleetThetasAreBitExact);
+/// `bench_micro`'s BM_RecEvent* measure the per-site cost.
 
 #include <atomic>
 #include <cstdint>

@@ -32,9 +32,8 @@
 /// Tracing never feeds back into results: seeds, schedules and every
 /// simulated number are bit-exact with tracing on or off (only
 /// wall-clock observability is added). The determinism differentials
-/// and the perf_smoke `obs` section pin both directions: identical
-/// thetas armed vs disarmed, and disarmed overhead on the fleet
-/// workload within the bench-diff gate.
+/// pin identical thetas armed vs disarmed; `bench_micro`'s BM_ObsSpan*
+/// measure the per-site cost, armed and disarmed.
 
 #include <atomic>
 #include <cstdint>
@@ -183,7 +182,7 @@ void configure(const std::string& trace_path, std::size_t ring_capacity);
 void configure_from_env();
 
 /// Arms/disarms without touching the configured path or buffers (tests,
-/// the perf_smoke overhead measurement).
+/// the bench_micro per-site cost measurement).
 void arm(bool on);
 
 /// Disarms, clears every ring buffer, counter and histogram, forgets

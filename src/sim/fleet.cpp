@@ -592,22 +592,32 @@ void SimFleet::ensure_pool(std::size_t workers) {
     const std::size_t slot = core_->pool.size();
     core_->beats.emplace_back();
     core_->child_pids.push_back(0);
-    if (proc_workers_ > 0) {
-      core_->pool.emplace_back([this, slot] { proc_supervisor_main(slot); });
-    } else {
-      core_->pool.emplace_back([this, slot] { worker_main(slot); });
-    }
+    core_->pool.emplace_back([this, slot] { worker_main(slot); });
   }
 }
 
 void SimFleet::worker_main(std::size_t slot) {
   FleetCore& core = *core_;
+  // The proc tier differs from the in-process pool in one call: each
+  // slice goes to this slot's worker process (proc_run_slice), spawned
+  // lazily at the first slice and respawned (bounded, with backoff)
+  // after a crash. The thread then supervises it and carries the
+  // heartbeat: its beat stays `busy` while the slice is at the child, so
+  // stuck_workers() -- and through it the scheduler's stall reporting --
+  // sees a wedged worker process exactly like a wedged in-process
+  // worker. Everything else (queue, dedup, completion, failure
+  // propagation) is this one loop, which is what keeps the run-order
+  // merge -- and with it every theta -- bit-identical across tiers,
+  // worker counts, and mid-batch crashes.
+  const bool isolated = proc_workers_ > 0;
+  std::unique_ptr<proc::WorkerProcess> child;
+  int spawn_generation = 0;
   obs::set_thread_label(
-      ("fleet-" + std::to_string(slot)).c_str());
+      ((isolated ? "fleet-proc-" : "fleet-") + std::to_string(slot)).c_str());
   std::unique_lock<std::mutex> lock(core.mutex);
   for (;;) {
     core.cv_work.wait(lock, [&] { return core.stop || !core.queue.empty(); });
-    if (core.stop) return;
+    if (core.stop) break;
     const QueueEntry entry = core.queue.front();
     core.queue.pop_front();
     JobContext& ctx = *entry.ctx;
@@ -621,63 +631,24 @@ void SimFleet::worker_main(std::size_t slot) {
     std::exception_ptr failure;
     if (!skip) {
       try {
-        // `fleet.worker` is the whole-worker fault: unlike `fleet.flat`
-        // (contained inside execute_slice by the reference fallback) a
-        // throw here fails the slice's job -- the transient the
-        // scheduler's retry budget exists for. Its `stall:` mode sleeps
-        // with the heartbeat set, which is what stuck_workers() reads.
+        // `fleet.worker` is the whole-worker fault of both tiers (in the
+        // proc tier it trips in the supervisor; `proc.worker` is the
+        // child-side site -- a real process death, not a throw). Unlike
+        // `fleet.flat` (contained inside execute_slice by the reference
+        // fallback) a throw here fails the slice's job -- the transient
+        // the scheduler's retry budget exists for. Its `stall:` mode
+        // sleeps with the heartbeat set, which is what stuck_workers()
+        // reads.
         failpoint::trip("fleet.worker");
-        OBS_SPAN_ID("fleet.slice", entry.first);
+        OBS_SPAN_ID(isolated ? "fleet.proc_slice" : "fleet.slice",
+                    entry.first);
         obs::rec::event("slice.dispatch", entry.first, entry.count);
         obs::rec::set_inflight("slice", entry.first);
-        fleet_detail::execute_slice(ctx, entry.first, entry.count);
-      } catch (...) {
-        failure = std::current_exception();
-      }
-      obs::rec::clear_inflight();
-    }
-    lock.lock();
-    core.finish_slice(slot, ctx, failure);
-  }
-}
-
-void SimFleet::proc_supervisor_main(std::size_t slot) {
-  FleetCore& core = *core_;
-  // One worker process per supervisor slot, spawned lazily at the first
-  // slice and respawned (bounded, with backoff) after a crash. The
-  // supervisor thread carries the heartbeat: its beat stays `busy` while
-  // the slice is at the child, so stuck_workers() -- and through it the
-  // scheduler's stall reporting -- sees a wedged worker process exactly
-  // like a wedged in-process worker. Everything else (queue, dedup,
-  // completion, failure propagation) is worker_main's, which is what
-  // keeps the run-order merge -- and with it every theta -- bit-identical
-  // across tiers, worker counts, and mid-batch crashes.
-  std::unique_ptr<proc::WorkerProcess> child;
-  int spawn_generation = 0;
-  obs::set_thread_label(
-      ("fleet-proc-" + std::to_string(slot)).c_str());
-  std::unique_lock<std::mutex> lock(core.mutex);
-  for (;;) {
-    core.cv_work.wait(lock, [&] { return core.stop || !core.queue.empty(); });
-    if (core.stop) break;
-    const QueueEntry entry = core.queue.front();
-    core.queue.pop_front();
-    JobContext& ctx = *entry.ctx;
-    const bool skip = ctx.failure != nullptr;
-    core.beats[slot] = {true, std::chrono::steady_clock::now()};
-    lock.unlock();
-    std::exception_ptr failure;
-    if (!skip) {
-      try {
-        // Same whole-worker fault site as the in-process pool, tripped
-        // in the supervisor: chaos schedules targeting `fleet.worker`
-        // exercise both tiers with one spec. (`proc.worker` is the
-        // *child-side* site -- a real process death, not a throw.)
-        failpoint::trip("fleet.worker");
-        OBS_SPAN_ID("fleet.proc_slice", entry.first);
-        obs::rec::event("slice.dispatch", entry.first, entry.count);
-        obs::rec::set_inflight("slice", entry.first);
-        proc_run_slice(slot, entry, &child, &spawn_generation);
+        if (isolated) {
+          proc_run_slice(slot, entry, &child, &spawn_generation);
+        } else {
+          fleet_detail::execute_slice(ctx, entry.first, entry.count);
+        }
       } catch (...) {
         failure = std::current_exception();
       }
@@ -688,8 +659,8 @@ void SimFleet::proc_supervisor_main(std::size_t slot) {
   }
   core.child_pids[slot] = 0;
   lock.unlock();
-  // Shutdown: the worker process dies with its handle (EOF, then
-  // SIGKILL + reap for a wedged one).
+  // Shutdown: a worker process dies with its handle (EOF, then SIGKILL +
+  // reap for a wedged one).
   child.reset();
 }
 

@@ -243,12 +243,11 @@ class SimFleet {
   /// proc mode the threads are supervisors, each owning one worker
   /// process.
   void ensure_pool(std::size_t workers);
+  /// One pool thread's claim loop over the shared queue. In proc mode
+  /// it ships each slice to this slot's worker process and owns its
+  /// crash containment (detection, bounded respawn with backoff,
+  /// re-dispatch, dedup-entry purge).
   void worker_main(std::size_t slot);
-  /// Supervisor loop of the proc tier: pops the same shared queue as
-  /// worker_main, but ships each slice to this slot's worker process and
-  /// owns its crash containment (detection, bounded respawn with
-  /// backoff, re-dispatch, dedup-entry purge).
-  void proc_supervisor_main(std::size_t slot);
   /// One slice through this slot's worker process, with the crash/
   /// respawn/re-dispatch loop. Throws TransientError once the respawn
   /// budget is spent (the scheduler's retry taxonomy picks that up).

@@ -60,10 +60,10 @@ Pos skip_value(std::string_view json, Pos at) {
   return at;
 }
 
-/// The numeric value of `key` among the direct members of the object
+/// The raw text of `key`'s value among the direct members of the object
 /// opening at `open` (nested objects are skipped whole).
-std::optional<double> member_number(std::string_view json, Pos open,
-                                    std::string_view key) {
+std::optional<std::string_view> member_value(std::string_view json, Pos open,
+                                             std::string_view key) {
   Pos at = skip_space(json, open + 1);
   while (at < json.size() && json[at] == '"') {
     const Pos key_end = skip_string(json, at);
@@ -74,16 +74,32 @@ std::optional<double> member_number(std::string_view json, Pos open,
     at = skip_space(json, at + 1);
     const Pos value_end = skip_value(json, at);
     if (value_end == kNpos) return std::nullopt;
-    if (name == key) {
-      // strtod needs a terminated buffer; copy the scalar.
-      const std::string scalar(json.substr(at, value_end - at));
-      char* end = nullptr;
-      const double value = std::strtod(scalar.c_str(), &end);
-      if (end == scalar.c_str()) return std::nullopt;
-      return value;
-    }
+    if (name == key) return json.substr(at, value_end - at);
     at = skip_space(json, value_end);
     if (at < json.size() && json[at] == ',') at = skip_space(json, at + 1);
+  }
+  return std::nullopt;
+}
+
+/// The raw text of `key`'s value in the object labelled `section` (the
+/// root object for an empty section).
+std::optional<std::string_view> find_value(std::string_view json,
+                                           std::string_view section,
+                                           std::string_view key) {
+  if (section.empty()) {
+    const Pos open = skip_space(json, 0);
+    if (open >= json.size() || json[open] != '{') return std::nullopt;
+    return member_value(json, open, key);
+  }
+  const std::string quoted_section = "\"" + std::string(section) + "\"";
+  for (Pos at = json.find(quoted_section); at != kNpos;
+       at = json.find(quoted_section, at + 1)) {
+    Pos open = skip_space(json, at + quoted_section.size());
+    if (open >= json.size() || json[open] != ':') continue;
+    open = skip_space(json, open + 1);
+    if (open < json.size() && json[open] == '{') {
+      return member_value(json, open, key);
+    }
   }
   return std::nullopt;
 }
@@ -93,22 +109,44 @@ std::optional<double> member_number(std::string_view json, Pos open,
 std::optional<double> find_number(std::string_view json,
                                   std::string_view section,
                                   std::string_view key) {
-  if (section.empty()) {
-    const Pos open = skip_space(json, 0);
-    if (open >= json.size() || json[open] != '{') return std::nullopt;
-    return member_number(json, open, key);
+  const std::optional<std::string_view> value = find_value(json, section, key);
+  if (!value.has_value()) return std::nullopt;
+  // strtod needs a terminated buffer; copy the scalar.
+  const std::string scalar(*value);
+  char* end = nullptr;
+  const double number = std::strtod(scalar.c_str(), &end);
+  if (end == scalar.c_str()) return std::nullopt;
+  return number;
+}
+
+std::optional<std::string_view> find_string(std::string_view json,
+                                            std::string_view section,
+                                            std::string_view key) {
+  const std::optional<std::string_view> value = find_value(json, section, key);
+  if (!value.has_value() || value->size() < 2 || value->front() != '"') {
+    return std::nullopt;
   }
-  const std::string quoted_section = "\"" + std::string(section) + "\"";
-  for (Pos at = json.find(quoted_section); at != kNpos;
-       at = json.find(quoted_section, at + 1)) {
-    Pos open = skip_space(json, at + quoted_section.size());
-    if (open >= json.size() || json[open] != ':') continue;
-    open = skip_space(json, open + 1);
-    if (open < json.size() && json[open] == '{') {
-      return member_number(json, open, key);
-    }
+  return value->substr(1, value->size() - 2);
+}
+
+std::vector<std::string_view> find_objects(std::string_view json,
+                                           std::string_view section,
+                                           std::string_view key) {
+  std::vector<std::string_view> objects;
+  const std::optional<std::string_view> value = find_value(json, section, key);
+  if (!value.has_value() || value->empty() || value->front() != '[') {
+    return objects;
   }
-  return std::nullopt;
+  const std::string_view array = *value;
+  Pos at = skip_space(array, 1);
+  while (at < array.size() && array[at] != ']') {
+    const Pos end = skip_value(array, at);
+    if (end == kNpos || end == at) break;  // malformed: no value here
+    if (array[at] == '{') objects.push_back(array.substr(at, end - at));
+    at = skip_space(array, end);
+    if (at < array.size() && array[at] == ',') at = skip_space(array, at + 1);
+  }
+  return objects;
 }
 
 }  // namespace elrr::bench_json

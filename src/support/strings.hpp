@@ -29,7 +29,7 @@ std::string format_fixed(double value, int decimals);
 
 /// JSON string-content escaping: quotes, backslashes and every control
 /// character (< 0x20, as \n/\t/\r or \u00xx). One escaper for every
-/// JSON the tree emits (rrg JSON export, batch JSONL, bench-diff
+/// JSON the tree emits (rrg JSON export, batch JSONL, trace-summary
 /// --json) -- divergent per-file copies are how invalid JSON ships.
 std::string json_escape(std::string_view s);
 

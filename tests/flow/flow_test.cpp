@@ -222,6 +222,29 @@ TEST(Flow, EnvValidationErrorNamesTheVariable) {
   }
 }
 
+/// The cancel hook reaches the late-evaluation baseline walk, not just
+/// the early-evaluation engine after it: a hook that turns true at its
+/// second poll stops the baseline after the identity and one MILP step,
+/// and the flow returns the cancelled partial result before the engine
+/// emits a single candidate.
+TEST(Flow, CancelStopsTheBaselineWalkAtAStepBoundary) {
+  int polls = 0;
+  std::size_t emitted = 0;
+  FlowHooks hooks;
+  hooks.cancelled = [&polls] { return ++polls > 1; };
+  hooks.on_progress = [&emitted](std::size_t walked) { emitted = walked; };
+  const CircuitResult r = run_flow(
+      "s208", bench89::make_table2_rrg(bench89::spec_by_name("s208"), 1),
+      fast_options(1), hooks);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_EQ(polls, 2);
+  EXPECT_EQ(emitted, 0u);
+  EXPECT_EQ(r.candidates_walked, 0u);
+  EXPECT_TRUE(r.candidates.empty());
+  EXPECT_GT(r.xi_nee, 0.0);
+  EXPECT_LE(r.xi_nee, r.xi_star + 1e-6);
+}
+
 TEST(Flow, UnknownCircuitThrows) {
   EXPECT_THROW(run_circuit("s9999", fast_options(1)), Error);
 }

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <iterator>
+#include <vector>
 
 #include "bench89/generator.hpp"
 #include "core/opt.hpp"
@@ -98,6 +99,51 @@ TEST(MilpSession, WarmSolvesMatchColdAcrossABoundSweep) {
   EXPECT_GT(session.stats().warm_attempts, 0);
   EXPECT_GT(session.stats().warm_roots, 0);
   EXPECT_EQ(session.stats().warm_fallbacks, 0);
+}
+
+/// The root relaxations of a walk's re-targeted MIN_CYC(x) steps on a
+/// mid-size circuit (s526, eight adjacent x): warm re-optimization
+/// reaches the cold optimum value at every step. Vertices may differ
+/// among ties, so values are compared at solver tolerance.
+TEST(MilpSession, WarmRootRelaxationsMatchColdAcrossTheMinCycSweep) {
+  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s526"), 1);
+  const double xs[] = {1.0, 1.03, 1.06, 1.1, 1.14, 1.19, 1.25, 1.31};
+  const Model base = build_min_cyc_model(rrg, xs[0]);
+  Model relaxed;
+  relaxed.set_sense(base.sense());
+  for (int j = 0; j < base.num_cols(); ++j) {
+    const Column& c = base.col(j);
+    relaxed.add_col(c.lo, c.hi, c.obj, false, c.name);
+  }
+  for (int i = 0; i < base.num_rows(); ++i) {
+    const Row& row = base.row(i);
+    relaxed.add_row(row.lo, row.hi, row.entries, row.name);
+  }
+  std::vector<double> objectives[2];
+  for (const bool warm : {false, true}) {
+    MilpSession session(relaxed);
+    session.set_warm(warm);
+    for (const double x : xs) {
+      const Model next = build_min_cyc_model(rrg, x);
+      for (int i = 0; i < next.num_rows(); ++i) {
+        if (next.row(i).lo != base.row(i).lo ||
+            next.row(i).hi != base.row(i).hi) {
+          session.set_row_bounds(i, next.row(i).lo, next.row(i).hi);
+        }
+      }
+      const MilpResult solved = session.solve();
+      ASSERT_EQ(solved.status, MilpStatus::kOptimal) << "x " << x;
+      objectives[warm].push_back(solved.objective);
+    }
+    if (warm) {
+      EXPECT_GT(session.stats().warm_roots, 0);
+    }
+  }
+  for (std::size_t k = 0; k < std::size(xs); ++k) {
+    EXPECT_NEAR(objectives[1][k], objectives[0][k],
+                1e-9 * (1.0 + std::abs(objectives[0][k])))
+        << "x " << xs[k];
+  }
 }
 
 TEST(MilpSession, InvalidateWarmForcesAColdSolve) {

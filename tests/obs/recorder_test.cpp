@@ -19,9 +19,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "bench89/generator.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "sim/fleet.hpp"
 #include "support/error.hpp"
 
 namespace elrr::obs::rec {
@@ -225,6 +228,45 @@ TEST_F(RecorderTest, ReconfigureSwapsTheJournalCleanly) {
   const std::vector<EventView> events = snapshot_events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events.front().name, "second");
+}
+
+/// The recorder never feeds back into results: a fleet wave over s526
+/// candidates, half of them telescopic, scores bit-identically with the
+/// recorder armed and disarmed, and the armed wave did journal its
+/// slice dispatches.
+TEST_F(RecorderTest, ArmedFleetThetasAreBitExact) {
+  std::vector<Rrg> candidates;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s526"), seed);
+    if (seed % 2 == 0) {
+      for (NodeId n = 0; n < rrg.num_nodes(); n += 7) {
+        rrg.set_telescopic(n, 0.85, 2);
+      }
+    }
+    candidates.push_back(std::move(rrg));
+  }
+  sim::SimOptions options;
+  options.warmup_cycles = 200;
+  options.measure_cycles = 2000;
+  options.runs = 4;
+  const auto wave = [&] {
+    sim::SimFleet fleet(2);
+    std::vector<sim::SimTicket> tickets;
+    for (const Rrg& candidate : candidates) {
+      tickets.push_back(fleet.submit_async(Rrg(candidate), options));
+    }
+    std::vector<double> thetas;
+    for (const sim::SimTicket ticket : tickets) {
+      thetas.push_back(fleet.wait(ticket).theta);
+    }
+    return thetas;
+  };
+  const std::vector<double> disarmed = wave();
+  configure(dir_.string(), 4096);
+  ASSERT_TRUE(armed());
+  const std::vector<double> recorded = wave();
+  EXPECT_FALSE(snapshot_events().empty());
+  EXPECT_EQ(recorded, disarmed);
 }
 
 TEST_F(RecorderTest, InvalidDirThrowsStrictly) {

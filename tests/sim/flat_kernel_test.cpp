@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench89/generator.hpp"
 #include "core/figures.hpp"
 #include "sim/choosers.hpp"
 #include "sim/kernel.hpp"
@@ -329,6 +330,38 @@ TEST_P(FastVsReferenceDriver, ThetaBitExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastVsReferenceDriver, ::testing::Range(0, 8));
+
+/// The same driver-level identity on the generated Table-2 circuits,
+/// past the random graphs' sizes: s27, s526 and s1488, and s526 with
+/// every 7th node telescopic (fast with probability 0.85, two extra
+/// cycles when slow).
+TEST(FlatSimulator, Table2CircuitsMatchTheReferencePath) {
+  struct Case {
+    const char* circuit;
+    std::size_t measure_cycles;
+    bool telescopic;
+  };
+  for (const Case c : {Case{"s27", 10000, false}, Case{"s526", 5000, false},
+                       Case{"s1488", 1000, false}, Case{"s526", 2000, true}}) {
+    Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name(c.circuit), 1);
+    if (c.telescopic) {
+      for (NodeId n = 0; n < rrg.num_nodes(); n += 7) {
+        rrg.set_telescopic(n, 0.85, 2);
+      }
+    }
+    SimOptions options;
+    options.warmup_cycles = 200;
+    options.measure_cycles = c.measure_cycles;
+    options.runs = 4;
+    options.threads = 1;
+    const SimResult fast = simulate_throughput(rrg, options);
+    options.force_reference = true;
+    const SimResult reference = simulate_throughput(rrg, options);
+    EXPECT_EQ(fast.theta, reference.theta)
+        << c.circuit << " telescopic=" << c.telescopic;
+    EXPECT_EQ(fast.stderr_theta, reference.stderr_theta) << c.circuit;
+  }
+}
 
 TEST(FlatSimulator, ThreadCountNeverChangesTheta) {
   const Rrg rrg = figure1b(0.5, true);

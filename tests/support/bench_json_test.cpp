@@ -2,12 +2,16 @@
 /// bench_json::find_number reads by structure: a key answers only from
 /// the direct members of its section's brace-matched object, so a later
 /// section, a nested object or a string value can never stand in for a
-/// missing field. bench-diff, `elrr top` and trace-summary all rely on
-/// this.
+/// missing field. `elrr top` and trace-summary both rely on this; `top`
+/// also reads the snapshot's phase rows through find_objects and
+/// find_string.
 
 #include "support/bench_json.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string_view>
+#include <vector>
 
 namespace elrr::bench_json {
 namespace {
@@ -61,6 +65,24 @@ TEST(BenchJson, EmptySectionIsTheRootObject) {
   EXPECT_FALSE(find_number("[1, 2]", "", "uptime_s").has_value());
 }
 
+TEST(BenchJson, ArrayObjectsAndStringsReadByStructure) {
+  // A "}" inside a name and a nested object inside a row must not end
+  // the row early; non-object elements are skipped.
+  const char* json =
+      "{\"obs\": {\"phases\": [{\"name\": \"a}b\", \"count\": 5, "
+      "\"x\": {\"count\": 9}}, 7, {\"name\": \"c\", \"count\": 2}], "
+      "\"count\": 1}}";
+  const std::vector<std::string_view> rows = find_objects(json, "obs", "phases");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(find_string(rows[0], "", "name"), "a}b");
+  EXPECT_EQ(find_number(rows[0], "", "count"), 5.0);
+  EXPECT_EQ(find_string(rows[1], "", "name"), "c");
+  EXPECT_EQ(find_number(rows[1], "", "count"), 2.0);
+  EXPECT_FALSE(find_string(rows[1], "", "count").has_value());  // a number
+  EXPECT_TRUE(find_objects(json, "obs", "count").empty());      // not an array
+  EXPECT_TRUE(find_objects(json, "missing", "phases").empty());
+}
+
 TEST(BenchJson, MalformedInputReturnsNothing) {
   EXPECT_FALSE(find_number("", "small", "k").has_value());
   EXPECT_FALSE(find_number("{\"small\": {\"k\": ", "small", "k").has_value());
@@ -68,6 +90,8 @@ TEST(BenchJson, MalformedInputReturnsNothing) {
   EXPECT_FALSE(
       find_number("{\"small\": {\"j\": \"unterminated}", "small", "k")
           .has_value());
+  EXPECT_TRUE(find_objects("{\"a\": [}]}", "", "a").empty());
+  EXPECT_EQ(find_objects("{\"a\": [{\"x\": 1}, ]]}", "", "a").size(), 1u);
 }
 
 }  // namespace

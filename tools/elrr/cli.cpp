@@ -9,6 +9,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench89/bench_format.hpp"
@@ -106,7 +107,7 @@ commands:
               the recorded span durations. The footer reports spans
               dropped to ring wrap + the ring capacity (raise
               ELRR_OBS_BUF if nonzero). --json emits the same rows
-              machine-readable, mirroring bench-diff --json
+              machine-readable
   postmortem  <file>  -- render a flight-recorder crash dump (written
               to ELRR_POSTMORTEM_DIR by a crashing elrr process) as a
               human report: crash reason, in-flight job/slice
@@ -117,12 +118,6 @@ commands:
               queue depths, fleet utilization, cache hit rates,
               per-phase latency percentiles. `watch -n1 elrr top <f>`
               approximates a live view
-  bench-diff  --new <BENCH_sim.json> --baseline <BENCH_sim.json>
-              [--max-regression F] [--json]  (default 0.10: fail if any
-              section is >10% slower than the committed baseline;
-              tools/bench_gate.sh wires this after a fresh perf_smoke
-              run. --json emits machine-readable per-section
-              ratios + pass/warn/fail for CI annotation)
   help        this text
 )";
 
@@ -742,6 +737,30 @@ int cmd_work(Args& args) {
   return sim::proc::worker_loop(/*in_fd=*/0, /*out_fd=*/1);
 }
 
+/// One row of a per-phase latency table (`trace-summary`, `top`).
+struct PhaseRow {
+  std::string name;
+  std::size_t count = 0;
+  double total_s = 0.0, p50_s = 0.0, p95_s = 0.0, p99_s = 0.0;
+};
+
+/// The phase table `trace-summary` and `top` both print, every line
+/// prefixed by `indent`.
+void print_phase_table(std::ostream& out, const std::vector<PhaseRow>& rows,
+                       const char* indent) {
+  out << indent
+      << "phase                    count      total_s       p50_s       "
+         "p95_s       p99_s\n";
+  char line[200];
+  for (const PhaseRow& r : rows) {
+    std::snprintf(line, sizeof(line),
+                  "%s%-22s %8zu %12.6f %11.6f %11.6f %11.6f\n", indent,
+                  r.name.c_str(), r.count, r.total_s, r.p50_s, r.p95_s,
+                  r.p99_s);
+    out << line;
+  }
+}
+
 /// `elrr trace-summary <trace.json>`: aggregate per-phase latency table
 /// from a Chrome trace written by --trace / ELRR_TRACE. Percentiles
 /// here are *exact* order statistics over the recorded span durations
@@ -790,11 +809,6 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
 
   // One row per phase, in name order; both output formats only render
   // these.
-  struct PhaseRow {
-    std::string name;
-    std::size_t count = 0;
-    double total_s = 0.0, p50_s = 0.0, p95_s = 0.0, p99_s = 0.0;
-  };
   std::vector<PhaseRow> rows;
   for (auto& [name, durs] : durations_us) {
     std::sort(durs.begin(), durs.end());
@@ -807,9 +821,9 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
   }
 
   if (json) {
-    // Machine-readable twin of the table, mirroring `bench-diff --json`
-    // conventions: one top-level object, per-phase rows in an array,
-    // ring health at the tail. Exit code unchanged.
+    // Machine-readable twin of the table: one top-level object,
+    // per-phase rows in an array, ring health at the tail. Exit code
+    // unchanged.
     char buf[256];
     out << "{\n  \"input\": \"" << json_escape(path)
         << "\",\n  \"phases\": [\n";
@@ -834,16 +848,7 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
     }
     out << "\n}\n";
   } else {
-    out << "phase                    count      total_s       p50_s       "
-           "p95_s       p99_s\n";
-    char line[200];
-    for (const PhaseRow& r : rows) {
-      std::snprintf(line, sizeof(line),
-                    "%-22s %8zu %12.6f %11.6f %11.6f %11.6f\n",
-                    r.name.c_str(), r.count, r.total_s, r.p50_s, r.p95_s,
-                    r.p99_s);
-      out << line;
-    }
+    print_phase_table(out, rows, "");
     if (dropped.has_value() && capacity.has_value()) {
       out << "spans dropped: " << static_cast<std::uint64_t>(*dropped)
           << " (per-thread ring capacity "
@@ -1062,210 +1067,22 @@ int cmd_top(Args& args, std::ostream& out) {
                 get("milp", "solve_seconds").value_or(0.0));
   out << row;
 
-  // Per-phase percentiles from the embedded obs summary: scan the
-  // "phases" array (same fixed writer shape) for its row objects.
-  const std::size_t obs_at = text.find("\"obs\": {");
-  const std::size_t phases_at =
-      obs_at != std::string::npos ? text.find("\"phases\": [", obs_at)
-                                  : std::string::npos;
-  if (phases_at != std::string::npos) {
-    const std::size_t phases_end = text.find(']', phases_at);
-    std::size_t at = phases_at;
-    bool printed_header = false;
-    while (true) {
-      const std::string name_tag = "{\"name\": \"";
-      at = text.find(name_tag, at);
-      if (at == std::string::npos || at > phases_end) break;
-      const std::size_t name_from = at + name_tag.size();
-      const std::size_t name_to = text.find('"', name_from);
-      if (name_to == std::string::npos) break;
-      const std::string name = text.substr(name_from, name_to - name_from);
-      const std::size_t obj_end = text.find('}', name_to);
-      const std::string obj = text.substr(at, obj_end - at);
-      const auto fnum = [&obj](const char* tag) -> double {
-        const std::size_t tag_at = obj.find(tag);
-        return tag_at == std::string::npos
-                   ? 0.0
-                   : std::strtod(obj.c_str() + tag_at + std::strlen(tag),
-                                 nullptr);
-      };
-      if (!printed_header) {
-        out << "phases:\n";
-        out << "  phase                    count      total_s       p50_s"
-               "       p95_s       p99_s\n";
-        printed_header = true;
-      }
-      std::snprintf(row, sizeof(row),
-                    "  %-22s %8lld %12.6f %11.6f %11.6f %11.6f\n",
-                    name.c_str(),
-                    static_cast<long long>(fnum("\"count\": ")),
-                    fnum("\"total_s\": "), fnum("\"p50_s\": "),
-                    fnum("\"p95_s\": "), fnum("\"p99_s\": "));
-      out << row;
-      at = obj_end;
-    }
+  // Per-phase percentiles from the embedded obs summary.
+  std::vector<PhaseRow> phases;
+  for (const std::string_view obj :
+       bench_json::find_objects(text, "obs", "phases")) {
+    const auto num = [obj](const char* key) {
+      return bench_json::find_number(obj, "", key).value_or(0.0);
+    };
+    phases.push_back(
+        {std::string(bench_json::find_string(obj, "", "name").value_or("")),
+         static_cast<std::size_t>(num("count")), num("total_s"),
+         num("p50_s"), num("p95_s"), num("p99_s")});
   }
-  return 0;
-}
-
-int cmd_bench_diff(Args& args, std::ostream& out) {
-  const std::string new_path = args.require("new");
-  const std::string baseline_path = args.require("baseline");
-  const double max_regression = args.get_double("max-regression", 0.10);
-  const bool json = args.get_flag("json");
-  args.finish();
-  ELRR_REQUIRE(max_regression >= 0.0 && max_regression < 1.0,
-               "--max-regression must be in [0, 1)");
-
-  const std::string fresh = io::load_text_file(new_path);
-  const std::string baseline = io::load_text_file(baseline_path);
-
-  // Sections and their metric: per-kernel cases report throughput
-  // (higher is better), fleet/batch sections report seconds of a fixed
-  // workload (lower is better). `better` is new/old folded so that
-  // > 1 always means this build is faster.
-  struct Section {
-    const char* name;
-    const char* key;
-    bool higher_is_better;
-    /// Per-section regression ceiling; 0 = the global --max-regression.
-    /// The obs section pins the *disarmed overhead* of the tracing
-    /// layer, which must stay within noise -- a 2% gate, not 10%.
-    double max_regression = 0.0;
-  };
-  constexpr Section kSections[] = {
-      {"small", "cycles_per_sec", true},
-      {"medium", "cycles_per_sec", true},
-      {"large", "cycles_per_sec", true},
-      {"telescopic", "cycles_per_sec", true},
-      {"fleet", "fleet_seconds", false},
-      {"fleet_dedup", "fleet_seconds", false},
-      {"pipeline", "overlapped_seconds", false},
-      {"batch", "scheduler_seconds", false},
-      {"milp", "warm_seconds", false},
-      {"proc", "proc_seconds", false},
-      {"obs", "fleet_seconds", false, 0.02},
-      // The armed flight recorder rides the same 2% gate: one event per
-      // slice dispatch must stay in the noise floor too.
-      {"obs", "recorder_seconds", false, 0.02},
-  };
-
-  // Evaluate every section first; render (text or --json) after, so both
-  // formats agree by construction. Status: "pass" / "fail" (compared),
-  // "warn" (present in only one file -- trajectories gain sections over
-  // time, and a fresh run must stay comparable against baselines that
-  // predate them), "missing" (in neither).
-  struct Evaluated {
-    const Section* section;
-    std::optional<double> old_value, new_value;
-    double speedup = 0.0;
-    const char* status = "missing";
-  };
-  std::vector<Evaluated> rows;
-  int regressions = 0;
-  int compared = 0;
-  for (const Section& section : kSections) {
-    Evaluated row;
-    row.section = &section;
-    row.old_value = bench_json::find_number(baseline, section.name, section.key);
-    row.new_value = bench_json::find_number(fresh, section.name, section.key);
-    if (!row.old_value.has_value() || !row.new_value.has_value()) {
-      row.status = row.old_value.has_value() != row.new_value.has_value()
-                       ? "warn"
-                       : "missing";
-      rows.push_back(row);
-      continue;
-    }
-    row.speedup = section.higher_is_better ? *row.new_value / *row.old_value
-                                           : *row.old_value / *row.new_value;
-    // "Regressed" means the metric itself worsened by more than the
-    // threshold: throughput dropped below (1 - F) x baseline, or seconds
-    // grew past (1 + F) x baseline -- symmetric in the metric, not in
-    // the folded speedup.
-    const double threshold = section.max_regression > 0.0
-                                 ? section.max_regression
-                                 : max_regression;
-    const bool regressed =
-        section.higher_is_better
-            ? *row.new_value < *row.old_value * (1.0 - threshold)
-            : *row.new_value > *row.old_value * (1.0 + threshold);
-    row.status = regressed ? "fail" : "pass";
-    ++compared;
-    regressions += regressed ? 1 : 0;
-    rows.push_back(row);
+  if (!phases.empty()) {
+    out << "phases:\n";
+    print_phase_table(out, phases, "  ");
   }
-  if (json) {
-    // Machine-readable: CI annotates per-section instead of parsing the
-    // table. One top-level object; exit code unchanged.
-    char buf[256];
-    out << "{\n  \"baseline\": \"" << json_escape(baseline_path)
-        << "\",\n  \"new\": \"" << json_escape(new_path) << "\",\n";
-    std::snprintf(buf, sizeof(buf), "  \"max_regression\": %.4f,\n",
-                  max_regression);
-    out << buf << "  \"sections\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Evaluated& row = rows[i];
-      out << "    {\"name\": \"" << row.section->name << "\", \"metric\": \""
-          << row.section->key << "\", \"status\": \"" << row.status << "\"";
-      if (row.old_value.has_value()) {
-        std::snprintf(buf, sizeof(buf), ", \"baseline\": %.6g",
-                      *row.old_value);
-        out << buf;
-      }
-      if (row.new_value.has_value()) {
-        std::snprintf(buf, sizeof(buf), ", \"new\": %.6g", *row.new_value);
-        out << buf;
-      }
-      if (std::strcmp(row.status, "pass") == 0 ||
-          std::strcmp(row.status, "fail") == 0) {
-        std::snprintf(buf, sizeof(buf), ", \"speedup\": %.4f", row.speedup);
-        out << buf;
-      }
-      out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n  \"compared\": " << compared
-        << ",\n  \"regressions\": " << regressions << ",\n  \"status\": \""
-        << (regressions > 0 ? "fail" : "pass") << "\"\n}\n";
-    // After the JSON: CI always gets the machine-readable per-section
-    // report, even when nothing was comparable (which is still an error).
-    ELRR_REQUIRE(compared > 0, "no comparable sections between ", new_path,
-                 " and ", baseline_path);
-    return regressions > 0 ? 1 : 0;
-  }
-
-  out << "section        baseline          new    speedup\n";
-  for (const Evaluated& row : rows) {
-    if (std::strcmp(row.status, "warn") == 0) {
-      out << "warning: section '" << row.section->name << "' missing from "
-          << (row.old_value.has_value() ? new_path : baseline_path)
-          << "; skipped\n";
-      continue;
-    }
-    if (std::strcmp(row.status, "missing") == 0) {
-      out << row.section->name << ": (missing; skipped)\n";
-      continue;
-    }
-    char line[160];
-    std::snprintf(line, sizeof(line), "%-12s %12.5g %12.5g    %5.2fx%s\n",
-                  row.section->name, *row.old_value, *row.new_value,
-                  row.speedup,
-                  std::strcmp(row.status, "fail") == 0 ? "  <== REGRESSION"
-                                                       : "");
-    out << line;
-  }
-  // The per-section table (including every 'missing from <file>'
-  // diagnostic) renders before this throws: a no-overlap diff still
-  // tells the user which file lacked what.
-  ELRR_REQUIRE(compared > 0, "no comparable sections between ", new_path,
-               " and ", baseline_path);
-  if (regressions > 0) {
-    out << regressions << " section(s) regressed more than "
-        << format_fixed(max_regression * 100.0, 0) << "% vs " << baseline_path
-        << "\n";
-    return 1;
-  }
-  out << "no regression beyond " << format_fixed(max_regression * 100.0, 0)
-      << "% (" << compared << " sections)\n";
   return 0;
 }
 
@@ -1301,7 +1118,6 @@ int run(int argc, const char* const* argv, std::ostream& out,
     if (cmd == "trace-summary") return cmd_trace_summary(args, out, err);
     if (cmd == "postmortem") return cmd_postmortem(args, out);
     if (cmd == "top") return cmd_top(args, out);
-    if (cmd == "bench-diff") return cmd_bench_diff(args, out);
     err << "elrr: unknown command '" << cmd << "' (try `elrr help`)\n";
     return 2;
   } catch (const Error& e) {

@@ -11,8 +11,6 @@
 ///   export     .rrg -> dot | json | verilog | rrg
 ///   size-fifos simulation-guided EB capacity sizing
 ///   from-bench ISCAS89 .bench -> largest-SCC RRG (paper Section 5 flow)
-///   bench-diff compare a fresh BENCH_sim.json against the committed
-///              baseline; non-zero exit on regression (perf gate)
 ///
 /// Inputs: --input <file.rrg> or --circuit <table2 name> [--seed N].
 /// Run `elrr help` for the full flag list.
