@@ -170,13 +170,35 @@ void BM_MarkovFigure1b(benchmark::State& state) {
 }
 BENCHMARK(BM_MarkovFigure1b);
 
+/// The throughput benches' circuits: 0 = s526 (71 edges, 7 early
+/// nodes), 1 = a heur_walk-shaped circuit (70 edges, 4 early nodes),
+/// 2 = that circuit with every node simple (the late-evaluation path).
+Rrg throughput_circuit(std::int64_t which) {
+  if (which == 0) {
+    return bench89::make_table2_rrg(bench89::spec_by_name("s526"), 1);
+  }
+  const Rrg rrg = bench89::make_table2_rrg({"h", 50, 4, 70}, 2009);
+  return which == 1 ? rrg : as_all_simple(rrg);
+}
+
+// Theta_lp as production computes it: policy iteration, or the cycle
+// ratio for late evaluation (the name predates the LP's retirement).
 void BM_ThroughputLp(benchmark::State& state) {
-  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s526"), 1);
+  const Rrg rrg = throughput_circuit(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(throughput_upper_bound(rrg));
   }
 }
-BENCHMARK(BM_ThroughputLp);
+BENCHMARK(BM_ThroughputLp)->Arg(0)->Arg(1)->Arg(2);
+
+// The same bound by the dense LP (4), the test oracle.
+void BM_ThroughputLpOracle(benchmark::State& state) {
+  const Rrg rrg = throughput_circuit(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tgmg_throughput_bound(refined_tgmg(rrg)).theta);
+  }
+}
+BENCHMARK(BM_ThroughputLpOracle)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_MaxThr(benchmark::State& state) {
   const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s27"), 1);

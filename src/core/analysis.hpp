@@ -3,7 +3,8 @@
 /// \file analysis.hpp
 /// Configuration-level performance metrics:
 ///  * exact late-evaluation throughput (marked-graph minimum cycle ratio),
-///  * LP throughput bound (via tgmg.hpp),
+///  * the throughput bound Theta_lp of LP (11) (tgmg.hpp; computed
+///    without an LP),
 ///  * combined tau / theta_lp / xi_lp evaluation of an RC.
 
 #include "core/rrg.hpp"

@@ -361,8 +361,12 @@ RcSolveResult solve_rr_session(const Rrg& rrg, detail::WalkMilp& wm,
 /// x-parameterized model -- run through it; the direct min-x attempt
 /// keeps its own cold solve (its model depends on tau structurally, so
 /// no basis carries over).
+/// `cancelled` (may be empty) is polled before every solve; when it
+/// returns true MAX_THR stops and returns the best configuration it
+/// holds (at worst the fallback), marked inexact.
 RcSolveResult max_thr_impl(const Rrg& rrg, double tau,
-                           const OptOptions& options, detail::WalkMilp* wm) {
+                           const OptOptions& options, detail::WalkMilp* wm,
+                           const std::function<bool()>& cancelled) {
   rrg.validate();
   if (tau < rrg.max_delay() - 1e-9) {
     return {};  // a single node's delay already exceeds tau
@@ -392,6 +396,13 @@ RcSolveResult max_thr_impl(const Rrg& rrg, double tau,
   best.exact = true;
   best.config = fallback;
   double hi = 1.0 / theta_fb;
+  const auto stop = [&] {
+    if (!cancelled || !cancelled()) return false;
+    best.exact = false;
+    best.objective = hi;
+    return true;
+  };
+  if (stop()) return best;
   {
     RcSolveResult direct =
         solve_rr(rrg, Objective::kMinX, 0.0, tau, x_upper, slice);
@@ -437,6 +448,7 @@ RcSolveResult max_thr_impl(const Rrg& rrg, double tau,
   };
 
   // Theta = 1 short-circuit: the most common endpoint of the Pareto walk.
+  if (stop()) return best;
   {
     RcSolveResult witness;
     const Verdict at_one = probe_at(1.0, &witness);
@@ -453,6 +465,7 @@ RcSolveResult max_thr_impl(const Rrg& rrg, double tau,
   for (int probes = 0;
        hi - lo > kTol * std::max(1.0, hi) && probes < kMaxProbes;
        ++probes) {
+    if (stop()) return best;
     const double mid = 0.5 * (lo + hi);
     RcSolveResult witness;
     const Verdict v = probe_at(mid, &witness);
@@ -520,7 +533,7 @@ lp::Model build_min_cyc_model(const Rrg& input, double x,
 RcSolveResult max_thr(const Rrg& input, double tau,
                       const OptOptions& options) {
   const Rrg rrg = options.treat_all_simple ? as_all_simple(input) : input;
-  return max_thr_impl(rrg, tau, options, nullptr);
+  return max_thr_impl(rrg, tau, options, nullptr, {});
 }
 
 std::vector<std::size_t> MinEffCycResult::k_best(std::size_t k) const {
@@ -591,6 +604,11 @@ void ParetoWalk::set_xi_hint(double xi_observed) {
       std::isfinite(xi_observed) && xi_observed > 0.0 ? xi_observed : 0.0;
 }
 
+bool ParetoWalk::cancel_requested() {
+  cancel_fired_ = cancel_fired_ || (cancelled_ && cancelled_());
+  return cancel_fired_;
+}
+
 std::optional<ParetoPoint> ParetoWalk::advance() {
   if (state_ == State::kIdentity) {
     // The identity configuration is itself a valid RC; recording it
@@ -607,8 +625,9 @@ std::optional<ParetoPoint> ParetoWalk::advance() {
   if (state_ == State::kFirstMaxThr) {
     // tau = beta_max; RC = MAX_THR(tau).
     state_ = State::kStep;
-    const RcSolveResult first =
-        max_thr_impl(rrg_, rrg_.max_delay(), options_, &milp_session());
+    const RcSolveResult first = max_thr_impl(
+        rrg_, rrg_.max_delay(), options_, &milp_session(),
+        [this] { return cancel_requested(); });
     ++milp_calls_;
     ELRR_ASSERT(first.feasible, "MAX_THR(beta_max) must be feasible");
     last_ = record(first);
@@ -655,7 +674,8 @@ std::optional<ParetoPoint> ParetoWalk::advance() {
     if (options_.polish) {
       const double tau_next = evaluate_config(rrg_, mc.config).tau;
       const RcSolveResult mt =
-          max_thr_impl(rrg_, tau_next, options_, &milp_session());
+          max_thr_impl(rrg_, tau_next, options_, &milp_session(),
+                       [this] { return cancel_requested(); });
       ++milp_calls_;
       if (!mt.feasible) {
         all_exact_ = false;

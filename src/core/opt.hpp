@@ -14,6 +14,7 @@
 /// integral retiming vector is recovered afterwards with Bellman-Ford.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -74,7 +75,7 @@ RcSolveResult max_thr(const Rrg& rrg, double tau,
 struct ParetoPoint {
   RrConfig config;
   double tau = 0.0;       ///< recomputed combinationally from the RC
-  double theta_lp = 0.0;  ///< recomputed by the throughput LP
+  double theta_lp = 0.0;  ///< recomputed: throughput_upper_bound
   double xi_lp = 0.0;
   bool exact = true;
 };
@@ -143,6 +144,19 @@ class ParetoWalk {
   std::optional<ParetoPoint> advance();
   bool done() const { return state_ == State::kDone; }
 
+  /// Installs a cancellation predicate, polled before every MILP solve of
+  /// a MAX_THR step (one step can hold dozens). When it returns true
+  /// MAX_THR stops, and the step records the best configuration found
+  /// so far, marked inexact. Callers poll at step boundaries through
+  /// cancel_requested(); together this bounds a step's overrun to one
+  /// MILP budget.
+  void set_cancel(std::function<bool()> cancelled) {
+    cancelled_ = std::move(cancelled);
+  }
+  /// Polls the predicate (false when none is installed). Sticky: once it
+  /// has returned true, so does this, without asking it again.
+  bool cancel_requested();
+
   /// Arms feedback pruning with the best observed effective cycle time
   /// (<= 0 or non-finite clears the hint). Takes effect from the next
   /// advance() on; never affects already-recorded candidates.
@@ -182,6 +196,8 @@ class ParetoWalk {
   double target_ = 0.0;
   double cap_ = 1.0;
   double xi_hint_ = 0.0;   ///< 0 = no hint
+  std::function<bool()> cancelled_;  ///< empty = never
+  bool cancel_fired_ = false;
   int iter_ = 0;
   int max_iters_ = 0;
   int milp_calls_ = 0;

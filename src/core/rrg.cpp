@@ -1,6 +1,7 @@
 #include "core/rrg.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <sstream>
 
@@ -12,15 +13,27 @@
 
 namespace elrr {
 
+Rrg::Structure& Rrg::structure() {
+  if (s_.use_count() != 1) {
+    s_ = std::make_shared<Structure>(*s_);
+  } else {
+    // The graph that shared it last may have let go on another thread:
+    // order its reads before these writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  }
+  return *s_;
+}
+
 NodeId Rrg::add_node(std::string name, double delay, NodeKind kind) {
   ELRR_REQUIRE(std::isfinite(delay) && delay >= 0.0,
                "node delay must be finite and non-negative, got ", delay);
-  const NodeId n = g_.add_node();
+  Structure& s = structure();
+  const NodeId n = s.g.add_node();
   if (name.empty()) name = "n" + std::to_string(n);
-  names_.push_back(std::move(name));
-  delays_.push_back(delay);
-  kinds_.push_back(kind);
-  telescopic_.push_back(Telescopic{});
+  s.names.push_back(std::move(name));
+  s.delays.push_back(delay);
+  s.kinds.push_back(kind);
+  s.telescopic.push_back(Telescopic{});
   return n;
 }
 
@@ -31,54 +44,57 @@ void Rrg::set_telescopic(NodeId n, double fast_prob, int slow_extra) {
   ELRR_REQUIRE(slow_extra >= 0 && slow_extra <= 200,
                "telescopic slow_extra of ", name(n),
                " must be in [0, 200], got ", slow_extra);
-  telescopic_[n] = Telescopic{fast_prob, slow_extra};
+  structure().telescopic[n] = Telescopic{fast_prob, slow_extra};
 }
 
+
 bool Rrg::has_telescopic() const {
-  return std::any_of(telescopic_.begin(), telescopic_.end(),
+  return std::any_of(s_->telescopic.begin(), s_->telescopic.end(),
                      [](const Telescopic& t) { return t.enabled(); });
 }
 
 EdgeId Rrg::add_edge(NodeId u, NodeId v, int tokens, int buffers,
                      double gamma) {
   ELRR_REQUIRE(std::isfinite(gamma), "gamma must be finite");
-  const EdgeId e = g_.add_edge(u, v);
+  Structure& s = structure();
+  const EdgeId e = s.g.add_edge(u, v);
+  s.gammas.push_back(gamma);
   tokens_.push_back(tokens);
   buffers_.push_back(buffers);
-  gammas_.push_back(gamma);
   return e;
 }
 
 double Rrg::max_delay() const {
   double best = 0.0;
-  for (double d : delays_) best = std::max(best, d);
+  for (double d : s_->delays) best = std::max(best, d);
   return best;
 }
 
 double Rrg::total_delay() const {
   double total = 0.0;
-  for (double d : delays_) total += d;
+  for (double d : s_->delays) total += d;
   return total;
 }
 
 void Rrg::validate() const {
+  const Digraph& g = graph();
   for (EdgeId e = 0; e < num_edges(); ++e) {
-    ELRR_REQUIRE(buffers_[e] >= 0, "edge ", e, " (", name(g_.src(e)), " -> ",
-                 name(g_.dst(e)), ") has negative buffer count ", buffers_[e]);
-    ELRR_REQUIRE(buffers_[e] >= tokens_[e], "edge ", e, " (", name(g_.src(e)),
-                 " -> ", name(g_.dst(e)), ") violates R >= R0: R=", buffers_[e],
+    ELRR_REQUIRE(buffers_[e] >= 0, "edge ", e, " (", name(g.src(e)), " -> ",
+                 name(g.dst(e)), ") has negative buffer count ", buffers_[e]);
+    ELRR_REQUIRE(buffers_[e] >= tokens_[e], "edge ", e, " (", name(g.src(e)),
+                 " -> ", name(g.dst(e)), ") violates R >= R0: R=", buffers_[e],
                  " R0=", tokens_[e]);
   }
   for (NodeId n = 0; n < num_nodes(); ++n) {
     if (!is_early(n)) continue;
-    ELRR_REQUIRE(g_.in_degree(n) >= 2, "early-evaluation node ", name(n),
+    ELRR_REQUIRE(g.in_degree(n) >= 2, "early-evaluation node ", name(n),
                  " must have at least two inputs");
     double sum = 0.0;
-    for (EdgeId e : g_.in_edges(n)) {
-      ELRR_REQUIRE(gammas_[e] > 0.0 && gammas_[e] <= 1.0,
+    for (EdgeId e : g.in_edges(n)) {
+      ELRR_REQUIRE(gamma(e) > 0.0 && gamma(e) <= 1.0,
                    "gamma of input edge ", e, " of early node ", name(n),
-                   " must be in (0, 1], got ", gammas_[e]);
-      sum += gammas_[e];
+                   " must be in (0, 1], got ", gamma(e));
+      sum += gamma(e);
     }
     ELRR_REQUIRE(std::abs(sum - 1.0) <= 1e-9,
                  "input probabilities of early node ", name(n),
@@ -95,7 +111,7 @@ void Rrg::validate() const {
 
 bool Rrg::is_live(std::vector<EdgeId>* dead_cycle) const {
   std::vector<std::int64_t> weights(tokens_.begin(), tokens_.end());
-  return !graph::has_nonpositive_cycle(g_, weights, dead_cycle);
+  return !graph::has_nonpositive_cycle(graph(), weights, dead_cycle);
 }
 
 std::string Rrg::to_dot() const {
@@ -116,10 +132,10 @@ std::string Rrg::to_dot() const {
   style.edge_label = [this](EdgeId e) {
     std::ostringstream os;
     os << "R0=" << tokens(e) << " R=" << buffers(e);
-    if (is_early(g_.dst(e))) os << " g=" << format_fixed(gamma(e), 2);
+    if (is_early(graph().dst(e))) os << " g=" << format_fixed(gamma(e), 2);
     return os.str();
   };
-  return graph::to_dot(g_, style);
+  return graph::to_dot(graph(), style);
 }
 
 RrConfig initial_config(const Rrg& rrg) {

@@ -13,6 +13,7 @@
 /// overlay (an "RC" in the paper) produced by the optimizer, and
 /// `apply_config` materializes it.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,17 @@ struct Telescopic {
   bool operator==(const Telescopic&) const = default;
 };
 
-/// Retiming & Recycling Graph.
+/// Retiming & Recycling Graph. Copies share everything but the marking
+/// (tokens and buffers) until one of them changes it, so a copy costs
+/// two edge-sized arrays: retiming and recycling touch only R0 and R.
 class Rrg {
  public:
+  Rrg() : s_(std::make_shared<Structure>()) {}
+  // No move operations: a move copies, so no graph is left without a
+  // structure.
+  Rrg(const Rrg&) = default;
+  Rrg& operator=(const Rrg&) = default;
+
   /// Adds a combinational block. `delay` is beta(n) >= 0.
   NodeId add_node(std::string name, double delay,
                   NodeKind kind = NodeKind::kSimple);
@@ -58,34 +67,36 @@ class Rrg {
   EdgeId add_edge(NodeId u, NodeId v, int tokens, int buffers,
                   double gamma = 1.0);
 
-  const Digraph& graph() const { return g_; }
-  std::size_t num_nodes() const { return g_.num_nodes(); }
-  std::size_t num_edges() const { return g_.num_edges(); }
+  const Digraph& graph() const { return s_->g; }
+  std::size_t num_nodes() const { return s_->g.num_nodes(); }
+  std::size_t num_edges() const { return s_->g.num_edges(); }
 
-  const std::string& name(NodeId n) const { return names_[n]; }
-  double delay(NodeId n) const { return delays_[n]; }
-  NodeKind kind(NodeId n) const { return kinds_[n]; }
-  bool is_early(NodeId n) const { return kinds_[n] == NodeKind::kEarly; }
+  const std::string& name(NodeId n) const { return s_->names[n]; }
+  double delay(NodeId n) const { return s_->delays[n]; }
+  NodeKind kind(NodeId n) const { return s_->kinds[n]; }
+  bool is_early(NodeId n) const { return s_->kinds[n] == NodeKind::kEarly; }
 
   int tokens(EdgeId e) const { return tokens_[e]; }
   int buffers(EdgeId e) const { return buffers_[e]; }
-  double gamma(EdgeId e) const { return gammas_[e]; }
+  double gamma(EdgeId e) const { return s_->gammas[e]; }
 
   void set_tokens(EdgeId e, int tokens) { tokens_[e] = tokens; }
   void set_buffers(EdgeId e, int buffers) { buffers_[e] = buffers; }
-  void set_gamma(EdgeId e, double gamma) { gammas_[e] = gamma; }
-  void set_kind(NodeId n, NodeKind kind) { kinds_[n] = kind; }
-  void set_delay(NodeId n, double delay) { delays_[n] = delay; }
+  void set_gamma(EdgeId e, double gamma) { structure().gammas[e] = gamma; }
+  void set_kind(NodeId n, NodeKind kind) { structure().kinds[n] = kind; }
+  void set_delay(NodeId n, double delay) { structure().delays[n] = delay; }
 
-  const Telescopic& telescopic(NodeId n) const { return telescopic_[n]; }
-  bool is_telescopic(NodeId n) const { return telescopic_[n].enabled(); }
+  const Telescopic& telescopic(NodeId n) const { return s_->telescopic[n]; }
+  bool is_telescopic(NodeId n) const { return s_->telescopic[n].enabled(); }
   /// Marks node n as telescopic: fast with probability `fast_prob`
   /// (in (0, 1]), otherwise busy for `slow_extra` further cycles.
   void set_telescopic(NodeId n, double fast_prob, int slow_extra);
   /// True if any node is telescopic.
   bool has_telescopic() const;
   /// Expected extra service latency of node n ((1-p) * slow_extra).
-  double service(NodeId n) const { return telescopic_[n].expected_extra(); }
+  double service(NodeId n) const {
+    return s_->telescopic[n].expected_extra();
+  }
 
   /// beta_max: the largest single-node delay (the absolute lower bound on
   /// any achievable cycle time, and MIN_EFF_CYC's starting tau).
@@ -108,15 +119,26 @@ class Rrg {
   /// Graphviz rendering (early nodes as trapezia; EBs/tokens on edges).
   std::string to_dot() const;
 
+  /// True while another graph shares this one's structure (everything
+  /// but tokens and buffers).
+  bool shares_structure() const { return s_.use_count() > 1; }
+
  private:
-  Digraph g_;
-  std::vector<std::string> names_;
-  std::vector<double> delays_;
-  std::vector<NodeKind> kinds_;
-  std::vector<Telescopic> telescopic_;
+  struct Structure {
+    Digraph g;
+    std::vector<std::string> names;
+    std::vector<double> delays;
+    std::vector<NodeKind> kinds;
+    std::vector<Telescopic> telescopic;
+    std::vector<double> gammas;
+  };
+
+  /// The structure, writable: copied first when another graph shares it.
+  Structure& structure();
+
+  std::shared_ptr<Structure> s_;  ///< never null
   std::vector<int> tokens_;
   std::vector<int> buffers_;
-  std::vector<double> gammas_;
 };
 
 /// A retiming & recycling configuration (Definition 2.7): per-edge token

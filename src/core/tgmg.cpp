@@ -5,6 +5,7 @@
 
 #include "graph/bellman_ford.hpp"
 #include "graph/dot.hpp"
+#include "graph/ratio_mdp.hpp"
 #include "lp/milp.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -214,10 +215,65 @@ ThroughputBound tgmg_throughput_bound(const Tgmg& tgmg) {
   return bound;
 }
 
+namespace {
+
+bool is_late_evaluation(const Rrg& rrg) {
+  for (NodeId n = 0; n < rrg.num_nodes(); ++n) {
+    if (rrg.is_early(n) || rrg.is_telescopic(n)) return false;
+  }
+  return true;
+}
+
+/// The decision process of `tgmg_policy_bound`: node n leaves through
+/// input edge e at cost tokens(e) and time delay(n); early nodes pick e
+/// with probability gamma(e).
+ThroughputBound unchecked_policy_bound(const Tgmg& tgmg) {
+  const Digraph& g = tgmg.graph();
+  std::vector<double> cost(g.num_edges()), time(g.num_edges()),
+      prob(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    cost[e] = tgmg.tokens(e);
+    time[e] = tgmg.delay(g.dst(e));
+    prob[e] = tgmg.gamma(e);
+  }
+  std::vector<std::uint8_t> early(g.num_nodes());
+  for (NodeId n = 0; n < g.num_nodes(); ++n) early[n] = tgmg.is_early(n);
+  const graph::RatioMdpResult mdp =
+      graph::min_ratio_mdp(g, cost, time, prob, early);
+  return {mdp.bounded, mdp.ratio};
+}
+
+}  // namespace
+
+ThroughputBound tgmg_policy_bound(const Tgmg& tgmg) {
+  tgmg.validate();
+  return unchecked_policy_bound(tgmg);
+}
+
 double throughput_upper_bound(const Rrg& rrg) {
-  const ThroughputBound bound = tgmg_throughput_bound(refined_tgmg(rrg));
+  // A valid RRG refines to a valid TGMG: the procedures copy its guard
+  // probabilities and add only cycles that carry a token.
+  rrg.validate();
+  ThroughputBound bound;
+  if (is_late_evaluation(rrg)) {
+    // The refined TGMG is the RRG with its buffer latencies moved onto
+    // nodes: the bound is the minimum cycle ratio of tokens over
+    // buffers, found on the RRG itself.
+    const Digraph& g = rrg.graph();
+    std::vector<double> cost(g.num_edges()), time(g.num_edges());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      cost[e] = rrg.tokens(e);
+      time[e] = rrg.buffers(e);
+    }
+    const graph::RatioMdpResult mdp = graph::min_ratio_mdp(
+        g, cost, time, std::vector<double>(g.num_edges(), 1.0),
+        std::vector<std::uint8_t>(g.num_nodes(), 0));
+    bound = {mdp.bounded, mdp.ratio};
+  } else {
+    bound = unchecked_policy_bound(refined_tgmg(rrg));
+  }
   ELRR_REQUIRE(bound.bounded,
-               "throughput LP unbounded: the RRG has no token-limited cycle");
+               "throughput unbounded: the RRG has no token-limited cycle");
   return bound.theta;
 }
 

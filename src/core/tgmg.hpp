@@ -10,7 +10,11 @@
 ///    self-loop structure so that the LP throughput bound (eq. (4)) is
 ///    tight w.r.t. single-firing-per-cycle semantics (Lemma 3.1).
 ///
-/// The LP bound itself (eq. (4)/(11)) is in `tgmg_throughput_bound`.
+/// The throughput bound of eq. (4)/(11) has two implementations that must
+/// agree: `tgmg_policy_bound`, which production uses (policy iteration
+/// on the min-ratio decision process the LP is dual to, no LP), and
+/// `tgmg_throughput_bound`, the LP itself, kept as the test oracle and
+/// for export.
 
 #include <string>
 #include <vector>
@@ -73,11 +77,24 @@ Tgmg refined_tgmg(const Rrg& rrg);
 ///   max phi  s.t.  delta(n) phi <= mhat(e)            (simple n, e in *n)
 ///                  delta(n) phi <= sum gamma(e) mhat(e)   (early n)
 ///                  mhat(e) = m0(e) + sigma(u) - sigma(v)
+/// solved on the dense tableau. The test oracle of `tgmg_policy_bound`;
+/// no production path calls it.
 struct ThroughputBound {
   bool bounded = false;   ///< false when the LP is unbounded (no cycles)
   double theta = 0.0;     ///< the bound (only when bounded)
 };
 ThroughputBound tgmg_throughput_bound(const Tgmg& tgmg);
+
+/// The same bound without an LP, from the dual: a decision process that
+/// walks the TGMG against its edges. A simple node picks one input edge;
+/// an early node n takes input e with probability gamma(e); each step
+/// earns the edge's tokens and costs the node's delay. theta is the
+/// minimum, over policies and their recurrent classes of positive delay,
+/// of expected tokens over expected delay (graph::min_ratio_mdp).
+/// Zero-delay classes (Procedure 2's k nodes, zero-buffer auxiliary
+/// nodes) bound nothing; `bounded` is false exactly when the LP is
+/// unbounded.
+ThroughputBound tgmg_policy_bound(const Tgmg& tgmg);
 
 /// The LP of eq. (4) as a model (phi is column `phi_col`; maximization).
 /// Exposed for export/interop (e.g. `elrr export --format mps` re-solves
@@ -88,8 +105,11 @@ struct ThroughputLp {
 };
 ThroughputLp build_throughput_lp(const Tgmg& tgmg);
 
-/// Convenience: LP throughput bound of an RRG through its refined TGMG.
-/// This is the paper's Theta_lp(RC).
+/// The paper's Theta_lp(RC): the bound of LP (11) for an RRG, computed
+/// without an LP. An RRG with no early and no telescopic node gets the
+/// exact minimum cycle ratio of tokens over buffers (the quotient of the
+/// critical cycle's integer sums); any other gets `tgmg_policy_bound` of
+/// its refined TGMG. Throws InvalidInputError when unbounded (no cycle).
 double throughput_upper_bound(const Rrg& rrg);
 
 }  // namespace elrr

@@ -17,9 +17,11 @@ namespace elrr::flow {
 
 namespace {
 
-/// Heuristic budget scaled to the instance: every probe solves one
-/// throughput LP whose cost grows ~quadratically with the edge count,
-/// so dense circuits get fewer, cheaper-in-total probes.
+/// Heuristic budget scaled to the instance: dense circuits get fewer
+/// probes. Each probe evaluates one configuration: a validated copy, its
+/// cycle time and its throughput bound (policy iteration, no LP). The
+/// tiers date from when that bound was a dense LP, ~quadratic in the
+/// edge count; they are kept as tuned so results do not move.
 HeuristicOptions scaled_heuristic(const Rrg& rrg) {
   HeuristicOptions hopt;
   const std::size_t edges = rrg.num_edges();
@@ -94,19 +96,21 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
   opt.polish = options.polish;
   opt.milp_warm = options.milp_warm;
 
-  // Late-evaluation baseline: for all-simple graphs the LP bound is the
-  // exact throughput, so xi_nee needs no simulation. The heuristic (when
-  // enabled) guards the baseline against MILP budget exhaustion.
+  // Late-evaluation baseline: for all-simple graphs the throughput bound
+  // is the exact throughput, so xi_nee needs no simulation. The heuristic
+  // (when enabled) guards the baseline against MILP budget exhaustion.
   OptOptions late = opt;
   late.treat_all_simple = true;
   if (!options.heuristic_only) {
     // min_eff_cyc replayed step by step, so the cancel hook (user cancel
-    // or job deadline) stops this walk at a step boundary too. A
-    // cancelled baseline ends the flow with the same partial shape the
-    // engine's cancel returns below: no candidates scored.
+    // or job deadline) stops this walk at a step boundary, or before the
+    // next MILP solve of a MAX_THR step. A cancelled baseline ends the
+    // flow with the same partial shape the engine's cancel returns
+    // below: no candidates scored.
     ParetoWalk nee(rrg, late);
+    nee.set_cancel(hooks.cancelled);
     while (nee.advance().has_value()) {
-      if (hooks.cancelled && hooks.cancelled()) {
+      if (nee.cancel_requested()) {
         result.cancelled = true;
         break;
       }
@@ -147,11 +151,10 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
   eopt.sim_dedup = options.sim_dedup;
   eopt.sim_cache_cap = options.sim_cache_cap;
   eopt.overlap = options.pipeline;
-  Engine* engine_handle = nullptr;
   eopt.on_candidate = [&](const ParetoPoint&, std::size_t index) {
     if (hooks.on_progress) hooks.on_progress(index + 1);
-    if (hooks.cancelled && hooks.cancelled()) engine_handle->request_cancel();
   };
+  eopt.cancelled = hooks.cancelled;
   std::optional<Engine> engine_store;  // Engine is neither copy nor movable
   if (hooks.fleet != nullptr) {
     engine_store.emplace(rrg, eopt, *hooks.fleet);
@@ -159,7 +162,6 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
     engine_store.emplace(rrg, eopt);
   }
   Engine& engine = *engine_store;
-  engine_handle = &engine;
 
   MinEffCycResult early;
   if (!options.heuristic_only) {

@@ -58,9 +58,9 @@ sim::SimTicket Engine::submit_candidate(const ParetoPoint& point) {
 
 EngineResult Engine::run() {
   Stopwatch total;
-  cancel_.store(false, std::memory_order_relaxed);
   EngineResult result;
   ParetoWalk walk(base_, options_.opt);
+  walk.set_cancel(options_.cancelled);
 
   std::vector<ParetoPoint> emitted;        // walk emissions, in order
   std::vector<sim::SimTicket> tickets;     // aligned with emitted
@@ -95,10 +95,6 @@ EngineResult Engine::run() {
   };
 
   for (;;) {
-    if (cancel_.load(std::memory_order_relaxed)) {
-      result.cancelled = true;
-      break;
-    }
     poll_feedback();
     // Injection site at the step boundary -- the same boundary
     // cooperative cancellation uses, so a `walk.step` fault leaves the
@@ -128,6 +124,10 @@ EngineResult Engine::run() {
     }
     if (options_.on_candidate) {
       options_.on_candidate(*point, emitted.size() - 1);
+    }
+    if (walk.cancel_requested()) {
+      result.cancelled = true;
+      break;
     }
   }
   if (!options_.overlap) {

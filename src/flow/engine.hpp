@@ -50,12 +50,11 @@
 /// Accelerators" (arXiv:1612.08163) for the measure-then-reoptimize
 /// shape this makes first-class.
 ///
-/// Cancellation: request_cancel() (thread-safe, also callable from the
-/// on_candidate observer) stops the walk at the next step boundary;
+/// Cancellation: the `cancelled` predicate stops the walk at the next
+/// step boundary, or before the next solve of a MAX_THR step;
 /// run() still quiesces the fleet and returns the partial frontier with
 /// `cancelled = true`. The engine and its fleet stay fully reusable.
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -102,9 +101,13 @@ struct EngineOptions {
   /// exact walks stay bit-identical to the sequential path.
   FeedbackPruning feedback_pruning = FeedbackPruning::kAuto;
   /// Observer called after each walk step with the emitted candidate and
-  /// its index (in emission order). Runs on the engine's thread; may
-  /// call request_cancel().
+  /// its index (in emission order). Runs on the engine's thread.
   std::function<void(const ParetoPoint&, std::size_t)> on_candidate;
+  /// Cancellation predicate (may be empty): polled on the engine's thread
+  /// after each emitted candidate and before every MILP solve of a
+  /// MAX_THR step. Once it returns true the walk stops; each run() polls
+  /// afresh.
+  std::function<bool()> cancelled;
 };
 
 /// One frontier point with its simulation verdict.
@@ -145,11 +148,11 @@ struct EngineResult {
 
 /// Pipelined Pareto-walk + scoring engine over one RRG. Reusable: run(),
 /// score() and further run()s share one fleet (and its result cache).
-/// Single-user (one thread drives the engine; request_cancel alone may
-/// come from anywhere) -- but many engines may run concurrently on one
-/// *shared* fleet (the svc::Scheduler shape): the fleet's async API is
-/// multi-client, and per-engine results are bit-identical to a solo run
-/// whatever the interleaving (the fleet's determinism contract).
+/// Single-user (one thread drives the engine) -- but many engines may
+/// run concurrently on one *shared* fleet (the svc::Scheduler shape): the
+/// fleet's async API is multi-client, and per-engine results are
+/// bit-identical to a solo run whatever the interleaving (the fleet's
+/// determinism contract).
 class Engine {
  public:
   /// Owned-fleet engine: spawns its own sim::SimFleet per `options`.
@@ -173,13 +176,6 @@ class Engine {
   /// nothing. Returns one ScoredPoint per input, in order.
   std::vector<ScoredPoint> score(const std::vector<ParetoPoint>& points);
 
-  /// Stops a running walk at the next step boundary (thread-safe).
-  /// Cleared at the start of each run().
-  void request_cancel() { cancel_.store(true, std::memory_order_relaxed); }
-  bool cancel_requested() const {
-    return cancel_.load(std::memory_order_relaxed);
-  }
-
   /// The underlying fleet (observability: cache_stats, pool_size;
   /// reusable after cancellation like after a normal run). The shared
   /// one when the engine was constructed onto it.
@@ -196,7 +192,6 @@ class Engine {
   EngineOptions options_;
   std::unique_ptr<sim::SimFleet> owned_fleet_;  ///< null on a shared fleet
   sim::SimFleet* fleet_;  ///< owned_fleet_.get() or the shared fleet
-  std::atomic<bool> cancel_{false};
 };
 
 }  // namespace elrr::flow

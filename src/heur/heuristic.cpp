@@ -6,6 +6,7 @@
 
 #include "core/analysis.hpp"
 #include "graph/scc.hpp"
+#include "obs/trace.hpp"
 #include "retime/leiserson_saxe.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -40,7 +41,10 @@ class Search {
     ++lp_evals_;
     Candidate c;
     c.config = config;
-    c.eval = evaluate_config(rrg_, config);
+    {
+      OBS_SPAN("heur.eval");
+      c.eval = evaluate_config(rrg_, config);
+    }
     seen_.push_back(std::move(c));
     return static_cast<int>(seen_.size()) - 1;
   }
@@ -94,6 +98,7 @@ RrConfig retime_move(const Rrg& rrg, const RrConfig& config, NodeId n,
 }  // namespace
 
 HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options) {
+  OBS_SPAN("heur.eff_cyc");
   Stopwatch watch;
   rrg.validate();
   ELRR_REQUIRE(graph::is_strongly_connected(rrg.graph()),

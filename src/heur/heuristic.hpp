@@ -19,10 +19,12 @@
 ///     retimings (elastic buffers move with their tokens) and single-edge
 ///     bubble removals, first-improvement descent.
 ///
-/// Every candidate is scored with the same throughput LP bound (11) the
-/// exact optimizer uses, so heuristic and MILP results are directly
-/// comparable; the only thing given up is the MILP's proof of optimality
-/// per Pareto point.
+/// Every candidate is scored with the same throughput bound Theta_lp of
+/// LP (11) the exact optimizer uses (`throughput_upper_bound`, which
+/// computes it without an LP: the cycle ratio for late evaluation,
+/// policy iteration otherwise), so heuristic and MILP results are
+/// directly comparable; the only thing given up is the MILP's proof of
+/// optimality per Pareto point.
 
 #include <cstddef>
 #include <vector>
@@ -40,7 +42,8 @@ struct HeuristicOptions {
   int max_polish_rounds = 8;
   /// Skip the polish entirely (ablation knob).
   bool polish = true;
-  /// Hard cap on throughput-LP evaluations (the cost driver).
+  /// Hard cap on configuration evaluations (tau plus Theta_lp each; the
+  /// cost driver). The name dates from when each one solved an LP.
   int max_lp_evals = 4000;
   /// Critical-path edges probed per walk round (evenly subsampled when
   /// the path is longer). Keeps a small LP budget spread over many
@@ -52,7 +55,7 @@ struct HeuristicResult {
   /// Non-dominated configurations found, sorted by increasing tau.
   std::vector<ParetoPoint> points;
   std::size_t best_index = 0;
-  int lp_evals = 0;        ///< throughput LPs solved
+  int lp_evals = 0;        ///< configurations evaluated
   double seconds = 0.0;
 
   const ParetoPoint& best() const { return points[best_index]; }

@@ -2,8 +2,12 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <set>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "bench89/generator.hpp"
@@ -220,6 +224,44 @@ class LineParser {
   std::set<std::string> keys_;
 };
 
+/// Inputs materialized before and still held by some job, keyed by what
+/// determines them: a generated circuit's name and seed, or an .rrg
+/// file's bytes. A repeated input is neither generated nor parsed again,
+/// and its jobs share one graph structure (Rrg copies share it until
+/// written). Thread-safe.
+class InputTable {
+ public:
+  template <typename Build>
+  io::NamedRrg get(const std::string& key, Build build) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = entries_.find(key);
+      if (it != entries_.end()) return it->second;
+    }
+    io::NamedRrg built = build();  // may throw; nothing is recorded then
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (entries_.size() >= next_sweep_) {
+      // Forget inputs whose every job is gone: only this table holds
+      // their structure. Amortized over the insertions.
+      std::erase_if(entries_, [](const auto& entry) {
+        return !entry.second.rrg.shares_structure();
+      });
+      next_sweep_ = 2 * entries_.size() + 16;
+    }
+    return entries_.try_emplace(key, std::move(built)).first->second;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::unordered_map<std::string, io::NamedRrg> entries_;
+  std::size_t next_sweep_ = 16;
+};
+
+InputTable& inputs() {
+  static InputTable table;
+  return table;
+}
+
 }  // namespace
 
 ManifestEntry parse_manifest_line(std::string_view text, int line_number) {
@@ -267,14 +309,23 @@ JobSpec materialize(const ManifestEntry& entry,
   if (entry.retries) spec.retries = static_cast<std::size_t>(*entry.retries);
   if (!entry.circuit.empty()) {
     const bench89::CircuitSpec& circuit = bench89::spec_by_name(entry.circuit);
-    spec.rrg = bench89::make_table2_rrg(circuit, spec.flow.seed);
+    const std::uint64_t seed = spec.flow.seed;
+    spec.rrg = inputs()
+                   .get(detail::concat("circuit\n", entry.circuit, "\n", seed),
+                        [&] {
+                          return io::NamedRrg{
+                              "", bench89::make_table2_rrg(circuit, seed)};
+                        })
+                   .rrg;
     spec.name = entry.name.empty() ? entry.circuit : entry.name;
     // Mirror run_circuit's scaling policy: past the exact-MILP ceiling
     // the flow switches to the heuristic-only walk.
     spec.flow.heuristic_only =
         circuit.n_edges > spec.flow.exact_max_edges;
   } else {
-    io::NamedRrg named = io::load_rrg_file(entry.input);
+    const std::string text = io::load_text_file(entry.input);
+    io::NamedRrg named =
+        inputs().get("file\n" + text, [&] { return io::read_rrg(text); });
     spec.rrg = std::move(named.rrg);
     spec.name = !entry.name.empty()
                     ? entry.name

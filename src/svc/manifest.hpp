@@ -83,6 +83,9 @@ std::vector<ManifestEntry> parse_manifest(std::string_view text);
 
 /// Builds the JobSpec for one entry: generates the named circuit or
 /// loads the .rrg file, then layers the entry's overrides onto `base`.
+/// An input that an earlier call built and some job still holds (same
+/// circuit and seed, or same file bytes) is not built again: the new
+/// spec's graph shares its structure (see Rrg).
 /// Lines without an explicit "mode" take `default_mode` (elrr batch maps
 /// ELRR_PORTFOLIO=1 to JobMode::kPortfolio here).
 JobSpec materialize(const ManifestEntry& entry,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/figures.hpp"
 #include "support/error.hpp"
 
@@ -23,6 +27,70 @@ TEST(Rrg, BuildAndAccessors) {
   EXPECT_DOUBLE_EQ(rrg.gamma(e), 0.5);
   EXPECT_DOUBLE_EQ(rrg.max_delay(), 2.5);
   EXPECT_DOUBLE_EQ(rrg.total_delay(), 2.5);
+}
+
+TEST(Rrg, CopiesShareTheStructureUntilOneChangesIt) {
+  const Rrg original = figures::figure2(0.3);
+  const std::string dot = original.to_dot();
+  EXPECT_FALSE(original.shares_structure());
+
+  Rrg marking = original;  // a new marking keeps sharing
+  EXPECT_TRUE(original.shares_structure());
+  marking.set_tokens(0, marking.tokens(0) + 1);
+  marking.set_buffers(0, marking.buffers(0) + 1);
+  EXPECT_TRUE(marking.shares_structure());
+  EXPECT_NE(marking.to_dot(), dot);
+
+  // Any structural write copies first; the original never moves.
+  Rrg a = original, b = original, c = original, d = original, e = original;
+  a.set_gamma(4, 0.25);  // an input of the early node
+  b.set_delay(0, 7.0);
+  c.set_kind(1, NodeKind::kEarly);
+  d.set_telescopic(0, 0.5, 2);
+  const NodeId extra = e.add_node("a_longer_name_than_sso_holds", 1.0);
+  e.add_edge(extra, 0, 1, 1);
+  for (const Rrg* changed : {&a, &b, &c, &d, &e}) {
+    EXPECT_FALSE(changed->shares_structure());
+    EXPECT_NE(changed->to_dot(), dot);
+  }
+  EXPECT_EQ(e.name(extra), "a_longer_name_than_sso_holds");
+  EXPECT_EQ(e.name(0), original.name(0));
+  EXPECT_EQ(e.graph().in_edges(0).back(), e.num_edges() - 1);
+  EXPECT_EQ(original.to_dot(), dot);
+}
+
+TEST(Rrg, CopiesOnManyThreadsStayIndependent) {
+  // Threads copy one graph, change their copies' structure and marking,
+  // and drop them in no fixed order; the last copy of a structure may be
+  // written in place.
+  const Rrg original = figures::figure2(0.3);
+  const std::string dot = original.to_dot();
+  std::vector<std::string> seen(8);
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < 200; ++round) {
+          Rrg mine = original;
+          Rrg again = mine;
+          mine.set_delay(1, static_cast<double>(t));
+          again.set_tokens(0, again.tokens(0) + 1);
+          again.set_buffers(0, again.buffers(0) + 1);
+          mine.set_delay(2, static_cast<double>(round));
+          if (round == 199) seen[t] = mine.to_dot() + again.to_dot();
+        }
+      });
+    }
+  }
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    Rrg mine = original, again = original;
+    mine.set_delay(1, static_cast<double>(t));
+    mine.set_delay(2, 199.0);
+    again.set_tokens(0, again.tokens(0) + 1);
+    again.set_buffers(0, again.buffers(0) + 1);
+    EXPECT_EQ(seen[t], mine.to_dot() + again.to_dot()) << t;
+  }
+  EXPECT_EQ(original.to_dot(), dot);
 }
 
 TEST(Rrg, RejectsNegativeDelay) {

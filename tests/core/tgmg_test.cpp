@@ -147,9 +147,12 @@ TEST_P(LateLpVsMcrTest, LpEqualsMinCycleRatio) {
   }
   if (!rrg.is_live()) GTEST_SKIP() << "random instance not live";
 
-  const double lp = throughput_upper_bound(rrg);
+  // The dense LP, not throughput_upper_bound: production computes the
+  // bound of a late-evaluation RRG as this very cycle ratio.
+  const ThroughputBound lp = tgmg_throughput_bound(refined_tgmg(rrg));
+  ASSERT_TRUE(lp.bounded);
   const double mcr = late_eval_throughput(rrg);
-  EXPECT_NEAR(lp, mcr, 1e-6);
+  EXPECT_NEAR(lp.theta, mcr, 1e-9 * mcr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LateLpVsMcrTest, ::testing::Range(0, 40));

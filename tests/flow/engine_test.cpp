@@ -153,13 +153,10 @@ TEST(FlowEngine, ParetoWalkReplaysMinEffCyc) {
 TEST(FlowEngine, CancellationMidWalkLeavesEngineReusable) {
   const Rrg rrg = test_rrg();
   EngineOptions options = fast_options();
-  Engine* handle = nullptr;
   std::size_t seen = 0;
-  options.on_candidate = [&](const ParetoPoint&, std::size_t) {
-    if (++seen == 2) handle->request_cancel();
-  };
+  options.on_candidate = [&](const ParetoPoint&, std::size_t) { ++seen; };
+  options.cancelled = [&] { return seen == 2; };
   Engine engine(rrg, options);
-  handle = &engine;
 
   const EngineResult partial = engine.run();
   EXPECT_TRUE(partial.cancelled);
@@ -181,8 +178,8 @@ TEST(FlowEngine, CancellationMidWalkLeavesEngineReusable) {
   EXPECT_EQ(scored[0].sim.theta,
             sim::simulate_throughput(identity_rrg, options.sim).theta);
 
-  // A fresh run on the same engine (cancel flag clears) completes and
-  // matches an untouched engine's result.
+  // A fresh run on the same engine (the predicate is polled afresh)
+  // completes and matches an untouched engine's result.
   seen = 1000;  // never trips again
   const EngineResult full = engine.run();
   EXPECT_FALSE(full.cancelled);

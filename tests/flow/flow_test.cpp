@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -15,6 +16,7 @@
 #include "bench89/generator.hpp"
 #include "core/analysis.hpp"
 #include "support/error.hpp"
+#include "support/failpoint.hpp"
 
 namespace elrr::flow {
 namespace {
@@ -243,6 +245,35 @@ TEST(Flow, CancelStopsTheBaselineWalkAtAStepBoundary) {
   EXPECT_TRUE(r.candidates.empty());
   EXPECT_GT(r.xi_nee, 0.0);
   EXPECT_LE(r.xi_nee, r.xi_star + 1e-6);
+}
+
+TEST(Flow, CancelStopsTheBaselineMaxThrBetweenItsSolves) {
+  // A MILP budget no solve can meet sends the NEE walk's first
+  // MAX_THR(beta_max) past its direct attempt into the bisection. Every
+  // solve of it must poll the hook first: poll 1 follows the identity
+  // step, poll 2 precedes the direct attempt, poll 3 the theta = 1 probe,
+  // poll 4 the first bisection probe. The hook fires at `trip` and is
+  // not asked again. The fail-point hit counter (armed to fire never)
+  // counts the MILP solves that ran.
+  for (const int trip : {2, 3, 4}) {
+    failpoint::configure("milp.solve=after:1000000");
+    int polls = 0;
+    FlowHooks hooks;
+    hooks.cancelled = [&polls, trip] { return ++polls >= trip; };
+    FlowOptions options = fast_options(1);
+    options.milp_timeout_s = 1e-9;
+    const CircuitResult r = run_flow(
+        "s27", bench89::make_table2_rrg(bench89::spec_by_name("s27"), 1),
+        options, hooks);
+    const std::uint64_t solves = failpoint::hits("milp.solve");
+    failpoint::reset();
+    EXPECT_TRUE(r.cancelled) << trip;
+    EXPECT_EQ(polls, trip) << trip;
+    EXPECT_EQ(solves, static_cast<std::uint64_t>(trip - 2)) << trip;
+    EXPECT_FALSE(r.all_exact) << trip;
+    EXPECT_TRUE(r.candidates.empty()) << trip;
+    EXPECT_GT(r.xi_nee, 0.0) << trip;
+  }
 }
 
 TEST(Flow, UnknownCircuitThrows) {

@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "bench89/generator.hpp"
+#include "heur/heuristic.hpp"
 #include "obs/trace.hpp"
 #include "sim/proc_fleet.hpp"
 #include "support/error.hpp"
@@ -85,6 +87,29 @@ TEST_F(ObsTest, SpanGuardRecordsNestedSpans) {
   EXPECT_GT(spans[0].tid, 0u);
   EXPECT_EQ(spans[0].pid, 0u);  // self process
   EXPECT_EQ(spans[0].arg, kNoArg);
+}
+
+TEST_F(ObsTest, ArmedHeuristicRecordsItsRunAndEveryEvaluation) {
+  configure("", 4096);
+  arm(true);
+  HeuristicOptions options;
+  options.max_lp_evals = 12;
+  const HeuristicResult heur = heur_eff_cyc(
+      bench89::make_table2_rrg(bench89::spec_by_name("s27"), 1), options);
+  arm(false);
+  const std::vector<SpanRecord> spans = snapshot_spans();
+  ASSERT_FALSE(spans.empty());
+  // Sorted by start: the run opens first and holds every evaluation.
+  EXPECT_STREQ(spans[0].name, "heur.eff_cyc");
+  int evals = 0;
+  for (const SpanRecord& span : spans) {
+    if (std::string(span.name) != "heur.eval") continue;
+    ++evals;
+    EXPECT_GE(span.start_ns, spans[0].start_ns);
+    EXPECT_LE(span.end_ns, spans[0].end_ns);
+  }
+  EXPECT_EQ(evals, heur.lp_evals);
+  EXPECT_GT(evals, 1);
 }
 
 TEST_F(ObsTest, SpanIdRidesInArg) {

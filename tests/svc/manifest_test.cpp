@@ -7,9 +7,13 @@
 #include "svc/manifest.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <string>
 
+#include "bench89/generator.hpp"
+#include "io/rrg_format.hpp"
 #include "support/error.hpp"
 
 namespace elrr::svc {
@@ -170,6 +174,41 @@ TEST(Manifest, MaterializeGeneratesTheCircuit) {
   EXPECT_EQ(spec.flow.sim_cycles, 999u);   // per-line override
   EXPECT_EQ(spec.flow.seed, 2u);           // inherited from base
   EXPECT_FALSE(spec.flow.heuristic_only);  // s27 is under the exact ceiling
+}
+
+TEST(Manifest, MaterializeSharesRepeatedInputs) {
+  const flow::FlowOptions base;
+  const ManifestEntry s27 = parse_manifest_line(R"({"circuit": "s27"})", 1);
+  JobSpec a = materialize(s27, base);
+  const JobSpec b = materialize(s27, base);
+  EXPECT_TRUE(b.rrg.shares_structure());
+  EXPECT_EQ(io::write_rrg(a.rrg), io::write_rrg(b.rrg));
+  a.rrg.set_delay(0, a.rrg.delay(0) + 1.0);  // the other job's copy stays
+  EXPECT_NE(io::write_rrg(a.rrg), io::write_rrg(b.rrg));
+  EXPECT_EQ(io::write_rrg(b.rrg),
+            io::write_rrg(bench89::make_table2_rrg(
+                bench89::spec_by_name("s27"), base.seed)));
+  const JobSpec seed2 = materialize(
+      parse_manifest_line(R"({"circuit": "s27", "seed": 2})", 1), base);
+  EXPECT_NE(io::write_rrg(seed2.rrg), io::write_rrg(b.rrg));
+
+  // Files are keyed by their bytes: a rewritten file is read again.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("elrr_manifest_" + std::to_string(::getpid()) + ".rrg");
+  const ManifestEntry file = parse_manifest_line(
+      R"({"input": ")" + path.string() + R"("})", 1);
+  io::save_text_file(path.string(), io::write_rrg(b.rrg, "first"));
+  const JobSpec f1 = materialize(file, base);
+  const JobSpec f2 = materialize(file, base);
+  EXPECT_TRUE(f2.rrg.shares_structure());
+  EXPECT_EQ(f2.name, "first");
+  io::save_text_file(path.string(), io::write_rrg(seed2.rrg, "second"));
+  const JobSpec f3 = materialize(file, base);
+  std::filesystem::remove(path);
+  EXPECT_EQ(f3.name, "second");
+  EXPECT_EQ(io::write_rrg(f3.rrg), io::write_rrg(seed2.rrg));
+  EXPECT_EQ(io::write_rrg(f1.rrg), io::write_rrg(b.rrg));
 }
 
 TEST(Manifest, MaterializeUnknownCircuitThrows) {
