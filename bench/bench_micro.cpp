@@ -1,6 +1,7 @@
 /// \file bench_micro.cpp
 /// google-benchmark microbenchmarks of the substrates: simplex/MILP
-/// solves, minimum cycle ratio, SCC, token-level simulation, Markov
+/// solves (random LPs, the golden walk-step MILPs, warm re-solve
+/// sweeps), minimum cycle ratio, SCC, token-level simulation, Markov
 /// analysis, the full MILP primitives on generated circuits, and the
 /// per-site cost of the obs layer (`--benchmark_filter='Obs|Rec'`).
 
@@ -20,6 +21,8 @@
 #include "heur/heuristic.hpp"
 #include "io/rrg_format.hpp"
 #include "lp/milp.hpp"
+#include "lp/mps.hpp"
+#include "lp/simplex.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "sim/choosers.hpp"
@@ -74,6 +77,66 @@ void BM_MilpKnapsack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MilpKnapsack)->Arg(10)->Arg(16);
+
+// solve_milp on the golden walk-step dumps of tests/lp/golden (0: s208 at
+// x = 1, 1: s420 at x = 1.25): branch & bound over warm node re-solves,
+// the path that sets perfbench's exact_walk. The counters are per solve
+// and pinned by Mps.GoldenBranchAndBoundTreeIsPinned.
+void BM_MilpGolden(benchmark::State& state) {
+  const char* files[] = {"s208_min_cyc_x1.mps", "s420_min_cyc_x1.25.mps"};
+  const lp::Model model = lp::from_mps(io::load_text_file(
+      std::string(ELRR_LP_GOLDEN_DIR) + "/" + files[state.range(0)]));
+  lp::MilpOptions options;
+  options.time_limit_s = 60.0;
+  lp::MilpResult result;
+  for (auto _ : state) {
+    result = lp::solve_milp(model, options);
+    benchmark::DoNotOptimize(result.objective);
+  }
+  state.counters["nodes"] = static_cast<double>(result.nodes);
+  state.counters["lp_iters"] = static_cast<double>(result.lp_iterations);
+}
+BENCHMARK(BM_MilpGolden)->Arg(0)->Arg(1);
+
+// Warm resolve() of the s526 MIN_CYC(x) root relaxation (139 rows x 111
+// columns; the engine ignores integrality) across eight adjacent x, the
+// re-targeting a walk's session does at each step's root. One iteration
+// is one sweep: restore the x = 1 optimum, then re-target the
+// x-dependent rows and resolve(), eight times.
+void BM_SimplexResolveSweep(benchmark::State& state) {
+  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s526"), 1);
+  std::vector<lp::Model> steps;
+  for (const double x : {1.0, 1.03, 1.06, 1.1, 1.14, 1.19, 1.25, 1.31}) {
+    steps.push_back(build_min_cyc_model(rrg, x));
+  }
+  std::vector<int> moving;  // rows whose bounds differ between steps
+  for (int i = 0; i < steps[0].num_rows(); ++i) {
+    for (const lp::Model& step : steps) {
+      if (step.row(i).lo != steps[0].row(i).lo ||
+          step.row(i).hi != steps[0].row(i).hi) {
+        moving.push_back(i);
+        break;
+      }
+    }
+  }
+  lp::SimplexSolver solver(steps[0]);
+  solver.solve();
+  const lp::SimplexSolver::State root = solver.save_state();
+  const std::int64_t base = solver.total_iterations();
+  for (auto _ : state) {
+    solver.restore_state(root);
+    for (const lp::Model& step : steps) {
+      for (const int i : moving) {
+        solver.set_row_bounds(i, step.row(i).lo, step.row(i).hi);
+      }
+      benchmark::DoNotOptimize(solver.resolve().objective);
+    }
+  }
+  state.counters["lp_iters"] = benchmark::Counter(
+      static_cast<double>(solver.total_iterations() - base),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SimplexResolveSweep);
 
 void BM_MinCycleRatio(benchmark::State& state) {
   Rng rng(11);

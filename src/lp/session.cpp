@@ -124,10 +124,12 @@ class BranchAndBound {
   /// stale/corrupt state (wrong model, truncated vectors) falls back to
   /// the cold path instead of feeding garbage to the dual simplex.
   bool state_shape_ok(const SimplexSolver::State& s) const {
-    const std::size_t total = static_cast<std::size_t>(model_.num_cols()) +
-                              static_cast<std::size_t>(model_.num_rows());
+    const std::size_t cols = static_cast<std::size_t>(model_.num_cols());
     const std::size_t rows = static_cast<std::size_t>(model_.num_rows());
-    return s.tab.size() == rows * total && s.basis.size() == rows &&
+    const std::size_t total = cols + rows;
+    return s.factorized && s.tab.size() == rows * cols &&
+           s.slot_var.size() == cols && s.slot_of.size() == total &&
+           s.basis.size() == rows &&
            s.where.size() == total && s.value.size() == total &&
            s.dj.size() == total && s.lo.size() == total &&
            s.hi.size() == total;

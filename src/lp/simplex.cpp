@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -49,14 +50,17 @@ SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
     lo_[j] = model.col(j).lo;
     hi_[j] = model.col(j).hi;
   }
-  dense_a_.assign(static_cast<std::size_t>(m_) * total_, 0.0);
+  // Model::add_row merged, sorted and zero-filtered each row's entries.
+  a_start_.reserve(static_cast<std::size_t>(m_) + 1);
+  a_start_.push_back(0);
   for (int i = 0; i < m_; ++i) {
     const Row& row = model.row(i);
     for (const auto& entry : row.entries) {
-      dense_a_[static_cast<std::size_t>(i) * total_ + entry.col] = entry.coef;
+      a_col_.push_back(entry.col);
+      a_coef_.push_back(entry.coef);
     }
+    a_start_.push_back(static_cast<int>(a_col_.size()));
     const int slack = n_ + i;
-    dense_a_[static_cast<std::size_t>(i) * total_ + slack] = -1.0;
     lo_[slack] = row.lo;
     hi_[slack] = row.hi;
   }
@@ -69,9 +73,22 @@ std::int64_t SimplexSolver::iteration_budget() const {
 }
 
 void SimplexSolver::build_initial_basis() {
-  // Slack basis: B = -I, hence tab = B^-1 [A|-I] = [-A | I].
-  tab_.assign(dense_a_.size(), 0.0);
-  for (std::size_t k = 0; k < dense_a_.size(); ++k) tab_[k] = -dense_a_[k];
+  // Slack basis: B = -I, hence B^-1 [A|-I] = [-A | I]; the structural
+  // columns are the nonbasic ones, slot j holding column j.
+  tab_.assign(static_cast<std::size_t>(m_) * n_, 0.0);
+  for (int i = 0; i < m_; ++i) {
+    double* row = tab_row(i);
+    for (int k = a_start_[i]; k < a_start_[i + 1]; ++k) {
+      row[a_col_[k]] = -a_coef_[k];
+    }
+  }
+  slot_var_.resize(n_);
+  slot_of_.assign(total_, -1);
+  for (int j = 0; j < n_; ++j) {
+    slot_var_[j] = j;
+    slot_of_[j] = j;
+  }
+  factorized_ = true;
 
   basis_.resize(m_);
   where_.assign(total_, Where::kAtLower);
@@ -100,14 +117,17 @@ void SimplexSolver::build_initial_basis() {
 }
 
 void SimplexSolver::compute_basic_values() {
-  for (int i = 0; i < m_; ++i) {
-    const double* row = &tab_[static_cast<std::size_t>(i) * total_];
-    double acc = 0.0;
-    for (int j = 0; j < total_; ++j) {
-      if (where_[j] != Where::kBasic && value_[j] != 0.0) {
-        acc += row[j] * value_[j];
-      }
+  // Sum each row in variable-index order, whatever the slot order.
+  std::vector<std::pair<int, double>> terms;  // (slot, value)
+  for (int j = 0; j < total_; ++j) {
+    if (where_[j] != Where::kBasic && value_[j] != 0.0) {
+      terms.emplace_back(slot_of_[j], value_[j]);
     }
+  }
+  for (int i = 0; i < m_; ++i) {
+    const double* row = tab_row(i);
+    double acc = 0.0;
+    for (const auto& [slot, v] : terms) acc += row[slot] * v;
     value_[basis_[i]] = -acc;
   }
 }
@@ -117,8 +137,8 @@ void SimplexSolver::compute_reduced_costs() {
   for (int i = 0; i < m_; ++i) {
     const double cb = cost_[basis_[i]];
     if (cb == 0.0) continue;
-    const double* row = &tab_[static_cast<std::size_t>(i) * total_];
-    for (int j = 0; j < total_; ++j) dj_[j] -= cb * row[j];
+    const double* row = tab_row(i);
+    for (int s = 0; s < n_; ++s) dj_[slot_var_[s]] -= cb * row[s];
   }
   for (int i = 0; i < m_; ++i) dj_[basis_[i]] = 0.0;
   dj_valid_ = true;
@@ -145,22 +165,31 @@ bool SimplexSolver::is_dual_feasible() const {
 }
 
 void SimplexSolver::pivot(int row, int col) {
-  double* prow = &tab_[static_cast<std::size_t>(row) * total_];
-  const double inv = 1.0 / prow[col];
-  for (int j = 0; j < total_; ++j) prow[j] *= inv;
-  prow[col] = 1.0;
+  // The leaving variable takes over the entering column's slot. Its
+  // column was the unit vector e_row: writing 1 (row `row`) and 0 (every
+  // other row) into the slot before the updates below gives it exactly
+  // the values a full tableau computes for it.
+  const int slot = slot_of_[col];
+  const int leaving = basis_[row];
+  double* prow = tab_row(row);
+  const double inv = 1.0 / prow[slot];
+  prow[slot] = 1.0;
+  for (int s = 0; s < n_; ++s) prow[s] *= inv;
   for (int i = 0; i < m_; ++i) {
     if (i == row) continue;
-    double* irow = &tab_[static_cast<std::size_t>(i) * total_];
-    const double factor = irow[col];
+    double* irow = tab_row(i);
+    const double factor = irow[slot];
     if (factor == 0.0) continue;
-    for (int j = 0; j < total_; ++j) irow[j] -= factor * prow[j];
-    irow[col] = 0.0;
+    irow[slot] = 0.0;
+    for (int s = 0; s < n_; ++s) irow[s] -= factor * prow[s];
   }
+  slot_var_[slot] = leaving;
+  slot_of_[leaving] = slot;
+  slot_of_[col] = -1;
   if (dj_valid_) {
     const double factor = dj_[col];
     if (factor != 0.0) {
-      for (int j = 0; j < total_; ++j) dj_[j] -= factor * prow[j];
+      for (int s = 0; s < n_; ++s) dj_[slot_var_[s]] -= factor * prow[s];
       dj_[col] = 0.0;
     }
   }
@@ -183,7 +212,7 @@ double SimplexSolver::infeasibility() const {
 LpStatus SimplexSolver::primal_phase1(const Deadline& deadline) {
   const double ftol = options_.feas_tol;
   const std::int64_t budget = iteration_budget();
-  std::vector<double> price(total_);
+  std::vector<double> price(n_);  // per slot
   std::vector<int> below, above;
 
   while (true) {
@@ -202,12 +231,12 @@ LpStatus SimplexSolver::primal_phase1(const Deadline& deadline) {
     // Composite phase-1 pricing: D_j = d(infeasibility)/d(x_j).
     std::fill(price.begin(), price.end(), 0.0);
     for (int i : below) {
-      const double* row = &tab_[static_cast<std::size_t>(i) * total_];
-      for (int j = 0; j < total_; ++j) price[j] += row[j];
+      const double* row = tab_row(i);
+      for (int s = 0; s < n_; ++s) price[s] += row[s];
     }
     for (int i : above) {
-      const double* row = &tab_[static_cast<std::size_t>(i) * total_];
-      for (int j = 0; j < total_; ++j) price[j] -= row[j];
+      const double* row = tab_row(i);
+      for (int s = 0; s < n_; ++s) price[s] -= row[s];
     }
 
     int entering = -1;
@@ -215,7 +244,7 @@ LpStatus SimplexSolver::primal_phase1(const Deadline& deadline) {
     double best_score = options_.opt_tol;
     for (int j = 0; j < total_; ++j) {
       if (where_[j] == Where::kBasic) continue;
-      const double d = price[j];
+      const double d = price[slot_of_[j]];
       const bool can_up = where_[j] == Where::kAtLower || where_[j] == Where::kFree;
       const bool can_down = where_[j] == Where::kAtUpper || where_[j] == Where::kFree;
       int cand_dir = 0;
@@ -431,7 +460,7 @@ LpStatus SimplexSolver::dual_phase(const Deadline& deadline) {
     }
 
     const int leaving = basis_[row];
-    const double* alpha = &tab_[static_cast<std::size_t>(row) * total_];
+    const double* alpha = tab_row(row);
 
     // Dual ratio test. theta = dj_q / alpha_q must be <= 0 when the
     // leaving variable lands at its lower bound, >= 0 at its upper bound.
@@ -439,8 +468,8 @@ LpStatus SimplexSolver::dual_phase(const Deadline& deadline) {
     double best_ratio = kInf;
     double best_alpha = 0.0;
     for (int j = 0; j < total_; ++j) {
-      if (where_[j] == Where::kBasic || j == leaving) continue;
-      const double a = alpha[j];
+      if (where_[j] == Where::kBasic) continue;
+      const double a = alpha[slot_of_[j]];
       if (std::abs(a) <= kRatioEps) continue;
       bool eligible = false;
       if (below) {  // leaving lands AtLower; need theta <= 0
@@ -468,7 +497,7 @@ LpStatus SimplexSolver::dual_phase(const Deadline& deadline) {
 
     const double target = below ? lo_[leaving] : hi_[leaving];
     const double delta_leaving = target - value_[leaving];
-    const double delta_entering = -delta_leaving / alpha[entering];
+    const double delta_entering = -delta_leaving / alpha[slot_of_[entering]];
 
     for (int i = 0; i < m_; ++i) {
       if (i == row) continue;
@@ -483,17 +512,23 @@ LpStatus SimplexSolver::dual_phase(const Deadline& deadline) {
 }
 
 bool SimplexSolver::certify_infeasible(int row) {
-  // Row `row` of B^-1 is y^T; B^-1 = -tab[:, n..n+m) because the slack
-  // block of [A | -I] is -I.
-  const double* trow = &tab_[static_cast<std::size_t>(row) * total_ + n_];
+  // Row `row` of B^-1 is y^T; B^-1 = -(B^-1 [A | -I]) on the slack
+  // columns because the slack block of [A | -I] is -I. A basic slack's
+  // column is a unit vector: y_k = -1 in its own row, 0 elsewhere.
+  const double* trow = tab_row(row);
   double y_max = 0.0;
   std::fill(farkas_.begin(), farkas_.end(), 0.0);
   for (int k = 0; k < m_; ++k) {
-    const double y = -trow[k];
+    const int slack = n_ + k;
+    const int slot = slot_of_[slack];
+    const double y =
+        slot >= 0 ? -trow[slot] : (basis_[row] == slack ? -1.0 : 0.0);
     if (y == 0.0) continue;
     y_max = std::max(y_max, std::abs(y));
-    const double* arow = &dense_a_[static_cast<std::size_t>(k) * total_];
-    for (int j = 0; j < total_; ++j) farkas_[j] += y * arow[j];
+    for (int e = a_start_[k]; e < a_start_[k + 1]; ++e) {
+      farkas_[a_col_[e]] += y * a_coef_[e];
+    }
+    farkas_[slack] += y * -1.0;
   }
   // Every feasible point has r^T x = y^T [A | -I] x = 0. Bound r^T x over
   // the box [lo, hi]; an interval that excludes 0 proves infeasibility.
@@ -569,7 +604,7 @@ LpResult SimplexSolver::solve() {
 }
 
 LpResult SimplexSolver::resolve() {
-  if (tab_.empty()) return solve();
+  if (!factorized_) return solve();
   if (!dj_valid_) compute_reduced_costs();
   if (!is_dual_feasible()) return solve();
   Deadline deadline(options_.time_limit_s);
@@ -615,7 +650,7 @@ void SimplexSolver::set_bounds_impl(int col, double lo, double hi) {
   ELRR_REQUIRE(!(lo > hi), "empty bounds");
   lo_[col] = lo;
   hi_[col] = hi;
-  if (tab_.empty()) return;  // not factorized yet; solve() will pick it up
+  if (!factorized_) return;  // solve() will pick the bounds up
 
   if (where_[col] == Where::kBasic) return;  // resolve() repairs violations
 
@@ -667,7 +702,10 @@ void SimplexSolver::set_bounds_impl(int col, double lo, double hi) {
 
 SimplexSolver::State SimplexSolver::save_state() const {
   State s;
+  s.factorized = factorized_;
   s.tab = tab_;
+  s.slot_var = slot_var_;
+  s.slot_of = slot_of_;
   s.basis = basis_;
   s.where = where_;
   s.value = value_;
@@ -679,7 +717,10 @@ SimplexSolver::State SimplexSolver::save_state() const {
 }
 
 void SimplexSolver::restore_state(const State& state) {
+  factorized_ = state.factorized;
   tab_ = state.tab;
+  slot_var_ = state.slot_var;
+  slot_of_ = state.slot_of;
   basis_ = state.basis;
   where_ = state.where;
   value_ = state.value;

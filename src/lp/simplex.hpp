@@ -2,31 +2,42 @@
 
 /// \file simplex.hpp
 /// Bounded-variable two-phase primal simplex with a dual simplex for
-/// warm-started re-solves, on a dense tableau.
+/// warm-started re-solves, on an explicit tableau of the nonbasic columns.
 ///
 /// Design notes
 ///  * Every row i gets a slack s_i with bounds equal to the row's activity
 ///    range, turning the system into  A.x - s = 0  with all variables
 ///    bounded (possibly infinitely). The initial basis is the slack set.
+///  * The engine keeps B^-1 [A | -I] for the n nonbasic columns only, one
+///    slot per nonbasic variable (`slot_var_` / `slot_of_`): the m basic
+///    columns are unit vectors and never stored. A pivot hands the
+///    entering column's slot to the leaving variable, whose column
+///    becomes e_row scaled and eliminated like every other entry, so each
+///    stored entry sees the floating-point operations a full m x (n+m)
+///    tableau would apply, in the same order. Every order-dependent loop
+///    (pricing, ratio tests, Bland, basic-value sums) walks variables in
+///    index order through `slot_of_`.
 ///  * Phase 1 minimizes the total bound violation of basic variables with
 ///    the classical composite objective; phase 2 minimizes the user
 ///    objective with Dantzig pricing and a Bland fallback after stalls.
-///  * `save_state` / `restore_state` snapshot the full tableau so a branch
-///    and bound search can replay bound changes from the root relaxation
-///    and re-optimize with the dual simplex (see milp.hpp).
+///  * `save_state` / `restore_state` snapshot the m x n tableau, the slot
+///    maps and the basis so a branch and bound search can replay bound
+///    changes from the root relaxation and re-optimize with the dual
+///    simplex (see milp.hpp).
 ///  * A dual-simplex "infeasible" verdict prunes a branch & bound subtree,
 ///    so `resolve()` certifies it before returning it: the leaving row's
-///    multipliers y = e_i^T B^-1 are read off the tableau's slack columns
-///    and the Farkas row r = y^T [A | -I] is recomputed from the original
-///    matrix, which no pivot touches. If the interval of r^T x over the
+///    multipliers y = e_i^T B^-1 are read off the slack columns (the
+///    stored slot of a nonbasic slack, the basis of a basic one) and the
+///    Farkas row r = y^T [A | -I] is recomputed from the model's sparse
+///    rows, which no pivot touches. If the interval of r^T x over the
 ///    current bounds excludes 0 by a scaled margin, no point satisfies
 ///    [A | -I] x = 0 within the bounds and the verdict stands. Only an
 ///    inconclusive check (e.g. r touches an infinite bound) falls back to
 ///    a cold `solve()`. See src/lp/README.md, "Infeasibility
 ///    certificates".
 ///
-/// Suitable for the dense, medium-size MILPs of the DAC'09 flow
-/// (hundreds to a few thousands of rows). Not a sparse industrial code.
+/// Suitable for the medium-size MILPs of the DAC'09 flow (hundreds to a
+/// few thousands of rows). Not a sparse industrial code.
 
 #include <cstdint>
 #include <vector>
@@ -91,7 +102,8 @@ class SimplexSolver {
   /// for models whose steps differ only in row right-hand sides.
   void set_row_bounds(int row, double lo, double hi);
 
-  /// Full engine snapshot (tableau, basis, values, reduced costs).
+  /// Full engine snapshot (nonbasic tableau, slot maps, basis, values,
+  /// reduced costs, bounds).
   struct State;
   State save_state() const;
   void restore_state(const State& state);
@@ -122,10 +134,17 @@ class SimplexSolver {
   std::vector<double> lo_, hi_; ///< bounds, size total_
   double sense_flip_ = 1.0;     ///< -1 when the model maximizes
   SimplexOptions options_;
-  std::vector<double> dense_a_; ///< m_ x total_ original matrix [A | -I]
+  // A in CSR form (the model's merged, sorted, zero-free rows); the slack
+  // block -I of [A | -I] stays implicit.
+  std::vector<int> a_start_;    ///< size m_ + 1
+  std::vector<int> a_col_;
+  std::vector<double> a_coef_;
 
   // --- engine state ---
-  std::vector<double> tab_;     ///< m_ x total_ current tableau B^-1 [A|-I]
+  bool factorized_ = false;     ///< a basis exists (solve() ran or restored)
+  std::vector<double> tab_;     ///< m_ x n_: B^-1 [A|-I] on the nonbasic slots
+  std::vector<int> slot_var_;   ///< size n_, variable stored in each slot
+  std::vector<int> slot_of_;    ///< size total_, slot of a nonbasic, -1 if basic
   std::vector<int> basis_;      ///< size m_, variable basic in each row
   std::vector<Where> where_;    ///< size total_
   std::vector<double> value_;   ///< size total_, current values
@@ -140,9 +159,12 @@ class SimplexSolver {
   std::vector<double> farkas_;  ///< size total_, certificate scratch
   int infeasible_row_ = -1;     ///< leaving row of the last dual verdict
 
-  double& tab(int i, int j) { return tab_[static_cast<std::size_t>(i) * total_ + j]; }
-  double tab(int i, int j) const { return tab_[static_cast<std::size_t>(i) * total_ + j]; }
-  double dense_a(int i, int j) const { return dense_a_[static_cast<std::size_t>(i) * total_ + j]; }
+  double* tab_row(int i) { return tab_.data() + static_cast<std::size_t>(i) * n_; }
+  const double* tab_row(int i) const {
+    return tab_.data() + static_cast<std::size_t>(i) * n_;
+  }
+  /// Tableau entry of row i in nonbasic variable j's column.
+  double tab(int i, int j) const { return tab_row(i)[slot_of_[j]]; }
 
   void set_bounds_impl(int idx, double lo, double hi);
   void build_initial_basis();
@@ -166,7 +188,10 @@ class SimplexSolver {
 };
 
 struct SimplexSolver::State {
-  std::vector<double> tab;
+  bool factorized = false;
+  std::vector<double> tab;       ///< m x n
+  std::vector<int> slot_var;     ///< n
+  std::vector<int> slot_of;      ///< n + m
   std::vector<int> basis;
   std::vector<Where> where;
   std::vector<double> value;

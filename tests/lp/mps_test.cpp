@@ -265,20 +265,27 @@ TEST(Mps, GoldenParsesBackToTheSameMilp) {
 }
 
 // The branch & bound tree each golden model grows, pinned: node count,
-// status, objective and incumbent, bit for bit. Solver changes that only
-// remove work (e.g. certifying infeasible nodes instead of re-solving
-// them) must leave all of it in place; a diff here means the search
-// visited a different tree. Values recorded on x86-64 with the default
-// (non -march=native) code generation.
+// status, objective and incumbent, bit for bit, plus the simplex work
+// the tree took (LP iterations, Farkas-certified infeasible nodes).
+// Solver changes that only remove work (e.g. certifying infeasible nodes
+// instead of re-solving them) must leave the tree in place; a diff here
+// means the search visited a different tree or pivoted differently.
+// Values recorded on x86-64 with the default (non -march=native) code
+// generation; -ffp-contract=off (CMakeLists.txt) keeps -march=native
+// builds on the same bits. The work counters come from the dense-tableau
+// engine the nonbasic-only tableau replaced, which pivots bit for bit
+// alike.
 struct PinnedTree {
   const char* file;
   std::int64_t nodes;
+  std::int64_t lp_iterations;
+  std::int64_t infeasible_certified;
   double objective;
   std::vector<double> x;
 };
 
 const PinnedTree kPinnedTrees[] = {
-    {"s208_min_cyc_x1.mps", 39, 29.961546206663407,
+    {"s208_min_cyc_x1.mps", 39, 839, 3, 29.961546206663407,
      {29.961546206663407, 1, 0, 1, 1, -0.0, 1, 0, 0, 2, 0,
       2.4946374194139126e-15, 3.5128150388530344e-16, 6.0715321659188248e-16,
       7.5373735031192268e-16, -0.999999999999999, -5.3973201897902797e-17,
@@ -290,7 +297,7 @@ const PinnedTree kPinnedTrees[] = {
       5.3973201897902797e-17, -1.0000000000000011, -1.0000000000000011,
       -1.0000000000000011, -1.0000000000000011, -2.0000000000000004,
       -1.0000000000000011}},
-    {"s420_min_cyc_x1.25.mps", 151, 52.800295013874006,
+    {"s420_min_cyc_x1.25.mps", 151, 4372, 49, 52.800295013874006,
      {52.800295013874006, -0.0, 0, 1, 0, 0, 0, 1, -0.0, 1, 0,
       -2.8863732964571693e-16, -1.0000000000000004, -0.99999999999999978, 0,
       -0.99999999999999978, -1.0000000000000002, -1.0000000000000007,
@@ -309,6 +316,9 @@ TEST(Mps, GoldenBranchAndBoundTreeIsPinned) {
     const MilpResult r = solve_milp(from_mps(read_golden(pin.file)), options);
     ASSERT_EQ(r.status, MilpStatus::kOptimal) << pin.file;
     EXPECT_EQ(r.nodes, pin.nodes) << pin.file;
+    EXPECT_EQ(r.lp_iterations, pin.lp_iterations) << pin.file;
+    EXPECT_EQ(r.infeasible_certified, pin.infeasible_certified) << pin.file;
+    EXPECT_EQ(r.infeasible_cold, 0) << pin.file;
     EXPECT_EQ(r.objective, pin.objective) << pin.file;
     ASSERT_EQ(r.x.size(), pin.x.size()) << pin.file;
     for (std::size_t j = 0; j < pin.x.size(); ++j) {

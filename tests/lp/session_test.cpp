@@ -200,6 +200,45 @@ void expect_same_frontier(const MinEffCycResult& warm,
   }
 }
 
+/// A model with the transposed shape of `model` (rows and columns
+/// swapped): its nonbasic tableau has the same m x n size.
+Model transposed_shape(const Model& model) {
+  Model other;
+  for (int j = 0; j < model.num_rows(); ++j) other.add_col(0.0, 1.0, -1.0);
+  for (int i = 0; i < model.num_cols(); ++i) {
+    other.add_row(-kInf, 1.0,
+                  {{i % other.num_cols(), 1.0},
+                   {(i + 1) % other.num_cols(), 1.0}});
+  }
+  return other;
+}
+
+TEST(MilpSession, StateOfAnotherShapeTakesTheColdPath) {
+  const Model model = step_model();
+  const Model other = transposed_shape(model);
+  SimplexSolver other_engine(other);
+  ASSERT_EQ(other_engine.solve().status, LpStatus::kOptimal);
+  const SimplexSolver::State foreign = other_engine.save_state();
+  ASSERT_EQ(foreign.tab.size(), static_cast<std::size_t>(model.num_rows()) *
+                                    static_cast<std::size_t>(model.num_cols()));
+
+  MilpOptions options;
+  options.time_limit_s = 60.0;
+  SimplexSolver engine(model);
+  detail::WarmContext ctx;
+  ctx.engine = &engine;
+  ctx.root_state = &foreign;
+  const MilpResult warm = detail::solve_branch_and_bound(model, options, &ctx);
+  // The flag MilpSession counts as a warm fallback.
+  EXPECT_TRUE(ctx.failpoint_fallback);
+  EXPECT_FALSE(ctx.warm_root_used);
+
+  const MilpResult cold = solve_milp(model, options);
+  expect_same_result(warm, cold, "foreign-shaped state");
+  EXPECT_EQ(warm.nodes, cold.nodes);
+  EXPECT_EQ(warm.lp_iterations, cold.lp_iterations);
+}
+
 TEST(MilpSession, WarmWalksAreBitIdenticalToColdWalks) {
   for (const char* circuit : {"s838", "s208", "s420"}) {
     const Rrg rrg =

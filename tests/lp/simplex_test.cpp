@@ -193,6 +193,63 @@ TEST(Simplex, SaveRestoreRoundTrip) {
   EXPECT_NEAR(r.objective, 7.0, 1e-8);
 }
 
+void expect_same_lp(const LpResult& a, const LpResult& b) {
+  ASSERT_EQ(a.status, b.status);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.x, b.x);
+}
+
+// The tableau stores only the nonbasic columns, so it is empty for a
+// model with rows but no structural column. resolve() must still
+// re-optimize from the factorized basis instead of taking the empty
+// tableau for a missing one and solving cold.
+TEST(Simplex, ResolveOnAZeroColumnModelMatchesAFreshSolve) {
+  Model m;
+  m.add_row(-1.0, 1.0, {});
+  m.add_row(0.0, kInf, {});
+  SimplexSolver warm(m);
+  ASSERT_EQ(warm.solve().status, LpStatus::kOptimal);
+
+  // Row 0's range excludes its only activity, 0: a dual verdict, proven
+  // by a Farkas row (a cold solve would not be marked certified).
+  warm.set_row_bounds(0, 0.5, 2.0);
+  m.set_row_bounds(0, 0.5, 2.0);
+  const LpResult infeasible = warm.resolve();
+  expect_same_lp(infeasible, solve(m));
+  EXPECT_TRUE(infeasible.certified);
+  EXPECT_EQ(warm.infeasible_certified(), 1);
+  EXPECT_EQ(warm.infeasible_cold(), 0);
+
+  warm.set_row_bounds(0, -2.0, 0.0);
+  m.set_row_bounds(0, -2.0, 0.0);
+  expect_same_lp(warm.resolve(), solve(m));
+}
+
+// Columns but no row: the tableau is empty the other way round. After a
+// bound change a warm resolve() needs no iteration (each column stays at
+// its optimal bound); a cold solve would flip columns off their initial
+// bounds again.
+TEST(Simplex, ResolveOnAZeroRowModelMatchesAFreshSolve) {
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  const int x = m.add_col(0.0, 4.0, 1.0);
+  const int y = m.add_col(-kInf, 3.0, 2.0);
+  const int z = m.add_col(-1.0, 1.0, -1.0);
+  SimplexSolver warm(m);
+  ASSERT_EQ(warm.solve().status, LpStatus::kOptimal);
+  const std::int64_t solved = warm.total_iterations();
+  ASSERT_GT(solved, 0);
+
+  const struct { int col; double lo, hi; } changes[] = {
+      {x, 0.0, 2.5}, {y, -5.0, 1.5}, {z, -0.25, 1.0}};
+  for (const auto& c : changes) {
+    warm.set_col_bounds(c.col, c.lo, c.hi);
+    m.set_col_bounds(c.col, c.lo, c.hi);
+    expect_same_lp(warm.resolve(), solve(m));
+  }
+  EXPECT_EQ(warm.total_iterations(), solved);
+}
+
 // ---------------------------------------------------------------------------
 // Property tests on random LPs: the returned point must be feasible and its
 // objective must not be beaten by random feasible sampling. Warm-started

@@ -11,52 +11,67 @@
 #      ship their spans over the response protocol under the chaos
 #      schedules), and any written trace lands in $BUILD_DIR/obs_traces/
 #      -- a CI failure artifact;
-#   2. an ASan/UBSan build (-DELRR_SANITIZE=address,undefined) of the
+#   2. the `lp` suite once more in a host-tuned Release build
+#      (-DELRR_NATIVE=ON, i.e. -march=native). The suite pins simplex
+#      work counters, golden models and walk results bit for bit. They
+#      hold on an FMA host only because the build passes
+#      -ffp-contract=off (CMakeLists.txt): otherwise GCC fuses
+#      `a -= c * b` into fused multiply-adds, even in ISO C++20 mode, and
+#      the pivots' low bits move. This step fails if that flag is dropped;
+#   3. an ASan/UBSan build (-DELRR_SANITIZE=address,undefined) of the
 #      `sim` + `svc` + `lp` + `obs` suites (the scheduler/fleet sharing,
 #      the failure-unwind paths, the MILP session's persistent tableau
 #      snapshots and the obs ring buffers' lock-free publish are the
 #      lifetime-bug honeypots). The fork/exec ObsProc tests are excluded
 #      there for the same reason the chaos suite is.
 #
-# Step 2 is skipped with ELRR_SKIP_SANITIZE=1 (e.g. on machines without
+# Step 3 is skipped with ELRR_SKIP_SANITIZE=1 (e.g. on machines without
 # the sanitizer runtimes). No step gates on wall clock: performance is
 # perfbench's (python3 perfbench/run.py; see BENCHMARK.json). Build
-# directories: build/ and build-asan/ (override with BUILD_DIR /
-# ASAN_BUILD_DIR).
+# directories: build/, build-native/ and build-asan/ (override with
+# BUILD_DIR / NATIVE_BUILD_DIR / ASAN_BUILD_DIR).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
+NATIVE_BUILD_DIR=${NATIVE_BUILD_DIR:-build-native}
 ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
 
-# Armed-tracing scope for the ctest runs (steps 1 and 2): %p keeps the
+# Creates a directory and prints its absolute path. ctest runs every test
+# inside its build directory, so a relative path handed to the test
+# processes would point below it.
+abs_dir() { mkdir -p "$1" && (cd "$1" && pwd); }
+
+# Armed-tracing scope for the ctest runs (steps 1 and 3): %p keeps the
 # concurrent test processes from clobbering each other's trace files.
-TRACE_DIR="$BUILD_DIR/obs_traces"
-mkdir -p "$TRACE_DIR"
+TRACE_DIR=$(abs_dir "$BUILD_DIR/obs_traces")
 GATE_TRACE="$TRACE_DIR/trace-%p.json"
 # Flight recorder armed for the same runs: any `elrr` process a test
 # crashes (or that dies for real) leaves postmortem-<pid>.txt here --
 # a CI failure artifact next to the traces. Tests that pin recorder
 # behavior manage the env themselves.
-PM_DIR="$BUILD_DIR/postmortems"
-mkdir -p "$PM_DIR"
+PM_DIR=$(abs_dir "$BUILD_DIR/postmortems")
 
-echo "== [1/2] Release build + ctest -L sim|svc|chaos|lp|obs (traced) =="
+echo "== [1/3] Release build + ctest -L sim|svc|chaos|lp|obs (traced) =="
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j --target elrr elrr_cli elrr_sim_tests elrr_svc_tests elrr_chaos_tests elrr_lp_tests elrr_obs_tests
 ELRR_TRACE="$GATE_TRACE" ELRR_POSTMORTEM_DIR="$PM_DIR" \
   ctest --test-dir "$BUILD_DIR" -L 'sim|svc|chaos|lp|obs' --output-on-failure -j
 
+echo "== [2/3] host-tuned (-march=native) Release build + ctest -L lp =="
+cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DELRR_NATIVE=ON
+cmake --build "$NATIVE_BUILD_DIR" -j --target elrr_lp_tests
+ctest --test-dir "$NATIVE_BUILD_DIR" -L lp --output-on-failure -j
+
 if [ "${ELRR_SKIP_SANITIZE:-0}" = "1" ]; then
-  echo "== [2/2] sanitizer sweep skipped (ELRR_SKIP_SANITIZE=1) =="
+  echo "== [3/3] sanitizer sweep skipped (ELRR_SKIP_SANITIZE=1) =="
 else
-  echo "== [2/2] ASan/UBSan ctest -L sim|svc|lp|obs (traced) =="
+  echo "== [3/3] ASan/UBSan ctest -L sim|svc|lp|obs (traced) =="
   cmake -B "$ASAN_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DELRR_SANITIZE=address,undefined
   cmake --build "$ASAN_BUILD_DIR" -j --target elrr_sim_tests elrr_svc_tests elrr_lp_tests elrr_obs_tests
-  mkdir -p "$ASAN_BUILD_DIR/obs_traces" "$ASAN_BUILD_DIR/postmortems"
-  ELRR_TRACE="$ASAN_BUILD_DIR/obs_traces/trace-%p.json" \
-    ELRR_POSTMORTEM_DIR="$ASAN_BUILD_DIR/postmortems" \
+  ELRR_TRACE="$(abs_dir "$ASAN_BUILD_DIR/obs_traces")/trace-%p.json" \
+    ELRR_POSTMORTEM_DIR=$(abs_dir "$ASAN_BUILD_DIR/postmortems") \
     ctest --test-dir "$ASAN_BUILD_DIR" -L 'sim|svc|lp|obs' -E 'ObsProc' \
     --output-on-failure -j
 fi
