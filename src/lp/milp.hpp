@@ -7,9 +7,12 @@
 /// 20-minute timeout) and on budget exhaustion the best incumbent plus a
 /// proven bound are reported instead of failing.
 ///
-/// Search: best-bound-first with most-fractional branching, warm-started
-/// dual re-solves replayed from the root relaxation, and a fix-and-round
-/// primal heuristic for early incumbents.
+/// Search: best-bound-first with most-fractional branching, a
+/// fix-and-round primal heuristic for early incumbents, and a dual
+/// re-solve per node warm-started from its parent's optimal tableau.
+/// Parent snapshots live under a fixed byte budget
+/// (kNodeSnapshotBudgetBytes); a node without one restores the root
+/// relaxation and replays its bound changes from there.
 
 #include <cstdint>
 #include <limits>
@@ -31,6 +34,15 @@ enum class MilpStatus {
 };
 
 const char* to_string(MilpStatus status);
+
+/// Bytes of parent-node tableau snapshots one branch & bound search may
+/// hold at once. When it is full, new children get no snapshot and
+/// replay from the root; nothing is evicted, so which nodes start warm
+/// depends only on the search sequence, never on the clock. Without a
+/// cap, the open list of a budget-hit walk MILP (thousands of nodes)
+/// would hold a snapshot per node; see src/lp/README.md, "Node warm
+/// starts from the parent", for how 256 KiB was chosen.
+inline constexpr std::int64_t kNodeSnapshotBudgetBytes = 256 * 1024;
 
 struct MilpOptions {
   SimplexOptions lp;
@@ -65,6 +77,13 @@ struct MilpResult {
   /// cold solve (SimplexSolver::infeasible_certified / _cold).
   std::int64_t infeasible_certified = 0;
   std::int64_t infeasible_cold = 0;
+  /// Nodes below the root re-solved from their parent's snapshot vs.
+  /// from the root relaxation with every bound change replayed (the
+  /// snapshot budget was full, or the `milp.node_warm` fail point fired).
+  std::int64_t warm_nodes = 0;
+  std::int64_t replayed_nodes = 0;
+  /// Most snapshot bytes alive at once (<= kNodeSnapshotBudgetBytes).
+  std::int64_t peak_snapshot_bytes = 0;
   double seconds = 0.0;
 
   bool has_solution() const {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
-#include <queue>
 
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
@@ -23,7 +23,11 @@ struct BoundChange {
 struct Node {
   double bound;  ///< parent LP objective (internal minimize sense)
   int depth;
-  std::vector<BoundChange> changes;
+  std::vector<BoundChange> changes;  ///< cumulative from the root
+  /// The parent's optimal engine state, shared by both children: it
+  /// already holds every change but the last. Null when the snapshot
+  /// budget was full; the node then replays `changes` from the root.
+  std::shared_ptr<const SimplexSolver::State> parent;
 };
 
 struct NodeOrder {
@@ -63,6 +67,11 @@ class BranchAndBound {
     result.infeasible_certified =
         engine_.infeasible_certified() - certified_base;
     result.infeasible_cold = engine_.infeasible_cold() - cold_base;
+    result.peak_snapshot_bytes = peak_snapshot_bytes_;
+    obs::count("lp.node.parent_warm",
+               static_cast<std::uint64_t>(result.warm_nodes));
+    obs::count("lp.node.root_replay",
+               static_cast<std::uint64_t>(result.replayed_nodes));
     return result;
   }
 
@@ -206,6 +215,63 @@ class BranchAndBound {
     }
   }
 
+  /// Bytes one engine snapshot holds, from its vector sizes: every
+  /// snapshot of this model has the same shape, so the budget check is a
+  /// pure function of the search sequence.
+  static std::int64_t state_bytes(const SimplexSolver::State& s) {
+    const std::size_t doubles = s.tab.size() + s.value.size() + s.dj.size() +
+                                s.lo.size() + s.hi.size();
+    const std::size_t ints =
+        s.slot_var.size() + s.slot_of.size() + s.basis.size();
+    return static_cast<std::int64_t>(sizeof(s) + doubles * sizeof(double) +
+                                     ints * sizeof(int) +
+                                     s.where.size() * sizeof(s.where[0]));
+  }
+
+  /// Snapshot of the engine's current optimal state for a node's
+  /// children, or null when it would overrun kNodeSnapshotBudgetBytes.
+  /// There is no eviction: the bytes come back when the last child
+  /// holding the snapshot drops it.
+  std::shared_ptr<const SimplexSolver::State> snapshot_for_children() {
+    if (live_snapshot_bytes_ + snapshot_bytes_ > kNodeSnapshotBudgetBytes) {
+      return nullptr;
+    }
+    auto* state = new SimplexSolver::State(engine_.save_state());
+    live_snapshot_bytes_ += snapshot_bytes_;
+    peak_snapshot_bytes_ = std::max(peak_snapshot_bytes_,
+                                    live_snapshot_bytes_);
+    return std::shared_ptr<const SimplexSolver::State>(
+        state, [this](const SimplexSolver::State* s) {
+          live_snapshot_bytes_ -= snapshot_bytes_;
+          delete s;
+        });
+  }
+
+  /// Puts the engine at the node's LP before its re-solve: the parent's
+  /// snapshot plus the node's own bound when it has one (and the
+  /// `milp.node_warm` fail point holds), else the root relaxation with
+  /// every change replayed. Both reach the same bounds.
+  void load_node(const Node& node, const SimplexSolver::State& root_state,
+                 MilpResult& result) {
+    if (node.parent) {
+      try {
+        failpoint::trip("milp.node_warm");
+        engine_.restore_state(*node.parent);
+        const BoundChange& own = node.changes.back();
+        engine_.set_col_bounds(own.col, own.lo, own.hi);
+        ++result.warm_nodes;
+        return;
+      } catch (const failpoint::FailPointError&) {
+        // Fall through to the root path, which any node can take.
+      }
+    }
+    engine_.restore_state(root_state);
+    for (const auto& change : node.changes) {
+      engine_.set_col_bounds(change.col, change.lo, change.hi);
+    }
+    if (!node.changes.empty()) ++result.replayed_nodes;
+  }
+
   bool should_prune(double bound) const {
     if (!has_incumbent_) return false;
     const double slack = std::max(options_.gap_abs,
@@ -283,8 +349,15 @@ class BranchAndBound {
     }
     double unresolved_bound = kInf;  // bounds of nodes we failed to process
 
-    std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
-    open.push(Node{inner(root), 0, {}});
+    snapshot_bytes_ = state_bytes(root_state);
+    // A binary heap under NodeOrder (what std::priority_queue keeps), held
+    // in a vector so a popped node can be moved out with its snapshot.
+    std::vector<Node> open;
+    const auto push = [&open](Node node) {
+      open.push_back(std::move(node));
+      std::push_heap(open.begin(), open.end(), NodeOrder{});
+    };
+    push(Node{inner(root), 0, {}, nullptr});
 
     bool hit_limit = false;
     bool hit_target = false;
@@ -302,24 +375,24 @@ class BranchAndBound {
       }
       // Best-first order: the top node's bound is the global lower bound
       // (unresolved nodes keep their bound alive in unresolved_bound).
-      const double global_bound = std::min(open.top().bound, unresolved_bound);
+      const double global_bound = std::min(open.front().bound, unresolved_bound);
       if (global_bound > futile_inner &&
           (!has_incumbent_ || incumbent_obj_ > futile_inner)) {
         proven_futile = true;
         futile_proof = global_bound;
         break;
       }
-      Node node = open.top();
-      open.pop();
+      std::pop_heap(open.begin(), open.end(), NodeOrder{});
+      Node node = std::move(open.back());
+      open.pop_back();
       if (should_prune(node.bound)) continue;  // bound inherited from parent
       ++result.nodes;
 
-      // Replay the node's bound changes on top of the root basis.
-      engine_.restore_state(root_state);
+      load_node(node, root_state, result);
+      node.parent.reset();  // the last child to go frees the snapshot
       std::vector<double> eff_lo = root_lo_;
       std::vector<double> eff_hi = root_hi_;
       for (const auto& change : node.changes) {
-        engine_.set_col_bounds(change.col, change.lo, change.hi);
         for (std::size_t k = 0; k < int_cols_.size(); ++k) {
           if (int_cols_[k] == change.col) {
             eff_lo[k] = change.lo;
@@ -349,6 +422,9 @@ class BranchAndBound {
         continue;
       }
 
+      // Taken before try_rounding, which clobbers the engine.
+      std::shared_ptr<const SimplexSolver::State> snapshot =
+          snapshot_for_children();
       if (options_.rounding_heuristic &&
           (result.nodes == 1 ||
            (options_.rounding_period > 0 &&
@@ -356,8 +432,6 @@ class BranchAndBound {
         const std::vector<double> x_node = lp.x;
         try_rounding(x_node, root_state);
         if (should_prune(bound)) continue;
-        // The engine state was clobbered by the heuristic but children only
-        // need the recorded bound changes, so nothing to restore here.
         lp.x = x_node;
       }
 
@@ -372,14 +446,14 @@ class BranchAndBound {
       const double down_hi = std::floor(v);
       const double up_lo = std::ceil(v);
       if (down_hi >= cur_lo) {
-        Node child{bound, node.depth + 1, node.changes};
+        Node child{bound, node.depth + 1, node.changes, snapshot};
         child.changes.push_back({branch_col, cur_lo, down_hi});
-        open.push(std::move(child));
+        push(std::move(child));
       }
       if (up_lo <= cur_hi) {
-        Node child{bound, node.depth + 1, node.changes};
+        Node child{bound, node.depth + 1, node.changes, std::move(snapshot)};
         child.changes.push_back({branch_col, up_lo, cur_hi});
-        open.push(std::move(child));
+        push(std::move(child));
       }
     }
 
@@ -394,9 +468,8 @@ class BranchAndBound {
       return result;
     }
     double open_bound = unresolved_bound;
-    while (!open.empty()) {
-      open_bound = std::min(open_bound, open.top().bound);
-      open.pop();
+    for (const Node& node : open) {
+      open_bound = std::min(open_bound, node.bound);
     }
     const bool proven = !hit_limit && !hit_target && open_bound == kInf;
 
@@ -426,6 +499,10 @@ class BranchAndBound {
   SimplexSolver& engine_;
   std::vector<int> int_cols_;
   std::vector<double> root_lo_, root_hi_;  // tightened integer bounds
+  // Parent snapshots alive in the open list (kNodeSnapshotBudgetBytes).
+  std::int64_t snapshot_bytes_ = 0;  ///< one snapshot of this model
+  std::int64_t live_snapshot_bytes_ = 0;
+  std::int64_t peak_snapshot_bytes_ = 0;
 
   bool has_incumbent_ = false;
   double incumbent_obj_ = kInf;
@@ -544,6 +621,10 @@ MilpResult MilpSession::solve() {
   stats_.lp_iterations += result.lp_iterations;
   stats_.infeasible_certified += result.infeasible_certified;
   stats_.infeasible_cold += result.infeasible_cold;
+  stats_.warm_nodes += result.warm_nodes;
+  stats_.replayed_nodes += result.replayed_nodes;
+  stats_.peak_snapshot_bytes =
+      std::max(stats_.peak_snapshot_bytes, result.peak_snapshot_bytes);
   if (result.has_solution()) {
     last_x_ = result.x;
     has_last_x_ = true;

@@ -89,6 +89,9 @@ struct SessionStats {
   std::int64_t lp_iterations = 0;
   std::int64_t infeasible_certified = 0;  ///< Farkas-proven LP verdicts
   std::int64_t infeasible_cold = 0;       ///< ... confirmed by a cold solve
+  std::int64_t warm_nodes = 0;      ///< B&B nodes solved from the parent
+  std::int64_t replayed_nodes = 0;  ///< ... replayed from the root
+  std::int64_t peak_snapshot_bytes = 0;   ///< max over solves
   double solve_seconds = 0.0;
 };
 

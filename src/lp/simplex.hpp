@@ -21,9 +21,10 @@
 ///    the classical composite objective; phase 2 minimizes the user
 ///    objective with Dantzig pricing and a Bland fallback after stalls.
 ///  * `save_state` / `restore_state` snapshot the m x n tableau, the slot
-///    maps and the basis so a branch and bound search can replay bound
-///    changes from the root relaxation and re-optimize with the dual
-///    simplex (see milp.hpp).
+///    maps and the basis. Branch and bound restores a node's parent
+///    snapshot, tightens the one bound the node adds, and re-optimizes
+///    with the dual simplex; a node without a snapshot restores the root
+///    relaxation and replays all of its bound changes (see milp.hpp).
 ///  * A dual-simplex "infeasible" verdict prunes a branch & bound subtree,
 ///    so `resolve()` certifies it before returning it: the leaving row's
 ///    multipliers y = e_i^T B^-1 are read off the slack columns (the

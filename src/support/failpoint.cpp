@@ -165,9 +165,10 @@ void trip_slow(const char* site) {
 
 const std::vector<std::string>& known_sites() {
   static const std::vector<std::string> sites = {
-      "fleet.worker",  "fleet.flat",       "walk.step",       "milp.solve",
-      "milp.warm",     "svc.manifest",     "disk_cache.load",
-      "disk_cache.store", "proc.spawn",    "proc.worker",
+      "fleet.worker",     "fleet.flat",      "walk.step",
+      "milp.solve",       "milp.warm",       "milp.node_warm",
+      "svc.manifest",     "disk_cache.load", "disk_cache.store",
+      "proc.spawn",       "proc.worker",
   };
   return sites;
 }

@@ -59,6 +59,10 @@ class FailPointError : public TransientError {
 ///   milp.warm         lp::MilpSession warm-start restore (firing models
 ///                     a corrupt/stale basis snapshot: the session falls
 ///                     back to a cold solve, results unchanged)
+///   milp.node_warm    branch & bound, before a node restores its
+///                     parent's snapshot (firing sends the node down the
+///                     root-replay path; `prob:1@0` reproduces the trees
+///                     grown before nodes warm-started from their parent)
 ///   svc.manifest      manifest parsing, once per entry line
 ///   disk_cache.load   persistent cache entry read
 ///   disk_cache.store  persistent cache entry write, after the temp file

@@ -886,6 +886,10 @@ std::string Scheduler::stats_json() const {
       milp.lp_iterations += m.lp_iterations;
       milp.infeasible_certified += m.infeasible_certified;
       milp.infeasible_cold += m.infeasible_cold;
+      milp.warm_nodes += m.warm_nodes;
+      milp.replayed_nodes += m.replayed_nodes;
+      milp.peak_snapshot_bytes =
+          std::max(milp.peak_snapshot_bytes, m.peak_snapshot_bytes);
       milp.solve_seconds += m.solve_seconds;
     }
   }
@@ -944,6 +948,8 @@ std::string Scheduler::stats_json() const {
                 "\"cold_solves\": %lld, \"presolves\": %lld, "
                 "\"nodes\": %lld, \"lp_iterations\": %lld, "
                 "\"infeasible_certified\": %lld, \"infeasible_cold\": %lld, "
+                "\"warm_nodes\": %lld, \"replayed_nodes\": %lld, "
+                "\"peak_snapshot_bytes\": %lld, "
                 "\"solve_seconds\": %.4f}}",
                 static_cast<long long>(milp.solves),
                 static_cast<long long>(milp.warm_attempts),
@@ -955,6 +961,9 @@ std::string Scheduler::stats_json() const {
                 static_cast<long long>(milp.lp_iterations),
                 static_cast<long long>(milp.infeasible_certified),
                 static_cast<long long>(milp.infeasible_cold),
+                static_cast<long long>(milp.warm_nodes),
+                static_cast<long long>(milp.replayed_nodes),
+                static_cast<long long>(milp.peak_snapshot_bytes),
                 milp.solve_seconds);
   out += buf;
   return out;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "support/rng.hpp"
 
@@ -120,6 +123,32 @@ TEST(Milp, NodeLimitReportsFeasibleOrNoSolution) {
 // models with bounded boxes.
 // ---------------------------------------------------------------------------
 
+/// Best objective over every integer point of a pure-integer model's
+/// (finite) column box, in minimize sense; kInf when none is feasible.
+double brute_force_optimum(const Model& m) {
+  const int n_cols = m.num_cols();
+  const double flip = m.sense() == Sense::kMaximize ? -1.0 : 1.0;
+  double best = kInf;
+  std::vector<double> x(static_cast<std::size_t>(n_cols));
+  for (int j = 0; j < n_cols; ++j) {
+    x[static_cast<std::size_t>(j)] = m.col(j).lo;
+  }
+  while (true) {
+    if (m.max_infeasibility(x) < 1e-9) {
+      best = std::min(best, flip * m.objective_value(x));
+    }
+    int j = 0;
+    while (j < n_cols) {
+      double& v = x[static_cast<std::size_t>(j)];
+      if (++v <= m.col(j).hi) break;
+      v = m.col(j).lo;
+      ++j;
+    }
+    if (j == n_cols) break;
+  }
+  return best;
+}
+
 class MilpRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MilpRandomTest, MatchesBruteForce) {
@@ -129,14 +158,10 @@ TEST_P(MilpRandomTest, MatchesBruteForce) {
 
   Model m;
   if (rng.bernoulli(0.5)) m.set_sense(Sense::kMaximize);
-  std::vector<int> lo(static_cast<std::size_t>(n_cols)),
-      hi(static_cast<std::size_t>(n_cols));
   for (int j = 0; j < n_cols; ++j) {
-    lo[static_cast<std::size_t>(j)] = static_cast<int>(rng.uniform_int(-2, 1));
-    hi[static_cast<std::size_t>(j)] =
-        lo[static_cast<std::size_t>(j)] + static_cast<int>(rng.uniform_int(1, 4));
-    m.add_col(lo[static_cast<std::size_t>(j)], hi[static_cast<std::size_t>(j)],
-              rng.uniform(-3, 3), true);
+    const int lo = static_cast<int>(rng.uniform_int(-2, 1));
+    const int hi = lo + static_cast<int>(rng.uniform_int(1, 4));
+    m.add_col(lo, hi, rng.uniform(-3, 3), true);
   }
   for (int i = 0; i < n_rows; ++i) {
     std::vector<ColEntry> entries;
@@ -148,26 +173,8 @@ TEST_P(MilpRandomTest, MatchesBruteForce) {
     else m.add_row(b, kInf, std::move(entries));
   }
 
-  // Brute force over the integer box.
   const double flip = m.sense() == Sense::kMaximize ? -1.0 : 1.0;
-  double best = kInf;
-  std::vector<double> x(static_cast<std::size_t>(n_cols));
-  std::vector<int> idx(static_cast<std::size_t>(n_cols));
-  for (int j = 0; j < n_cols; ++j) idx[static_cast<std::size_t>(j)] = lo[static_cast<std::size_t>(j)];
-  while (true) {
-    for (int j = 0; j < n_cols; ++j) x[static_cast<std::size_t>(j)] = idx[static_cast<std::size_t>(j)];
-    if (m.max_infeasibility(x) < 1e-9) {
-      best = std::min(best, flip * m.objective_value(x));
-    }
-    int j = 0;
-    while (j < n_cols) {
-      if (++idx[static_cast<std::size_t>(j)] <= hi[static_cast<std::size_t>(j)]) break;
-      idx[static_cast<std::size_t>(j)] = lo[static_cast<std::size_t>(j)];
-      ++j;
-    }
-    if (j == n_cols) break;
-  }
-
+  const double best = brute_force_optimum(m);
   const auto r = solve_milp(m);
   if (best == kInf) {
     EXPECT_EQ(r.status, MilpStatus::kInfeasible)
@@ -181,6 +188,49 @@ TEST_P(MilpRandomTest, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpRandomTest, ::testing::Range(0, 60));
+
+/// A multi-dimensional 0/1 knapsack with nearly equal values grows a wide
+/// best-first tree, and 300 rows make each parent snapshot ~42 KB, so
+/// the open list outgrows kNodeSnapshotBudgetBytes: one search solves
+/// some nodes from their parent's snapshot and replays the rest from the
+/// root. Both paths must reach the brute-force optimum.
+class MilpSnapshotBudgetTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MilpSnapshotBudgetTest, OutgrownBudgetStillMatchesBruteForce) {
+  elrr::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
+  const int n_cols = 12;
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  for (int j = 0; j < n_cols; ++j) m.add_col(0, 1, rng.uniform(1, 1.1), true);
+  for (int i = 0; i < 300; ++i) {
+    std::vector<ColEntry> entries;
+    double total = 0.0;
+    for (int j = 0; j < n_cols; ++j) {
+      const double a = rng.uniform(1, 2);
+      total += a;
+      entries.push_back({j, a});
+    }
+    // Three binding capacities; the other rows only widen the tableau.
+    const double cap = total * (i < 3 ? rng.uniform(0.4, 0.6)
+                                      : rng.uniform(0.8, 1.2));
+    m.add_row(-kInf, cap, std::move(entries));
+  }
+
+  const MilpResult r = solve_milp(m);
+  ASSERT_EQ(r.status, MilpStatus::kOptimal) << to_string(r.status);
+  EXPECT_NEAR(-r.objective, brute_force_optimum(m), 1e-6);
+  EXPECT_LE(m.max_infeasibility(r.x), 1e-6);
+  EXPECT_GT(r.warm_nodes, 0);
+  EXPECT_GT(r.replayed_nodes, 0);
+  EXPECT_EQ(r.warm_nodes + r.replayed_nodes + 1, r.nodes);
+  EXPECT_GT(r.peak_snapshot_bytes, 0);
+  EXPECT_LE(r.peak_snapshot_bytes, kNodeSnapshotBudgetBytes);
+}
+
+// Seeds whose trees outgrow the budget (the test asserts it) and solve in
+// milliseconds.
+INSTANTIATE_TEST_SUITE_P(Seeds, MilpSnapshotBudgetTest,
+                         ::testing::Values(0, 2, 5, 8));
 
 }  // namespace
 }  // namespace elrr::lp

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "core/opt.hpp"
 #include "lp/milp.hpp"
 #include "support/error.hpp"
+#include "support/failpoint.hpp"
 #include "support/strings.hpp"
 
 namespace elrr::lp {
@@ -272,9 +274,7 @@ TEST(Mps, GoldenParsesBackToTheSameMilp) {
 // means the search visited a different tree or pivoted differently.
 // Values recorded on x86-64 with the default (non -march=native) code
 // generation; -ffp-contract=off (CMakeLists.txt) keeps -march=native
-// builds on the same bits. The work counters come from the dense-tableau
-// engine the nonbasic-only tableau replaced, which pivots bit for bit
-// alike.
+// builds on the same bits.
 struct PinnedTree {
   const char* file;
   std::int64_t nodes;
@@ -284,7 +284,67 @@ struct PinnedTree {
   std::vector<double> x;
 };
 
+MilpResult solve_golden(const char* file) {
+  MilpOptions options;
+  options.time_limit_s = 60.0;
+  return solve_milp(from_mps(read_golden(file)), options);
+}
+
+void expect_pinned_tree(const MilpResult& r, const PinnedTree& pin) {
+  ASSERT_EQ(r.status, MilpStatus::kOptimal) << pin.file;
+  EXPECT_EQ(r.nodes, pin.nodes) << pin.file;
+  EXPECT_EQ(r.lp_iterations, pin.lp_iterations) << pin.file;
+  EXPECT_EQ(r.infeasible_certified, pin.infeasible_certified) << pin.file;
+  EXPECT_EQ(r.infeasible_cold, 0) << pin.file;
+  EXPECT_EQ(r.objective, pin.objective) << pin.file;
+  ASSERT_EQ(r.x.size(), pin.x.size()) << pin.file;
+  for (std::size_t j = 0; j < pin.x.size(); ++j) {
+    EXPECT_EQ(r.x[j], pin.x[j]) << pin.file << " col " << j;
+    EXPECT_EQ(std::signbit(r.x[j]), std::signbit(pin.x[j]))
+        << pin.file << " col " << j;
+  }
+}
+
+// Nodes re-solved from their parent's tableau (src/lp/README.md, "Node
+// warm starts from the parent"). Each node starts from another basis
+// than a root replay would, so the dual simplex may stop at another
+// vertex of a tied optimum: s208's incumbent differs from the root
+// replay's in low bits of continuous columns and in the objective's
+// last ulps, never in an integer column
+// (GoldenWarmAndRootTreesReachTheSameOptimum); s420 outgrows the
+// snapshot budget (50 of its nodes replay from the root) and lands on
+// the root replay's incumbent, bit for bit.
 const PinnedTree kPinnedTrees[] = {
+    {"s208_min_cyc_x1.mps", 33, 349, 3, 29.9615462066634,
+     {29.9615462066634, 1, 0, 1, 1, -0.0, 1, 0, -0.0, 2, 0,
+      2.0539125955565396e-15, 1.6653345369377348e-16, 1.6653345369377348e-16,
+      1.27675647831893e-15, -0.99999999999999989, -3.4872493987827897e-33,
+      1.0000000000000013, 13.420440950343064, 29.961546206663446,
+      16.99265362265848, 12.67945173655834, 29.961546206663424,
+      21.888567963265118, 29.961546206663325, 12.11348461393033, 0,
+      -2.0271100248169727e-15, -1.3877787807814457e-16,
+      -1.1102230246251565e-16, -9.4368957093138306e-16, 0.99999999999999989,
+      3.4872493987827897e-33, -1.0000000000000013, -1.0000000000000013,
+      -1.0000000000000016, -1.0000000000000016, -2.0000000000000009,
+      -1.0000000000000013}},
+    {"s420_min_cyc_x1.25.mps", 165, 2400, 53, 52.800295013874006,
+     {52.800295013874006, -0.0, 0, 1, 0, 0, 0, 1, -0.0, 1, 0,
+      -2.8863732964571693e-16, -1.0000000000000004, -0.99999999999999978, 0,
+      -0.99999999999999978, -1.0000000000000002, -1.0000000000000007,
+      39.590641062935859, 11.958681107313218, 52.800295013873992,
+      38.099869897431113, 23.050964466604078, 19.001956553801406,
+      52.80029501387402, 43.501384370316423, 0, 2.8863732964571693e-16,
+      1.0000000000000004, 1.4460855348286976, 0, 1.4460855348286983,
+      1.2500000000000018, 1.0000000000000002, 1.500000000000002,
+      0.25000000000000144, 1.500000000000002, -1, 0.24999999999999811}},
+};
+
+// The same models with every node sent down the root-replay path by the
+// `milp.node_warm` fail point: the trees every node grew before parent
+// warm starts, bit for bit (recorded with the dense-tableau engine the
+// nonbasic-only tableau replaced, which pivots alike). They keep the
+// root path a regression oracle without keeping a second search mode.
+const PinnedTree kRootReplayTrees[] = {
     {"s208_min_cyc_x1.mps", 39, 839, 3, 29.961546206663407,
      {29.961546206663407, 1, 0, 1, 1, -0.0, 1, 0, 0, 2, 0,
       2.4946374194139126e-15, 3.5128150388530344e-16, 6.0715321659188248e-16,
@@ -311,20 +371,42 @@ const PinnedTree kPinnedTrees[] = {
 
 TEST(Mps, GoldenBranchAndBoundTreeIsPinned) {
   for (const PinnedTree& pin : kPinnedTrees) {
-    MilpOptions options;
-    options.time_limit_s = 60.0;
-    const MilpResult r = solve_milp(from_mps(read_golden(pin.file)), options);
-    ASSERT_EQ(r.status, MilpStatus::kOptimal) << pin.file;
-    EXPECT_EQ(r.nodes, pin.nodes) << pin.file;
-    EXPECT_EQ(r.lp_iterations, pin.lp_iterations) << pin.file;
-    EXPECT_EQ(r.infeasible_certified, pin.infeasible_certified) << pin.file;
-    EXPECT_EQ(r.infeasible_cold, 0) << pin.file;
-    EXPECT_EQ(r.objective, pin.objective) << pin.file;
-    ASSERT_EQ(r.x.size(), pin.x.size()) << pin.file;
-    for (std::size_t j = 0; j < pin.x.size(); ++j) {
-      EXPECT_EQ(r.x[j], pin.x[j]) << pin.file << " col " << j;
-      EXPECT_EQ(std::signbit(r.x[j]), std::signbit(pin.x[j]))
-          << pin.file << " col " << j;
+    const MilpResult r = solve_golden(pin.file);
+    expect_pinned_tree(r, pin);
+    EXPECT_GT(r.warm_nodes, 0) << pin.file;
+    EXPECT_EQ(r.warm_nodes + r.replayed_nodes + 1, r.nodes) << pin.file;
+    EXPECT_LE(r.peak_snapshot_bytes, kNodeSnapshotBudgetBytes) << pin.file;
+  }
+}
+
+TEST(Mps, NodeWarmFailPointRestoresTheRootReplayTree) {
+  failpoint::configure("milp.node_warm=prob:1@0");
+  for (const PinnedTree& pin : kRootReplayTrees) {
+    const MilpResult r = solve_golden(pin.file);
+    expect_pinned_tree(r, pin);
+    EXPECT_EQ(r.warm_nodes, 0) << pin.file;
+    EXPECT_EQ(r.replayed_nodes + 1, r.nodes) << pin.file;
+  }
+  EXPECT_GT(failpoint::fired("milp.node_warm"), 0u);
+  failpoint::reset();
+}
+
+TEST(Mps, GoldenWarmAndRootTreesReachTheSameOptimum) {
+  // Parent warm starts may only move the vertex among tied optima: the
+  // objective within 1e-12 relative, every integer column unchanged.
+  for (std::size_t i = 0; i < std::size(kPinnedTrees); ++i) {
+    const PinnedTree& warm = kPinnedTrees[i];
+    const PinnedTree& root = kRootReplayTrees[i];
+    ASSERT_STREQ(warm.file, root.file);
+    EXPECT_NEAR(warm.objective, root.objective,
+                1e-12 * std::abs(root.objective))
+        << warm.file;
+    const Model model = from_mps(read_golden(warm.file));
+    for (int j = 0; j < model.num_cols(); ++j) {
+      if (!model.col(j).is_integer) continue;
+      EXPECT_EQ(warm.x[static_cast<std::size_t>(j)],
+                root.x[static_cast<std::size_t>(j)])
+          << warm.file << " col " << j;
     }
   }
 }

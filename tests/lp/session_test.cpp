@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <vector>
@@ -265,6 +266,38 @@ TEST(MilpSession, WarmWalkActuallyRunsWarm) {
   while (cold_walk.advance()) {
   }
   EXPECT_EQ(cold_walk.milp_stats().warm_attempts, 0);
+}
+
+TEST(MilpSession, StatsCountHowEachNodeWasSolved) {
+  // Every node below a search's root starts from its parent's snapshot or
+  // replays from the root; the session sums both per solve and keeps the
+  // largest snapshot footprint, which the budget caps.
+  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s420"), 1);
+  ParetoWalk walk(rrg, walk_options(true));
+  while (walk.advance()) {
+  }
+  const SessionStats stats = walk.milp_stats();
+  EXPECT_GT(stats.warm_nodes, 0);
+  // Each solve has at most one root node, which is neither.
+  EXPECT_LE(stats.warm_nodes + stats.replayed_nodes, stats.nodes);
+  EXPECT_GE(stats.warm_nodes + stats.replayed_nodes,
+            stats.nodes - stats.solves);
+  EXPECT_GT(stats.peak_snapshot_bytes, 0);
+  EXPECT_LE(stats.peak_snapshot_bytes, kNodeSnapshotBudgetBytes);
+
+  MilpSession session(step_model());
+  const MilpResult first = session.solve();
+  session.set_row_bounds(0, session.model().row(0).lo,
+                         session.model().row(0).hi);
+  const MilpResult second = session.solve();
+  ASSERT_EQ(first.status, MilpStatus::kOptimal);
+  EXPECT_GT(first.warm_nodes, 0);
+  EXPECT_EQ(first.warm_nodes + first.replayed_nodes + 1, first.nodes);
+  EXPECT_EQ(session.stats().warm_nodes, first.warm_nodes + second.warm_nodes);
+  EXPECT_EQ(session.stats().replayed_nodes,
+            first.replayed_nodes + second.replayed_nodes);
+  EXPECT_EQ(session.stats().peak_snapshot_bytes,
+            std::max(first.peak_snapshot_bytes, second.peak_snapshot_bytes));
 }
 
 TEST(MilpSession, WalkSurvivesWarmFailPointsBitExactly) {

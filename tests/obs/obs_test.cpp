@@ -27,7 +27,9 @@
 #include <vector>
 
 #include "bench89/generator.hpp"
+#include "core/opt.hpp"
 #include "heur/heuristic.hpp"
+#include "lp/milp.hpp"
 #include "obs/trace.hpp"
 #include "sim/proc_fleet.hpp"
 #include "support/error.hpp"
@@ -110,6 +112,25 @@ TEST_F(ObsTest, ArmedHeuristicRecordsItsRunAndEveryEvaluation) {
   }
   EXPECT_EQ(evals, heur.lp_evals);
   EXPECT_GT(evals, 1);
+}
+
+TEST_F(ObsTest, ArmedBranchAndBoundCountsHowItsNodesWereSolved) {
+  configure("", 1024);
+  arm(true);
+  // The s420 golden walk step: its tree outgrows the node snapshot
+  // budget, so it solves nodes both ways.
+  const lp::MilpResult r = lp::solve_milp(build_min_cyc_model(
+      bench89::make_table2_rrg(bench89::spec_by_name("s420"), 1), 1.25));
+  arm(false);
+  ASSERT_EQ(r.status, lp::MilpStatus::kOptimal);
+  ASSERT_GT(r.warm_nodes, 0);
+  ASSERT_GT(r.replayed_nodes, 0);
+  std::map<std::string, std::uint64_t> by_name;
+  for (const CounterValue& row : counters()) by_name[row.name] = row.value;
+  EXPECT_EQ(by_name["lp.node.parent_warm"],
+            static_cast<std::uint64_t>(r.warm_nodes));
+  EXPECT_EQ(by_name["lp.node.root_replay"],
+            static_cast<std::uint64_t>(r.replayed_nodes));
 }
 
 TEST_F(ObsTest, SpanIdRidesInArg) {

@@ -35,7 +35,9 @@
 #include "bench89/generator.hpp"
 #include "core/opt.hpp"
 #include "flow/circuit_flow.hpp"
+#include "lp/milp.hpp"
 #include "sim/simulator.hpp"
+#include "support/bench_json.hpp"
 #include "support/error.hpp"
 
 namespace elrr::svc {
@@ -245,6 +247,32 @@ TEST(Scheduler, PortfolioDeadlineKeepsTheAnytimeAnswer) {
 /// window, completion order is exactly the credit schedule -- 4 high,
 /// then a normal, then a low (fair share: low work cannot starve), then
 /// the refilled high class again. FIFO within each class.
+TEST(Scheduler, MilpStatsSayHowBranchAndBoundNodesWereSolved) {
+  // The `milp` block of the stats JSON sums the node counters over jobs
+  // and reports the largest snapshot footprint, never above the budget.
+  SchedulerOptions options;
+  options.workers = 1;
+  options.sim_threads = 1;
+  Scheduler scheduler(options);
+  for (const char* name : {"s208", "s420"}) {
+    ASSERT_EQ(scheduler.wait(scheduler.submit(flow_job(name))).state,
+              JobState::kDone);
+  }
+  const std::string json = scheduler.stats_json();
+  const auto warm = bench_json::find_number(json, "milp", "warm_nodes");
+  const auto replayed =
+      bench_json::find_number(json, "milp", "replayed_nodes");
+  const auto peak =
+      bench_json::find_number(json, "milp", "peak_snapshot_bytes");
+  const auto nodes = bench_json::find_number(json, "milp", "nodes");
+  ASSERT_TRUE(warm && replayed && peak && nodes) << json;
+  EXPECT_GT(*warm, 0.0) << json;
+  EXPECT_LE(*warm + *replayed, *nodes) << json;
+  EXPECT_GT(*peak, 0.0) << json;
+  EXPECT_LE(*peak, static_cast<double>(lp::kNodeSnapshotBudgetBytes))
+      << json;
+}
+
 TEST(Scheduler, PriorityClassesAreFairShared) {
   SchedulerOptions sopt;
   sopt.workers = 1;

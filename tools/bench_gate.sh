@@ -21,7 +21,8 @@
 #   3. an ASan/UBSan build (-DELRR_SANITIZE=address,undefined) of the
 #      `sim` + `svc` + `lp` + `obs` suites (the scheduler/fleet sharing,
 #      the failure-unwind paths, the MILP session's persistent tableau
-#      snapshots and the obs ring buffers' lock-free publish are the
+#      snapshots, the parent snapshots branch & bound nodes share, and
+#      the obs ring buffers' lock-free publish are the
 #      lifetime-bug honeypots). The fork/exec ObsProc tests are excluded
 #      there for the same reason the chaos suite is.
 #
