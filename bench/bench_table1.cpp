@@ -14,8 +14,8 @@
 /// Runs as one MIN_EFF_CYC job on the svc::Scheduler (the multi-circuit
 /// batch service bench_table2 drives at scale): the walk streams each
 /// Pareto candidate into the scheduler's shared simulation fleet while
-/// the next MILP solves; ELRR_PIPELINE=0 restores the sequential
-/// walk-then-score order (identical rows either way).
+/// the next MILP solves; FlowOptions::pipeline = false restores the
+/// sequential walk-then-score order (identical rows either way).
 
 #include <cstdio>
 

@@ -22,7 +22,7 @@
 /// circuits) instead of tearing a fresh engine down per circuit. Rows
 /// are bit-identical to the old per-circuit engine loop -- the
 /// scheduler's determinism contract -- and print in submission order.
-/// ELRR_PIPELINE / ELRR_SIM_* knobs apply batch-wide.
+/// The ELRR_SIM_* knobs apply batch-wide.
 
 #include <cstdio>
 #include <cstdlib>

@@ -53,14 +53,11 @@ FlowOptions FlowOptions::from_env() {
   // to spawn a thread per simulated cycle.
   options.sim_threads = static_cast<std::size_t>(
       env::u64("ELRR_SIM_THREADS", 1, 0, 4096));
-  options.sim_dedup = env::boolean("ELRR_SIM_DEDUP", true);
   // 0 = unbounded; anything else is the LRU byte cap of the scoring
   // fleet's session result cache.
   options.sim_cache_cap = static_cast<std::size_t>(env::u64(
       "ELRR_SIM_CACHE_CAP", sim::kDefaultSimCacheCapBytes, 0, kNoCap));
-  options.pipeline = env::boolean("ELRR_PIPELINE", true);
   options.polish = env::boolean("ELRR_POLISH", false);
-  options.milp_warm = env::boolean("ELRR_MILP_WARM", true);
   options.use_heuristic = env::boolean("ELRR_HEUR", true);
   options.exact_max_edges = static_cast<int>(
       env::u64("ELRR_EXACT_MAX_EDGES", 150, 0, INT_MAX));
@@ -137,8 +134,9 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
 
   // Early evaluation: the pipelined engine runs the exact walk and
   // streams every emitted candidate into its simulation fleet while the
-  // next MILP step solves (flow::Engine; ELRR_PIPELINE=0 degrades to the
-  // sequential walk-then-score baseline, results bit-identical). The
+  // next MILP step solves (flow::Engine; FlowOptions::pipeline = false
+  // degrades to the sequential walk-then-score baseline, results
+  // bit-identical). The
   // engine's session cache carries those mid-walk scores over to the
   // candidate reranking below, so frontier points selected for the
   // tables cost nothing to rescore. With FlowHooks::fleet the same

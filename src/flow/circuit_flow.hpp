@@ -13,10 +13,10 @@
 /// fleet while the next MILP step solves, and the fleet's session cache
 /// dedups revisited configurations across the walk and the heuristic
 /// merge. Results are bit-identical to the sequential walk-then-score
-/// path for every thread count (ELRR_PIPELINE=0 runs that sequential
-/// path for comparison) -- and, via FlowHooks::fleet, to a run on a
-/// *shared* multi-client fleet at any job interleaving (the fleet's
-/// determinism contract).
+/// path for every thread count (FlowOptions::pipeline = false runs that
+/// sequential path for comparison) -- and, via FlowHooks::fleet, to a
+/// run on a *shared* multi-client fleet at any job interleaving (the
+/// fleet's determinism contract).
 ///
 /// Environment knobs (all optional; FlowOptions::from_env *validates*
 /// them -- a malformed, negative or out-of-range value throws
@@ -26,19 +26,10 @@
 ///   ELRR_MILP_TIMEOUT    seconds per MILP            (default 6; > 0)
 ///   ELRR_SIM_CYCLES      measured cycles per run     (default 20000; >= 1)
 ///   ELRR_SIM_THREADS     simulation worker threads   (default 1; 0 = all cores)
-///   ELRR_SIM_DEDUP       1 = dedup identical Pareto candidates before
-///                        simulating (default 1; results identical either way)
 ///   ELRR_SIM_CACHE_CAP   byte cap of the fleet's session result cache
 ///                        (default 268435456 = 256 MiB; 0 = unbounded;
 ///                        results identical either way)
-///   ELRR_PIPELINE        1 = overlap the MILP walk with candidate
-///                        simulation (default 1; 0 = sequential, results
-///                        identical either way)
 ///   ELRR_POLISH          1 = MAX_THR polish          (default 0)
-///   ELRR_MILP_WARM       1 = warm-start adjacent MILP steps from the
-///                        previous optimal basis (default 1; 0 = cold
-///                        solves, results identical either way -- purely
-///                        a wall-clock knob, like ELRR_PIPELINE)
 ///   ELRR_HEUR            0 = paper-pure flow         (default 1)
 ///   ELRR_EXACT_MAX_EDGES exact-MILP edge ceiling     (default 150)
 ///   ELRR_TABLE2_FULL     1 = all 18 circuits         (default: <= 150 edges)
@@ -69,7 +60,8 @@ struct FlowOptions {
   /// Candidate dedup in the scoring fleet: identical buffer/retiming
   /// assignments (a routine artifact of walks revisiting configurations)
   /// simulate once, scores fan back out. Bit-identical results either
-  /// way; env ELRR_SIM_DEDUP=0 benchmarks the undeduped fleet.
+  /// way; false benchmarks the undeduped fleet (no env knob: a
+  /// wall-clock-only switch, set by the tests that compare the paths).
   bool sim_dedup = true;
   /// Byte cap of the scoring fleet's session result cache (LRU past it;
   /// 0 = unbounded). Applies to the fleet this flow creates -- a shared
@@ -78,8 +70,8 @@ struct FlowOptions {
   std::size_t sim_cache_cap = sim::kDefaultSimCacheCapBytes;
   /// Overlap the MILP Pareto walk with candidate simulation through the
   /// pipelined flow::Engine (each emitted candidate scores on the fleet
-  /// while the next MILP solves). Bit-identical results either way; env
-  /// ELRR_PIPELINE=0 runs the sequential walk-then-score baseline.
+  /// while the next MILP solves). Bit-identical results either way;
+  /// false runs the sequential walk-then-score baseline.
   bool pipeline = true;
   std::size_t max_simulated_points = 8;
   /// Run the MAX_THR polish inside MIN_EFF_CYC (paper-exact, slower);
@@ -87,8 +79,8 @@ struct FlowOptions {
   bool polish = false;
   /// Warm-start adjacent MILP solves of the walks from the previous
   /// step's optimal basis (lp::MilpSession). Bit-identical results
-  /// either way (pinned by the differential suites); env
-  /// ELRR_MILP_WARM=0 runs every step cold. A wall-clock knob, so it is
+  /// either way (pinned by the differential suites); false runs every
+  /// step cold (`elrr flow --cold-milp`). A wall-clock knob, so it is
   /// deliberately *not* part of the scheduler's cache job key.
   bool milp_warm = true;
   /// Merge the MILP-free heuristic's Pareto points into the candidate

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <mutex>
 #include <vector>
 
@@ -229,8 +228,9 @@ void dump_to_fd(int fd, const char* reason) {
 
 /// SA_RESETHAND put the default disposition back before this handler
 /// ran, so after the dump a plain raise() -- delivered when the handler
-/// returns -- kills the process by the original signal. The supervisor
-/// keeps seeing "killed by signal N", postmortem or not.
+/// returns -- kills the process by the original signal. The process's
+/// parent (a shell, ctest, waitpid) keeps seeing "killed by signal N",
+/// postmortem or not.
 void fatal_signal_handler(int sig) {
   const char* reason = sig == SIGSEGV   ? "SIGSEGV"
                        : sig == SIGABRT ? "SIGABRT"
@@ -451,59 +451,6 @@ std::vector<EventView> snapshot_events() {
     out.push_back(std::move(view));
   }
   return out;
-}
-
-std::optional<Harvest> harvest(int pid) {
-  std::string dir;
-  {
-    const std::lock_guard<std::mutex> lock(g_configure_mutex);
-    dir = g_dir;
-  }
-  if (dir.empty()) return std::nullopt;
-  const std::string path =
-      elrr::detail::concat(dir, "/postmortem-", pid, ".txt");
-  std::ifstream in(path);
-  if (!in.is_open()) return std::nullopt;
-
-  // The excerpt is the crash's one-line identity: every in-flight mark
-  // plus the last few journal events, ready to ride a TransientError.
-  std::vector<std::string> inflight;
-  std::vector<std::string> events;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("inflight: ", 0) == 0) {
-      inflight.push_back(line);
-    } else if (line.rfind("event: ", 0) == 0) {
-      events.push_back(line);
-      if (events.size() > 3) events.erase(events.begin());
-    }
-  }
-  std::string excerpt;
-  for (const std::string& mark : inflight) {
-    if (!excerpt.empty()) excerpt += "; ";
-    excerpt += mark;
-  }
-  for (const std::string& ev : events) {
-    if (!excerpt.empty()) excerpt += "; ";
-    excerpt += ev;
-  }
-  if (excerpt.size() > 480) {
-    excerpt.resize(477);
-    excerpt += "...";
-  }
-  return Harvest{path, std::move(excerpt)};
-}
-
-void discard_tmp(int pid) {
-  std::string dir;
-  {
-    const std::lock_guard<std::mutex> lock(g_configure_mutex);
-    dir = g_dir;
-  }
-  if (dir.empty()) return;
-  const std::string tmp =
-      elrr::detail::concat(dir, "/postmortem-", pid, ".txt.tmp");
-  ::unlink(tmp.c_str());
 }
 
 }  // namespace elrr::obs::rec

@@ -29,8 +29,7 @@
 /// value the owner is mid-way through bumping can tear, which is
 /// acceptable in a crash dump. After the dump the handler restores the
 /// default disposition and re-raises, so the process still dies by the
-/// original signal and the proc-fleet supervisor's death_reason()
-/// reports "killed by signal N" exactly as before.
+/// original signal (its parent's waitpid sees "killed by signal N").
 ///
 /// Postmortem file format (line-oriented, version-tagged):
 ///   ELRR-POSTMORTEM 1
@@ -39,9 +38,9 @@
 ///   events_recorded: 87
 ///   events_dropped: 12
 ///   inflight: tid=3 slice 128
-///   event: seq=80 t_ns=123456 tid=3 name=slice.recv a=128 b=16
+///   event: seq=80 t_ns=123456 tid=3 name=slice.dispatch a=128 b=16
 ///   counter: milp.solve.warm 5
-///   hist: work.slice count=10 total_ns=12345 p50_le_ns=1024
+///   hist: fleet.slice count=10 total_ns=12345 p50_le_ns=1024
 ///         p95_le_ns=4096 p99_le_ns=4000 max_ns=4000   (one line)
 ///   end
 /// Events are oldest-first, so the journal's tail (the last lines
@@ -55,7 +54,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -146,24 +144,5 @@ struct EventView {
 /// Fully-published journal events, oldest-first (wrapped entries are
 /// gone; slots a writer is mid-way through filling are skipped).
 std::vector<EventView> snapshot_events();
-
-/// A crashed worker's harvested postmortem: the file path plus a
-/// one-line excerpt of the in-flight marks and last few events.
-struct Harvest {
-  std::string path;
-  std::string excerpt;
-};
-
-/// Reads `<dir>/postmortem-<pid>.txt` for a dead child, if the child
-/// managed to publish one (SIGKILL leaves none). Normal code, not
-/// signal context. std::nullopt when disarmed or no file exists.
-std::optional<Harvest> harvest(int pid);
-
-/// Unlinks a reaped child's pre-opened `<dir>/postmortem-<pid>.txt.tmp`.
-/// A SIGKILLed child never runs its own atexit cleanup, so the
-/// supervisor discards the orphan after waitpid: once the pid is
-/// reaped no rename can publish it, and a file at the final path is
-/// never touched. No-op when disarmed or the tmp does not exist.
-void discard_tmp(int pid);
 
 }  // namespace elrr::obs::rec

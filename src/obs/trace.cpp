@@ -26,11 +26,6 @@ std::atomic<bool> g_armed{false};
 
 namespace {
 
-/// Re-anchored worker spans arrive one batch per slice; a runaway
-/// worker cannot grow the foreign store past this (overflow counts as
-/// dropped instead).
-constexpr std::size_t kMaxForeignSpans = std::size_t{1} << 20;
-
 constexpr std::size_t kHistBuckets = 64;
 static_assert(kHistBuckets == detail::kSigHistBuckets,
               "signal-safe hist view and registry bucket counts diverged");
@@ -65,8 +60,6 @@ struct Hist {
 struct State {
   std::mutex mutex;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  std::vector<SpanRecord> foreign;
-  std::uint64_t foreign_dropped = 0;
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, Hist> hists;
   std::string trace_path;
@@ -95,7 +88,6 @@ std::atomic<std::size_t> g_sig_hist_count{0};
 struct TlsRef {
   std::shared_ptr<ThreadBuffer> buf;
   std::uint64_t generation = ~std::uint64_t{0};
-  std::uint64_t drained = 0;
 };
 thread_local TlsRef t_ref;
 thread_local char t_label[32] = {0};
@@ -123,7 +115,6 @@ ThreadBuffer* attach() {
     t_ref.generation = s.generation.load(std::memory_order_relaxed);
   }
   t_ref.buf = std::move(buf);
-  t_ref.drained = 0;
   return t_ref.buf.get();
 }
 
@@ -218,30 +209,9 @@ void record_span_slow(const char* name, std::int64_t start_ns,
   slot.start_ns = start_ns;
   slot.end_ns = end_ns;
   slot.arg = arg;
-  slot.pid = 0;
-  slot.tid = 0;
   buf->head.store(h + 1, std::memory_order_release);
   State& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
-  feed_hist_locked(s, name, end_ns - start_ns);
-}
-
-void record_foreign_span_slow(const char* name, std::int64_t start_ns,
-                              std::int64_t end_ns, std::uint32_t pid,
-                              std::uint32_t tid) {
-  State& s = state();
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  if (s.foreign.size() >= kMaxForeignSpans) {
-    ++s.foreign_dropped;
-  } else {
-    SpanRecord rec;
-    copy_name(rec.name, name);
-    rec.start_ns = start_ns;
-    rec.end_ns = end_ns;
-    rec.pid = pid;
-    rec.tid = tid == 0 ? 1 : tid;
-    s.foreign.push_back(rec);
-  }
   feed_hist_locked(s, name, end_ns - start_ns);
 }
 
@@ -295,8 +265,6 @@ void configure(const std::string& trace_path, std::size_t ring_capacity) {
     g_sig_hist_count.store(0, std::memory_order_release);
     s.generation.fetch_add(1, std::memory_order_acq_rel);
     s.buffers.clear();
-    s.foreign.clear();
-    s.foreign_dropped = 0;
     s.counters.clear();
     s.hists.clear();
     s.next_tid = 0;
@@ -365,11 +333,10 @@ std::vector<SpanRecord> snapshot_spans() {
     const std::uint64_t begin = head > cap ? head - cap : 0;
     for (std::uint64_t i = begin; i < head; ++i) {
       SpanRecord rec = buf->ring[i % cap];
-      if (rec.tid == 0) rec.tid = buf->tid;
+      rec.tid = buf->tid;
       out.push_back(rec);
     }
   }
-  out.insert(out.end(), s.foreign.begin(), s.foreign.end());
   std::stable_sort(out.begin(), out.end(),
                    [](const SpanRecord& a, const SpanRecord& b) {
                      return a.start_ns < b.start_ns;
@@ -377,25 +344,10 @@ std::vector<SpanRecord> snapshot_spans() {
   return out;
 }
 
-std::vector<SpanRecord> drain_thread_spans() {
-  std::vector<SpanRecord> out;
-  if (!t_ref.buf) return out;
-  ThreadBuffer* buf = t_ref.buf.get();
-  const std::uint64_t cap = buf->ring.size();
-  const std::uint64_t head = buf->head.load(std::memory_order_relaxed);
-  std::uint64_t begin = head > cap ? head - cap : 0;
-  if (begin < t_ref.drained) begin = t_ref.drained;
-  for (std::uint64_t i = begin; i < head; ++i) {
-    out.push_back(buf->ring[i % cap]);
-  }
-  t_ref.drained = head;
-  return out;
-}
-
 std::uint64_t dropped_spans() {
   State& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
-  std::uint64_t dropped = s.foreign_dropped;
+  std::uint64_t dropped = 0;
   for (const auto& buf : s.buffers) {
     const std::uint64_t cap = buf->ring.size();
     const std::uint64_t head = buf->head.load(std::memory_order_acquire);
@@ -502,8 +454,7 @@ void write_trace(const std::string& path) {
     first = false;
   };
 
-  // Process/thread naming metadata: our own pid plus one entry per
-  // foreign (worker) pid seen in the spans.
+  // Process/thread naming metadata.
   sep();
   std::fprintf(out,
                "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %u, "
@@ -516,23 +467,8 @@ void write_trace(const std::string& path) {
                  "\"tid\": %u, \"args\": {\"name\": \"%s\"}}",
                  self_pid, tid, json_escape(label).c_str());
   }
-  std::vector<std::uint32_t> named_pids;
-  for (const SpanRecord& rec : spans) {
-    if (rec.pid == 0) continue;
-    if (std::find(named_pids.begin(), named_pids.end(), rec.pid) !=
-        named_pids.end()) {
-      continue;
-    }
-    named_pids.push_back(rec.pid);
-    sep();
-    std::fprintf(out,
-                 "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %u, "
-                 "\"args\": {\"name\": \"elrr work (pid %u)\"}}",
-                 rec.pid, rec.pid);
-  }
 
   for (const SpanRecord& rec : spans) {
-    const std::uint32_t pid = rec.pid == 0 ? self_pid : rec.pid;
     const double ts_us = static_cast<double>(rec.start_ns - t0) * 1e-3;
     const double dur_us =
         static_cast<double>(rec.end_ns - rec.start_ns) * 1e-3;
@@ -541,7 +477,7 @@ void write_trace(const std::string& path) {
                  "{\"name\": \"%s\", \"cat\": \"elrr\", \"ph\": \"X\", "
                  "\"ts\": %.3f, \"dur\": %.3f, \"pid\": %u, \"tid\": %u",
                  json_escape(rec.name).c_str(), ts_us,
-                 dur_us < 0.0 ? 0.0 : dur_us, pid, rec.tid);
+                 dur_us < 0.0 ? 0.0 : dur_us, self_pid, rec.tid);
     if (rec.arg != kNoArg) {
       std::fprintf(out, ", \"args\": {\"id\": %llu}",
                    static_cast<unsigned long long>(rec.arg));

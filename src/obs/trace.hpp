@@ -20,14 +20,7 @@
 /// per-thread ring capacity in spans (default 8192); a full ring wraps
 /// and drops oldest-first, counted in dropped_spans().
 ///
-/// Clock/anchoring contract: every timestamp is std::chrono::
-/// steady_clock nanoseconds. Worker-process spans ship back over the
-/// proc-fleet pipe protocol tagged with the worker's clock reading at
-/// response time; the supervisor re-anchors them by the offset between
-/// its own receive time and that reading, so a worker span always lands
-/// inside the supervisor's dispatching slice span (the transfer delay
-/// pushes it late, never early). Foreign spans keep the worker's pid as
-/// their Perfetto track group.
+/// Every timestamp is std::chrono::steady_clock nanoseconds.
 ///
 /// Tracing never feeds back into results: seeds, schedules and every
 /// simulated number are bit-exact with tracing on or off (only
@@ -53,8 +46,7 @@ struct SpanRecord {
   std::int64_t start_ns = 0;    ///< steady_clock, ns
   std::int64_t end_ns = 0;      ///< steady_clock, ns
   std::uint64_t arg = kNoArg;   ///< optional id (job, attempt); kNoArg = none
-  std::uint32_t pid = 0;        ///< 0 = this process; else a worker's pid
-  std::uint32_t tid = 0;        ///< 0 = recording thread's track
+  std::uint32_t tid = 0;        ///< recording thread's track (snapshot_spans)
 };
 
 namespace detail {
@@ -62,9 +54,6 @@ extern std::atomic<bool> g_armed;
 std::int64_t now_ns();
 void record_span_slow(const char* name, std::int64_t start_ns,
                       std::int64_t end_ns, std::uint64_t arg);
-void record_foreign_span_slow(const char* name, std::int64_t start_ns,
-                              std::int64_t end_ns, std::uint32_t pid,
-                              std::uint32_t tid);
 void count_slow(const char* name, std::uint64_t delta);
 
 /// Async-signal-safe mirror of the counter/histogram registries for the
@@ -109,15 +98,6 @@ inline std::int64_t now_ns_if_armed() {
 inline void record_span(const char* name, std::int64_t start_ns,
                         std::int64_t end_ns, std::uint64_t arg = kNoArg) {
   if (armed()) detail::record_span_slow(name, start_ns, end_ns, arg);
-}
-
-/// Records a span on another process's track (re-anchored worker spans;
-/// see the clock contract above). Timestamps are supervisor-clock ns.
-inline void record_foreign_span(const char* name, std::int64_t start_ns,
-                                std::int64_t end_ns, std::uint32_t pid,
-                                std::uint32_t tid) {
-  if (armed()) detail::record_foreign_span_slow(name, start_ns, end_ns,
-                                                pid, tid);
 }
 
 /// Bumps a named process-wide counter. No-op when disarmed.
@@ -176,9 +156,7 @@ void configure(const std::string& trace_path, std::size_t ring_capacity);
 /// (ELRR_OBS_BUF must be an integer in [16, 2^24]). A non-empty
 /// ELRR_TRACE also registers an atexit hook that writes the trace when
 /// the process ends -- how the gate scripts get a trace artifact out of
-/// every test binary without per-test plumbing. `elrr work` children
-/// disable the hook (set_export_on_exit) so they never clobber the
-/// supervisor's file; their spans ride the pipe protocol instead.
+/// every test binary without per-test plumbing.
 void configure_from_env();
 
 /// Arms/disarms without touching the configured path or buffers (tests,
@@ -203,15 +181,9 @@ void set_export_on_exit(bool on);
 /// Expands `%p` to the pid. Applied by write_trace and the atexit hook.
 std::string expand_trace_path(const std::string& path);
 
-/// Spans recorded so far, oldest-first per thread (wrapped entries are
-/// gone). Self spans get pid 0 / the buffer's track id; snapshot
-/// resolves neither -- the exporter does.
+/// Spans recorded so far, sorted by start time, each tagged with its
+/// recording thread's track id (wrapped entries are gone).
 std::vector<SpanRecord> snapshot_spans();
-
-/// Spans recorded by the *calling thread* since its last drain, oldest
-/// first, and marks them drained (the worker-loop shipping primitive;
-/// other threads' buffers are untouched).
-std::vector<SpanRecord> drain_thread_spans();
 
 /// Total spans lost to ring wrap-around across all threads (oldest are
 /// dropped first; the counter survives drains).

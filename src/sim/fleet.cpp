@@ -4,8 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <list>
@@ -18,14 +16,11 @@
 #include <utility>
 #include <vector>
 
-#include "io/rrg_format.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "sim/choosers.hpp"
-#include "sim/proc_fleet.hpp"
 #include "support/bytes.hpp"
 #include "sim/flat_kernel.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
@@ -183,10 +178,6 @@ struct JobContext {
 
   std::size_t remaining = 0;  ///< slices still to finish (fleet mutex)
   std::exception_ptr failure;  ///< first slice failure (fleet mutex)
-  /// Proc tier: the candidate's .rrg text, serialized once (first slice
-  /// dispatch) and shared by every slice and re-dispatch of this job.
-  std::once_flag rrg_text_once;
-  std::string rrg_text;
   /// Flat-path containment: a slice whose FlatKernel execution throws is
   /// re-run on the reference kernel (built on demand, once) instead of
   /// failing the job. The reference path draws the identical per-run
@@ -206,8 +197,6 @@ struct JobContext {
     guards.reset();
     latencies.reset();
     rrg.reset();
-    rrg_text.clear();
-    rrg_text.shrink_to_fit();
   }
 };
 
@@ -316,15 +305,8 @@ std::string canonical_key(const Rrg& rrg, const SimOptions& options) {
 /// Classifies the execution path and builds kernels, chooser tables,
 /// result slots and the slice partition for one unique job. Runs on the
 /// submitting thread, outside the fleet mutex.
-/// `build_kernels = false` (the proc tier) skips the kernel and chooser
-/// construction: classification, result slots and the slice partition
-/// still happen here -- identically, so the partition and the report
-/// metadata cannot depend on the tier -- but the execution state lives
-/// in the worker *process* (SliceRunner), and building it again in the
-/// supervisor would double the isolation overhead for nothing.
 void build_context(JobContext& ctx, std::vector<QueueEntry>* entries,
-                   const std::shared_ptr<JobContext>& self,
-                   bool build_kernels = true) {
+                   const std::shared_ptr<JobContext>& self) {
   ctx.fallback = ctx.options.force_reference
                      ? FlatCap::kNone
                      : FlatKernel::unsupported_reason(*ctx.rrg);
@@ -336,18 +318,16 @@ void build_context(JobContext& ctx, std::vector<QueueEntry>* entries,
     ctx.path = SimPath::kFlat;
   }
   if (ctx.path == SimPath::kFlat) {
-    if (build_kernels) ctx.flat_kernel = std::make_unique<FlatKernel>(*ctx.rrg);
+    ctx.flat_kernel = std::make_unique<FlatKernel>(*ctx.rrg);
     ctx.lane_cap = ctx.options.max_batch == 0
                        ? kDefaultLane
                        : std::min(ctx.options.max_batch, kMaxLane);
   } else {
-    if (build_kernels) ctx.ref_kernel = std::make_unique<Kernel>(*ctx.rrg);
+    ctx.ref_kernel = std::make_unique<Kernel>(*ctx.rrg);
     ctx.lane_cap = 1;
   }
-  if (build_kernels) {
-    ctx.guards = std::make_unique<GuardTable>(*ctx.rrg);
-    ctx.latencies = std::make_unique<LatencyTable>(*ctx.rrg);
-  }
+  ctx.guards = std::make_unique<GuardTable>(*ctx.rrg);
+  ctx.latencies = std::make_unique<LatencyTable>(*ctx.rrg);
   ctx.per_run.assign(ctx.options.runs, 0.0);
   for (std::size_t first = 0; first < ctx.options.runs;) {
     const std::size_t width =
@@ -435,21 +415,9 @@ struct FleetCore {
   std::unordered_map<std::size_t, std::shared_ptr<JobContext>> tickets;
   std::size_t next_ticket = 0;
 
-  // Process-isolated tier bookkeeping (all under `mutex`; zero/empty
-  // while the fleet runs in-process).
-  std::vector<int> child_pids;  ///< live worker pid per slot (0 = none)
-  std::uint64_t proc_spawns = 0;
-  std::uint64_t proc_crashes = 0;
-  std::uint64_t proc_respawns = 0;
-  std::uint64_t proc_redispatches = 0;
-  std::uint64_t proc_postmortems = 0;  ///< crashed-worker dumps harvested
-
-  /// Drops a job's dedup-cache entry (if present) under `mutex`. Both
-  /// failure paths route through here: a failed job must not replay its
-  /// failure to re-submissions, and a job whose worker process crashed
-  /// mid-slice must not serve its possibly-poisoned partial state to a
-  /// later identical candidate -- the re-dispatch and any re-submission
-  /// run fresh. Linear scan: crash/failure paths only.
+  /// Drops a job's dedup-cache entry (if present) under `mutex`: a
+  /// failed job must not replay its failure to re-submissions, which
+  /// run fresh instead. Linear scan: failure path only.
   void purge_entry(const JobContext* ctx) {
     for (auto it = cache.begin(); it != cache.end(); ++it) {
       if (it->second.ctx.get() == ctx) {
@@ -551,13 +519,6 @@ std::string canonical_rrg_key(const Rrg& rrg) {
 SimFleet::SimFleet(std::size_t threads, bool dedup,
                    std::size_t cache_cap_bytes)
     : threads_(threads),
-      // The proc tier is an environment selection, not an API one: every
-      // fleet in the process (flow engines, the scheduler's shared
-      // fleet, one-shot simulate_throughput fleets) honors it uniformly,
-      // which is what makes ELRR_PROC_WORKERS=N a whole-batch crash
-      // domain decision. Validated strictly like every ELRR_* knob.
-      proc_workers_(static_cast<std::size_t>(
-          env::u64("ELRR_PROC_WORKERS", 0, 0, 256))),
       dedup_(dedup),
       core_(std::make_unique<FleetCore>()) {
   core_->cache_cap_bytes = cache_cap_bytes;
@@ -591,29 +552,13 @@ void SimFleet::ensure_pool(std::size_t workers) {
   while (core_->pool.size() < workers) {
     const std::size_t slot = core_->pool.size();
     core_->beats.emplace_back();
-    core_->child_pids.push_back(0);
     core_->pool.emplace_back([this, slot] { worker_main(slot); });
   }
 }
 
 void SimFleet::worker_main(std::size_t slot) {
   FleetCore& core = *core_;
-  // The proc tier differs from the in-process pool in one call: each
-  // slice goes to this slot's worker process (proc_run_slice), spawned
-  // lazily at the first slice and respawned (bounded, with backoff)
-  // after a crash. The thread then supervises it and carries the
-  // heartbeat: its beat stays `busy` while the slice is at the child, so
-  // stuck_workers() -- and through it the scheduler's stall reporting --
-  // sees a wedged worker process exactly like a wedged in-process
-  // worker. Everything else (queue, dedup, completion, failure
-  // propagation) is this one loop, which is what keeps the run-order
-  // merge -- and with it every theta -- bit-identical across tiers,
-  // worker counts, and mid-batch crashes.
-  const bool isolated = proc_workers_ > 0;
-  std::unique_ptr<proc::WorkerProcess> child;
-  int spawn_generation = 0;
-  obs::set_thread_label(
-      ((isolated ? "fleet-proc-" : "fleet-") + std::to_string(slot)).c_str());
+  obs::set_thread_label(("fleet-" + std::to_string(slot)).c_str());
   std::unique_lock<std::mutex> lock(core.mutex);
   for (;;) {
     core.cv_work.wait(lock, [&] { return core.stop || !core.queue.empty(); });
@@ -631,24 +576,16 @@ void SimFleet::worker_main(std::size_t slot) {
     std::exception_ptr failure;
     if (!skip) {
       try {
-        // `fleet.worker` is the whole-worker fault of both tiers (in the
-        // proc tier it trips in the supervisor; `proc.worker` is the
-        // child-side site -- a real process death, not a throw). Unlike
-        // `fleet.flat` (contained inside execute_slice by the reference
-        // fallback) a throw here fails the slice's job -- the transient
-        // the scheduler's retry budget exists for. Its `stall:` mode
-        // sleeps with the heartbeat set, which is what stuck_workers()
-        // reads.
+        // `fleet.worker` is the whole-worker fault. Unlike `fleet.flat`
+        // (contained inside execute_slice by the reference fallback) a
+        // throw here fails the slice's job -- the transient the
+        // scheduler's retry budget exists for. Its `stall:` mode sleeps
+        // with the heartbeat set, which is what stuck_workers() reads.
         failpoint::trip("fleet.worker");
-        OBS_SPAN_ID(isolated ? "fleet.proc_slice" : "fleet.slice",
-                    entry.first);
+        OBS_SPAN_ID("fleet.slice", entry.first);
         obs::rec::event("slice.dispatch", entry.first, entry.count);
         obs::rec::set_inflight("slice", entry.first);
-        if (isolated) {
-          proc_run_slice(slot, entry, &child, &spawn_generation);
-        } else {
-          fleet_detail::execute_slice(ctx, entry.first, entry.count);
-        }
+        fleet_detail::execute_slice(ctx, entry.first, entry.count);
       } catch (...) {
         failure = std::current_exception();
       }
@@ -657,162 +594,6 @@ void SimFleet::worker_main(std::size_t slot) {
     lock.lock();
     core.finish_slice(slot, ctx, failure);
   }
-  core.child_pids[slot] = 0;
-  lock.unlock();
-  // Shutdown: a worker process dies with its handle (EOF, then SIGKILL +
-  // reap for a wedged one).
-  child.reset();
-}
-
-namespace {
-
-/// Folds a crashed worker's postmortem -- if the child's flight
-/// recorder managed to publish one; SIGKILL leaves none -- into the
-/// death reason, so the path and the last-events excerpt ride every
-/// surface the crash already reaches: the supervisor's stderr line,
-/// the exhaustion TransientError, and through it the batch JSONL.
-std::string harvested_death(FleetCore& core, int dead_pid,
-                            std::string death) {
-  const std::optional<obs::rec::Harvest> pm = obs::rec::harvest(dead_pid);
-  if (!pm.has_value()) return death;
-  {
-    const std::lock_guard<std::mutex> lock(core.mutex);
-    ++core.proc_postmortems;
-  }
-  death += "; postmortem: " + pm->path;
-  if (!pm->excerpt.empty()) death += " [" + pm->excerpt + "]";
-  return death;
-}
-
-}  // namespace
-
-void SimFleet::proc_run_slice(std::size_t slot, const QueueEntry& entry,
-                              std::unique_ptr<proc::WorkerProcess>* child,
-                              int* spawn_generation) {
-  FleetCore& core = *core_;
-  JobContext& ctx = *entry.ctx;
-  // Serialize the candidate once per job; all its slices (and any
-  // re-dispatch) share the text. %.17g round-trips every double, so the
-  // worker rebuilds the exact candidate.
-  std::call_once(ctx.rrg_text_once,
-                 [&ctx] { ctx.rrg_text = io::write_rrg(*ctx.rrg); });
-  const std::string request =
-      proc::encode_request(ctx.rrg_text, ctx.options, entry.first, entry.count);
-
-  // The respawn budget is per *slice dispatch*, not per worker lifetime:
-  // a long batch may absorb many isolated crashes, but one slice that
-  // kills three fresh workers in a row is systematic and must surface.
-  constexpr int kMaxAttempts = 3;
-  std::string last_death = "worker never started";
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    if (attempt > 0) {
-      // Bounded backoff before re-touching the process table: a
-      // crash-looping worker must not busy-spin fork().
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(10 << (attempt - 1)));
-    }
-    if (*child != nullptr && !(*child)->alive()) {
-      // Death noticed between slices (an external SIGKILL while the
-      // worker sat idle) is still a crash of this tier; the slice at
-      // hand simply becomes the first one of the replacement.
-      const int dead_pid = (*child)->pid();
-      last_death = harvested_death(core, dead_pid, (*child)->death_reason());
-      child->reset();
-      obs::rec::event("worker.crash", static_cast<std::uint64_t>(dead_pid),
-                      entry.first);
-      const std::lock_guard<std::mutex> lock(core.mutex);
-      ++core.proc_crashes;
-      core.child_pids[slot] = 0;
-      core.purge_entry(&ctx);
-    }
-    if (*child == nullptr) {
-      try {
-        failpoint::trip("proc.spawn");
-        proc::SpawnConfig config = proc::SpawnConfig::from_env(slot);
-        config.generation = *spawn_generation + 1;
-        *child = std::make_unique<proc::WorkerProcess>(config);
-      } catch (const std::exception& e) {
-        last_death = elrr::detail::concat("spawn failed: ", e.what());
-        child->reset();
-        continue;  // a failed spawn burns one attempt of the budget
-      }
-      ++(*spawn_generation);
-      obs::rec::event(*spawn_generation > 1 ? "worker.respawn"
-                                            : "worker.spawn",
-                      slot, static_cast<std::uint64_t>((*child)->pid()));
-      const std::lock_guard<std::mutex> lock(core.mutex);
-      ++core.proc_spawns;
-      if (*spawn_generation > 1) ++core.proc_respawns;
-      core.child_pids[slot] = (*child)->pid();
-    }
-    const std::optional<proc::SliceOutcome> outcome =
-        (*child)->run_slice(request);
-    if (outcome.has_value()) {
-      if (!outcome->error.empty()) {
-        // Structured worker-side failure: the process is healthy and the
-        // error deterministic (a re-dispatch would just repeat it), so
-        // it propagates like the in-process path's exception would --
-        // permanent, job-level.
-        throw InternalError(
-            elrr::detail::concat("proc worker: ", outcome->error));
-      }
-      ELRR_ASSERT(outcome->thetas.size() == entry.count,
-                  "proc worker returned ", outcome->thetas.size(),
-                  " thetas for a ", entry.count, "-run slice");
-      std::copy(outcome->thetas.begin(), outcome->thetas.end(),
-                ctx.per_run.begin() + entry.first);
-      ctx.degraded_slices.fetch_add(outcome->degraded_slices,
-                                    std::memory_order_relaxed);
-      if (obs::armed() && !outcome->spans.empty()) {
-        // Re-anchor worker-clock spans onto the supervisor timeline:
-        // the offset is the non-negative transfer delay between the
-        // worker stamping its clock at encode time and us recording
-        // here, so worker spans land strictly inside this dispatch's
-        // fleet.proc_slice span (obs/trace.hpp clock contract).
-        const std::int64_t offset =
-            obs::now_ns_if_armed() - outcome->clock_ns;
-        for (const proc::WorkerSpan& span : outcome->spans) {
-          obs::record_foreign_span(span.name.c_str(), span.start_ns + offset,
-                                   span.end_ns + offset, outcome->worker_pid,
-                                   1);
-        }
-      }
-      if (attempt > 0) {
-        const std::lock_guard<std::mutex> lock(core.mutex);
-        ++core.proc_redispatches;
-      }
-      return;
-    }
-    // Crash: the round-trip tore (child death, SIGKILL, torn frame,
-    // garbage bytes). Post-mortem, purge the job's dedup entry -- the
-    // re-dispatched slice and any identical re-submission must run
-    // against fresh state, never a possibly-poisoned partial result --
-    // then respawn and re-dispatch this same slice. Its per_run slots
-    // are untouched by the dead attempt (results only land with a whole
-    // valid response frame), so the merge stays bit-identical.
-    const int dead_pid = (*child)->pid();
-    last_death = harvested_death(core, dead_pid, (*child)->death_reason());
-    child->reset();
-    obs::rec::event("worker.crash", static_cast<std::uint64_t>(dead_pid),
-                    entry.first);
-    obs::rec::event("slice.redispatch", entry.first,
-                    static_cast<std::uint64_t>(attempt + 1));
-    {
-      const std::lock_guard<std::mutex> lock(core.mutex);
-      ++core.proc_crashes;
-      core.child_pids[slot] = 0;
-      core.purge_entry(&ctx);
-    }
-    std::fprintf(stderr,
-                 "elrr fleet: worker process (slot %zu) died mid-slice "
-                 "(%s); re-dispatching runs [%u, %u)\n",
-                 slot, last_death.c_str(), entry.first,
-                 entry.first + entry.count);
-  }
-  throw TransientError(elrr::detail::concat(
-      "worker process crashed ", kMaxAttempts, " times on runs [",
-      entry.first, ", ", entry.first + entry.count,
-      ") of a fleet job (last: ", last_death, ")"));
 }
 
 SimTicket SimFleet::submit_async(Rrg&& rrg, const SimOptions& options) {
@@ -868,8 +649,7 @@ SimTicket SimFleet::submit_async(Rrg&& rrg, const SimOptions& options) {
   std::size_t backlog = 0;
   SimTicket ticket;
   try {
-    fleet_detail::build_context(*fresh, &slices, fresh,
-                                /*build_kernels=*/proc_workers_ == 0);
+    fleet_detail::build_context(*fresh, &slices, fresh);
   } catch (...) {
     // The reservation must not wedge aliases or leak: fail the context
     // (aliased tickets rethrow on wait), drop it from the cache, and
@@ -906,14 +686,9 @@ SimTicket SimFleet::submit_async(Rrg&& rrg, const SimOptions& options) {
   }
   // Work always runs on the pool (that is the point: the caller's thread
   // keeps optimizing); grow it to cover the queued backlog up to the
-  // configured width. 0 = hardware concurrency, queried once. In proc
-  // mode the pool is the supervisor set, one worker process each.
-  ensure_pool(
-      proc_workers_ > 0
-          ? resolve_worker_count(proc_workers_, 0, backlog)
-          : resolve_worker_count(
-                threads_, threads_ == 0 ? hardware_concurrency_cached() : 0,
-                backlog));
+  // configured width. 0 = hardware concurrency, queried once.
+  ensure_pool(resolve_worker_count(
+      threads_, threads_ == 0 ? hardware_concurrency_cached() : 0, backlog));
   core.cv_work.notify_all();
   return ticket;
 }
@@ -1000,18 +775,6 @@ SimCacheStats SimFleet::cache_stats() const {
   return stats;
 }
 
-ProcFleetStats SimFleet::proc_stats() const {
-  FleetCore& core = *core_;
-  const std::lock_guard<std::mutex> lock(core.mutex);
-  ProcFleetStats stats;
-  stats.spawns = core.proc_spawns;
-  stats.crashes = core.proc_crashes;
-  stats.respawns = core.proc_respawns;
-  stats.redispatches = core.proc_redispatches;
-  stats.postmortems = core.proc_postmortems;
-  return stats;
-}
-
 std::size_t SimFleet::busy_workers() const {
   FleetCore& core = *core_;
   const std::lock_guard<std::mutex> lock(core.mutex);
@@ -1020,52 +783,6 @@ std::size_t SimFleet::busy_workers() const {
     if (beat.busy) ++busy;
   }
   return busy;
-}
-
-std::vector<int> SimFleet::proc_worker_pids() const {
-  FleetCore& core = *core_;
-  const std::lock_guard<std::mutex> lock(core.mutex);
-  std::vector<int> pids;
-  for (const int pid : core.child_pids) {
-    if (pid != 0) pids.push_back(pid);
-  }
-  return pids;
-}
-
-SliceRunner::SliceRunner(Rrg rrg, const SimOptions& options) {
-  ELRR_REQUIRE(options.measure_cycles > 0, "measure_cycles must be positive");
-  ELRR_REQUIRE(options.runs > 0, "need at least one run");
-  ctx_ = std::make_shared<JobContext>();
-  ctx_->rrg = std::make_unique<Rrg>(std::move(rrg));
-  ctx_->options = options;
-  // Full build (kernels included): the runner *is* the execution state
-  // the supervisor skipped. The slice partition computed here is
-  // discarded -- the supervisor's partition arrives slice by slice over
-  // the pipe -- but path classification and lane_cap must match it, and
-  // they do because both sides run the identical build_context.
-  std::vector<QueueEntry> slices;
-  fleet_detail::build_context(*ctx_, &slices, ctx_);
-}
-
-SliceRunner::~SliceRunner() = default;
-
-SliceRun SliceRunner::run(std::uint32_t first, std::uint32_t count) {
-  ELRR_REQUIRE(count > 0, "empty slice");
-  ELRR_REQUIRE(first <= ctx_->options.runs &&
-                   count <= ctx_->options.runs - first,
-               "slice [", first, ", ", first + count, ") exceeds ",
-               ctx_->options.runs, " runs");
-  const std::uint32_t degraded_before =
-      ctx_->degraded_slices.load(std::memory_order_relaxed);
-  fleet_detail::execute_slice(*ctx_, first, count);
-  SliceRun result;
-  result.thetas.assign(ctx_->per_run.begin() + first,
-                       ctx_->per_run.begin() + first + count);
-  result.path = ctx_->path;
-  result.fallback = ctx_->fallback;
-  result.degraded_slices =
-      ctx_->degraded_slices.load(std::memory_order_relaxed) - degraded_before;
-  return result;
 }
 
 }  // namespace elrr::sim

@@ -54,7 +54,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/rrg.hpp"
 #include "sim/simulator.hpp"
@@ -62,14 +61,8 @@
 namespace elrr::sim {
 
 namespace fleet_detail {
-struct JobContext;  // one unique job's kernels/tables/slots (fleet.cpp)
-struct FleetCore;   // pool + queue + session state (fleet.cpp)
-struct QueueEntry;  // one run slice of one unique job (fleet.cpp)
+struct FleetCore;  // pool + queue + session state (fleet.cpp)
 }  // namespace fleet_detail
-
-namespace proc {
-class WorkerProcess;  // one `elrr work` child process (proc_fleet.hpp)
-}  // namespace proc
 
 /// Default byte cap of the session result cache (LRU past this).
 inline constexpr std::size_t kDefaultSimCacheCapBytes =
@@ -103,52 +96,6 @@ struct SimTicket {
   /// a session-cache hit (the ticket aliases an earlier job's result).
   bool fresh = false;
   bool valid() const { return id != kInvalid; }
-};
-
-/// Result of executing one run slice through a SliceRunner: the per-run
-/// thetas in slice order plus the execution-path metadata the fleet's
-/// report merge reads.
-struct SliceRun {
-  std::vector<double> thetas;
-  SimPath path = SimPath::kFlat;
-  FlatCap fallback = FlatCap::kNone;
-  std::uint32_t degraded_slices = 0;  ///< fallbacks within *this* slice
-};
-
-/// Standalone slice executor sharing the fleet's exact execution
-/// semantics (path classification, kernels, per-run seed derivation, the
-/// flat->reference per-slice degradation) without a pool or a queue.
-/// This is the worker side of the process-isolated tier: `elrr work`
-/// builds one per (candidate, options) pair and runs the slices the
-/// supervisor sends, so a proc-fleet theta is the in-process pool's
-/// theta by construction. One runner is single-threaded.
-class SliceRunner {
- public:
-  /// Takes ownership of the candidate; validates options (throws on
-  /// zero cycles/runs) and builds kernels/tables eagerly.
-  SliceRunner(Rrg rrg, const SimOptions& options);
-  ~SliceRunner();
-  SliceRunner(const SliceRunner&) = delete;
-  SliceRunner& operator=(const SliceRunner&) = delete;
-
-  /// Executes runs [first, first+count) and returns their thetas.
-  /// `count` must be a supported lane width (the fleet's slice
-  /// partition only emits those) and the range must fit options.runs.
-  SliceRun run(std::uint32_t first, std::uint32_t count);
-
- private:
-  std::shared_ptr<fleet_detail::JobContext> ctx_;
-};
-
-/// Counters of the process-isolated execution tier (all zero while the
-/// fleet runs in-process, i.e. ELRR_PROC_WORKERS unset/0).
-struct ProcFleetStats {
-  std::uint64_t spawns = 0;        ///< worker processes ever started
-  std::uint64_t crashes = 0;       ///< worker deaths detected by supervisors
-  std::uint64_t respawns = 0;      ///< restarts after a crash
-  std::uint64_t redispatches = 0;  ///< slices re-run after their worker died
-  std::uint64_t postmortems = 0;   ///< crashed-worker flight-recorder dumps
-                                   ///< harvested (obs/recorder.hpp)
 };
 
 /// Live + cumulative counters of the session result cache.
@@ -216,21 +163,6 @@ class SimFleet {
   /// stats snapshot publishes for `elrr top`. Thread-safe.
   std::size_t busy_workers() const;
 
-  /// Process-isolated tier width (the ELRR_PROC_WORKERS knob, read at
-  /// construction): 0 = the in-process pool (default); N > 0 = every
-  /// slice executes in one of up to N `elrr work` child processes, each
-  /// driven by a supervisor thread in this fleet's pool. Results are
-  /// bit-identical either way (same slice partition, same run-order
-  /// merge); the tier buys crash containment -- a dead worker process
-  /// costs a bounded respawn plus re-dispatch of its in-flight slices,
-  /// never the fleet.
-  std::size_t proc_workers() const { return proc_workers_; }
-  /// Spawn/crash/respawn/re-dispatch counters of the proc tier.
-  ProcFleetStats proc_stats() const;
-  /// PIDs of the currently live worker processes (empty in-process or
-  /// before the first spawn). Chaos tests aim real SIGKILLs with this.
-  std::vector<int> proc_worker_pids() const;
-
   std::size_t threads() const { return threads_; }
   bool dedup() const { return dedup_; }
   /// Persistent pool threads currently alive (0 before the first
@@ -239,27 +171,13 @@ class SimFleet {
   std::size_t pool_size() const;
 
  private:
-  /// Grows the persistent pool to `workers` threads (thread-safe). In
-  /// proc mode the threads are supervisors, each owning one worker
-  /// process.
+  /// Grows the persistent pool to `workers` threads (thread-safe).
   void ensure_pool(std::size_t workers);
-  /// One pool thread's claim loop over the shared queue. In proc mode
-  /// it ships each slice to this slot's worker process and owns its
-  /// crash containment (detection, bounded respawn with backoff,
-  /// re-dispatch, dedup-entry purge).
+  /// One pool thread's claim loop over the shared queue.
   void worker_main(std::size_t slot);
-  /// One slice through this slot's worker process, with the crash/
-  /// respawn/re-dispatch loop. Throws TransientError once the respawn
-  /// budget is spent (the scheduler's retry taxonomy picks that up).
-  /// `spawn_generation` counts this slot's spawns (0 = never spawned);
-  /// it feeds both the respawn stat and the worker log header.
-  void proc_run_slice(std::size_t slot, const fleet_detail::QueueEntry& entry,
-                      std::unique_ptr<proc::WorkerProcess>* child,
-                      int* spawn_generation);
   std::size_t hardware_concurrency_cached();
 
   const std::size_t threads_;
-  const std::size_t proc_workers_;  ///< ELRR_PROC_WORKERS; 0 = in-process
   const bool dedup_;
 
   /// Mutex, condition variables, worker threads, the shared work queue

@@ -168,7 +168,6 @@ const std::vector<std::string>& known_sites() {
       "fleet.worker",     "fleet.flat",      "walk.step",
       "milp.solve",       "milp.warm",       "milp.node_warm",
       "svc.manifest",     "disk_cache.load", "disk_cache.store",
-      "proc.spawn",       "proc.worker",
   };
   return sites;
 }

@@ -68,19 +68,6 @@ class FailPointError : public TransientError {
 ///   disk_cache.store  persistent cache entry write, after the temp file
 ///                     is written but before the atomic rename (models a
 ///                     crash mid-store: a torn temp file is left behind)
-///   proc.spawn        proc-fleet supervisor, before each worker-process
-///                     spawn (firing models fork/exec failure; the
-///                     supervisor counts it against the slice's bounded
-///                     respawn budget)
-///   proc.worker       `elrr work` worker process, once per received
-///                     slice frame. Firing makes the *worker* exit
-///                     without replying -- a simulated crash the
-///                     supervisor must contain. Each spawned worker
-///                     re-arms from the inherited ELRR_FAILPOINTS with
-///                     fresh hit counters, so `once` kills every
-///                     respawned worker's first slice (a livelock by
-///                     construction); chaos schedules use `after:N` /
-///                     `prob:` / `stall:` here.
 const std::vector<std::string>& known_sites();
 
 /// Parses a spec string (ELRR_FAILPOINTS grammar above) and installs it,

@@ -861,7 +861,6 @@ std::vector<JobId> Scheduler::completion_order() const {
 std::string Scheduler::stats_json() const {
   const SchedulerStats stats = this->stats();
   const sim::SimCacheStats cache = fleet_.cache_stats();
-  const sim::ProcFleetStats proc = fleet_.proc_stats();
   // The MILP session stats summed over every *terminal* job (a running
   // job's result is still being written by its worker). At batch end
   // this equals the sum over wait_all()'s results, which is what keeps
@@ -914,17 +913,6 @@ std::string Scheduler::stats_json() const {
                 static_cast<unsigned long long>(cache.misses), cache.entries,
                 cache.bytes, cache.capacity_bytes,
                 static_cast<unsigned long long>(cache.evictions));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                ", \"proc\": {\"workers\": %zu, \"spawns\": %llu, "
-                "\"crashes\": %llu, \"respawns\": %llu, "
-                "\"redispatches\": %llu, \"postmortems\": %llu}",
-                fleet_.proc_workers(),
-                static_cast<unsigned long long>(proc.spawns),
-                static_cast<unsigned long long>(proc.crashes),
-                static_cast<unsigned long long>(proc.respawns),
-                static_cast<unsigned long long>(proc.redispatches),
-                static_cast<unsigned long long>(proc.postmortems));
   out += buf;
   if (disk_cache_ != nullptr) {
     const DiskCacheStats disk = disk_cache_->stats();
@@ -981,10 +969,8 @@ void Scheduler::write_stats_snapshot(const std::string& path) const {
                 stats.queued, stats.running, options_.workers);
   doc += buf;
   std::snprintf(buf, sizeof(buf),
-                ", \"fleet\": {\"pool\": %zu, \"busy\": %zu, "
-                "\"proc_workers\": %zu}",
-                fleet_.pool_size(), fleet_.busy_workers(),
-                fleet_.proc_workers());
+                ", \"fleet\": {\"pool\": %zu, \"busy\": %zu}",
+                fleet_.pool_size(), fleet_.busy_workers());
   doc += buf;
   doc += ", \"stats\": ";
   doc += stats_json();

@@ -305,7 +305,7 @@ class Scheduler {
 
   SchedulerStats stats() const;
   /// The unified nested "stats" JSON object -- scheduler, fleet cache,
-  /// proc tier, disk cache (when enabled) and the MILP session stats
+  /// disk cache (when enabled) and the MILP session stats
   /// summed over terminal jobs. Byte-identical to the `elrr batch`
   /// summary's "stats" value (the CLI renders through this), and the
   /// body of the periodic snapshot. Thread-safe.

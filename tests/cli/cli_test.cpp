@@ -268,9 +268,8 @@ TEST(Cli, BatchTraceAndTraceSummary) {
   EXPECT_NE(summary.out.find("phase"), std::string::npos) << summary.out;
   EXPECT_NE(summary.out.find("job.run"), std::string::npos) << summary.out;
 
-  // --trace arms via the process environment (so spawned workers
-  // inherit it); scrub both for whatever runs next in this process.
-  ::unsetenv("ELRR_TRACE");
+  // --trace armed the process-wide obs layer; disarm it for whatever
+  // runs next in this process.
   obs::reset();
 }
 
@@ -312,14 +311,12 @@ TEST(Cli, TraceSummaryJsonPinsTheSchema) {
             std::string::npos)
       << txt.out;
 
-  ::unsetenv("ELRR_TRACE");
   obs::reset();
 }
 
 /// --trace vs ELRR_TRACE precedence: both arm the same obs layer, and
 /// when both name a path the flag wins -- the trace lands at the
-/// --trace path and the env variable is re-exported to match, so
-/// spawned worker processes follow the flag too. Env alone still arms.
+/// --trace path. Env alone still arms.
 TEST(Cli, TraceFlagWinsOverTraceEnv) {
   const std::string manifest_path =
       ::testing::TempDir() + "/trace_prec.jsonl";
@@ -341,8 +338,6 @@ TEST(Cli, TraceFlagWinsOverTraceEnv) {
   EXPECT_TRUE(exists(flag_path)) << "flag path did not receive the trace";
   EXPECT_FALSE(exists(env_path))
       << "env path received a trace although the flag named another";
-  // The flag re-exported the env so worker processes inherit its path.
-  EXPECT_STREQ(::getenv("ELRR_TRACE"), flag_path.c_str());
   ::unsetenv("ELRR_TRACE");
   obs::reset();
 
@@ -369,7 +364,7 @@ TEST(Cli, PostmortemRendersADump) {
       "events_recorded: 3\n"
       "events_dropped: 1\n"
       "inflight: tid=7 slice 128\n"
-      "event: seq=2 t_ns=1000000 tid=7 name=slice.recv a=128 b=64\n"
+      "event: seq=2 t_ns=1000000 tid=7 name=job.pick a=3 b=0\n"
       "event: seq=3 t_ns=1500000 tid=7 name=slice.dispatch a=128 b=64\n"
       "counter: fleet.slices 12\n"
       "hist: fleet.slice count=3 total_ns=4500000 p50_le_ns=2097152 "
@@ -386,7 +381,7 @@ TEST(Cli, PostmortemRendersADump) {
             std::string::npos)
       << r.out;
   EXPECT_NE(r.out.find("tid=7 slice 128"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("slice.recv"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("job.pick"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("fleet.slices 12"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("phase latencies"), std::string::npos) << r.out;
   EXPECT_EQ(r.out.find("WARNING"), std::string::npos) << r.out;
@@ -412,7 +407,7 @@ TEST(Cli, PostmortemRendersADump) {
 }
 
 /// `elrr top` over a snapshot with every section present pins the
-/// dashboard rendering: queue/fleet/jobs/cache/proc/milp rows plus the
+/// dashboard rendering: queue/fleet/jobs/cache/milp rows plus the
 /// per-phase table from the embedded obs summary.
 TEST(Cli, TopRendersASnapshot) {
   const std::string path = ::testing::TempDir() + "/snap.json";
@@ -420,12 +415,10 @@ TEST(Cli, TopRendersASnapshot) {
       path,
       "{\"snapshot\": true, \"uptime_s\": 12.500, \"queued\": 3, "
       "\"running\": 2, \"workers\": 4, \"fleet\": {\"pool\": 8, "
-      "\"busy\": 6, \"proc_workers\": 2}, \"stats\": {\"scheduler\": "
+      "\"busy\": 6}, \"stats\": {\"scheduler\": "
       "{\"submitted\": 10, \"completed\": 7, \"failed\": 1, "
       "\"rejected\": 0, \"retries\": 2, \"job_cache_hits\": 3}, "
-      "\"fleet_cache\": {\"hits\": 30, \"misses\": 10}, \"proc\": "
-      "{\"workers\": 2, \"spawns\": 3, \"crashes\": 1, \"respawns\": 1, "
-      "\"redispatches\": 1, \"postmortems\": 1}, \"milp\": "
+      "\"fleet_cache\": {\"hits\": 30, \"misses\": 10}, \"milp\": "
       "{\"solves\": 7, \"solve_seconds\": 1.25}}, \"obs\": {\"phases\": "
       "[{\"name\": \"job.run\", \"count\": 5, \"total_s\": 2.000000, "
       "\"p50_s\": 0.400000000, \"p95_s\": 0.500000000, \"p99_s\": "
@@ -437,7 +430,7 @@ TEST(Cli, TopRendersASnapshot) {
                        "scheduler workers 4"),
             std::string::npos)
       << r.out;
-  EXPECT_NE(r.out.find("fleet: pool 8, busy 6 (75%), proc workers 2"),
+  EXPECT_NE(r.out.find("fleet: pool 8, busy 6 (75%)\n"),
             std::string::npos)
       << r.out;
   EXPECT_NE(r.out.find("jobs:  submitted 10, completed 7, failed 1, "
@@ -445,10 +438,6 @@ TEST(Cli, TopRendersASnapshot) {
             std::string::npos)
       << r.out;
   EXPECT_NE(r.out.find("cache: fleet 75.0% hit (30/40), job hits 3"),
-            std::string::npos)
-      << r.out;
-  EXPECT_NE(r.out.find("proc:  spawns 3, crashes 1, respawns 1, "
-                       "redispatches 1, postmortems 1"),
             std::string::npos)
       << r.out;
   EXPECT_NE(r.out.find("milp:  solves 7, 1.25s total"), std::string::npos)

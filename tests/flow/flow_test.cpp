@@ -129,22 +129,13 @@ TEST(Flow, EnvValidationAcceptsWellFormedKnobs) {
   const ScopedEnv threads("ELRR_SIM_THREADS", "0");  // 0 = all cores
   const ScopedEnv timeout("ELRR_MILP_TIMEOUT", "2.5");
   const ScopedEnv polish("ELRR_POLISH", "1");
-  const ScopedEnv dedup("ELRR_SIM_DEDUP", "0");
-  const ScopedEnv pipeline("ELRR_PIPELINE", "0");  // sequential baseline
   const ScopedEnv cache_cap("ELRR_SIM_CACHE_CAP", "0");  // 0 = unbounded
   const FlowOptions options = FlowOptions::from_env();
   EXPECT_EQ(options.sim_cycles, 12000u);
   EXPECT_EQ(options.sim_threads, 0u);
   EXPECT_DOUBLE_EQ(options.milp_timeout_s, 2.5);
   EXPECT_TRUE(options.polish);
-  EXPECT_FALSE(options.sim_dedup);
-  EXPECT_FALSE(options.pipeline);
   EXPECT_EQ(options.sim_cache_cap, 0u);
-}
-
-TEST(Flow, EnvValidationRejectsMalformedSimDedup) {
-  const ScopedEnv guard("ELRR_SIM_DEDUP", "yes");  // 0 or 1 only
-  EXPECT_THROW(FlowOptions::from_env(), InvalidInputError);
 }
 
 TEST(Flow, EnvValidationRejectsMalformedSimCacheCap) {
@@ -156,11 +147,6 @@ TEST(Flow, EnvValidationRejectsMalformedSimCacheCap) {
     const ScopedEnv guard("ELRR_SIM_CACHE_CAP", "256MiB");  // bytes only
     EXPECT_THROW(FlowOptions::from_env(), InvalidInputError);
   }
-}
-
-TEST(Flow, EnvValidationRejectsMalformedPipeline) {
-  const ScopedEnv guard("ELRR_PIPELINE", "fast");  // 0 or 1 only
-  EXPECT_THROW(FlowOptions::from_env(), InvalidInputError);
 }
 
 TEST(Flow, EnvValidationRejectsMalformedSimCycles) {

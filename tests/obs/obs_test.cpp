@@ -6,14 +6,13 @@
 /// nesting, histogram percentile brackets, the Chrome trace-event JSON
 /// emitted by write_trace (parsed back by a small recursive-descent
 /// parser: "the emitted JSON parses" is the contract, not a substring
-/// match), and the proc-fleet response span section round-trip.
+/// match), and the bit-exactness of fleet thetas armed vs disarmed.
 
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <climits>
@@ -22,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,11 +29,15 @@
 #include "heur/heuristic.hpp"
 #include "lp/milp.hpp"
 #include "obs/trace.hpp"
-#include "sim/proc_fleet.hpp"
+#include "sim/fleet.hpp"
 #include "support/error.hpp"
+#include "tests/json_parser.hpp"
 
 namespace elrr::obs {
 namespace {
+
+using test::JsonParser;
+using test::JsonValue;
 
 /// Every test leaves the process-wide registry disarmed and empty: the
 /// obs state is a singleton, and suite order must not matter.
@@ -60,7 +62,6 @@ TEST_F(ObsTest, DisarmedSitesRecordNothing) {
   EXPECT_FALSE(armed());
   EXPECT_EQ(now_ns_if_armed(), 0);
   record_span("never", 1, 2);
-  record_foreign_span("never", 1, 2, 7, 1);
   count("never", 3);
   { OBS_SPAN("never.scope"); }
   { OBS_SPAN_ID("never.scope", 42); }
@@ -87,7 +88,6 @@ TEST_F(ObsTest, SpanGuardRecordsNestedSpans) {
   EXPECT_GE(spans[0].end_ns, spans[1].end_ns);
   EXPECT_EQ(spans[0].tid, spans[1].tid);
   EXPECT_GT(spans[0].tid, 0u);
-  EXPECT_EQ(spans[0].pid, 0u);  // self process
   EXPECT_EQ(spans[0].arg, kNoArg);
 }
 
@@ -160,25 +160,6 @@ TEST_F(ObsTest, RingWrapDropsOldestFirst) {
   EXPECT_EQ(dropped_spans(), 24u);
   // The histograms saw every span, wrap or not.
   EXPECT_EQ(histogram_summary().size(), 40u);
-}
-
-TEST_F(ObsTest, DrainThreadSpansIsIncremental) {
-  configure("", 64);
-  arm(true);
-  record_span("a", 10, 20);
-  record_span("b", 30, 40);
-  std::vector<SpanRecord> drained = drain_thread_spans();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_STREQ(drained[0].name, "a");
-  EXPECT_STREQ(drained[1].name, "b");
-  EXPECT_TRUE(drain_thread_spans().empty());
-  record_span("c", 50, 60);
-  drained = drain_thread_spans();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_STREQ(drained[0].name, "c");
-  // Draining is a worker-loop shipping primitive; the exporter's
-  // snapshot still sees everything.
-  EXPECT_EQ(snapshot_spans().size(), 3u);
 }
 
 TEST_F(ObsTest, CountersAccumulateNameSorted) {
@@ -298,199 +279,6 @@ TEST_F(ObsTest, ObsBufBoundariesAreExact) {
   EXPECT_THROW(configure_from_env(), InvalidInputError);
 }
 
-// ------------------------------------------------------------------------
-// A minimal JSON parser: enough to assert the exported trace *parses*
-// and to walk its structure. Throws std::runtime_error on malformed
-// input -- a parse failure is the test failure.
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  const JsonValue& at(const std::string& key) const {
-    const auto it = object.find(key);
-    if (it == object.end()) throw std::runtime_error("missing key: " + key);
-    return it->second;
-  }
-  bool has(const std::string& key) const { return object.count(key) > 0; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    const JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) throw std::runtime_error("trailing JSON bytes");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  char peek() {
-    if (pos_ >= text_.size()) throw std::runtime_error("unexpected JSON EOF");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) {
-      throw std::runtime_error(std::string("expected '") + c + "' at " +
-                               std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 't' || c == 'f') return boolean();
-    if (c == 'n') return null();
-    return number();
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      const std::string key = raw_string();
-      skip_ws();
-      expect(':');
-      v.object[key] = value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string raw_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return out;
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u':
-            if (pos_ + 4 > text_.size()) {
-              throw std::runtime_error("truncated \\u escape");
-            }
-            out += '?';  // structural validity only; no UTF-16 decoding
-            pos_ += 4;
-            break;
-          default: throw std::runtime_error("bad JSON escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  JsonValue string_value() {
-    JsonValue v;
-    v.type = JsonValue::Type::kString;
-    v.string = raw_string();
-    return v;
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.type = JsonValue::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      throw std::runtime_error("bad JSON literal");
-    }
-    return v;
-  }
-
-  JsonValue null() {
-    if (text_.compare(pos_, 4, "null") != 0) {
-      throw std::runtime_error("bad JSON literal");
-    }
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) throw std::runtime_error("bad JSON number");
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    v.number = std::stod(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << path;
@@ -505,10 +293,7 @@ TEST_F(ObsTest, WriteTraceEmitsParsableChromeJson) {
   set_thread_label("obs-test-main");
   const std::int64_t t = detail::now_ns();
   record_span("milp.solve", t, t + 5000, 42);
-  record_span("fleet.proc_slice", t + 100, t + 4000);
-  // A worker span re-anchored onto a foreign pid track, inside the
-  // proc_slice above -- the shape the supervisor produces.
-  record_foreign_span("work.slice", t + 200, t + 3000, 4242, 1);
+  record_span("fleet.slice", t + 100, t + 4000);
   count("job.done", 3);
   write_trace(trace_path());
 
@@ -517,18 +302,18 @@ TEST_F(ObsTest, WriteTraceEmitsParsableChromeJson) {
   const JsonValue& events = root.at("traceEvents");
   ASSERT_EQ(events.type, JsonValue::Type::kArray);
 
+  // One process track: every event, metadata included, carries our pid.
   const double self_pid = static_cast<double>(::getpid());
-  bool saw_milp = false, saw_worker = false, saw_worker_process_name = false;
+  bool saw_milp = false, saw_slice = false, saw_thread_name = false;
   for (const JsonValue& ev : events.array) {
     ASSERT_EQ(ev.type, JsonValue::Type::kObject);
+    EXPECT_EQ(ev.at("pid").number, self_pid);
     const std::string ph = ev.at("ph").string;
     ASSERT_TRUE(ph == "X" || ph == "M") << ph;
     if (ph == "M") {
-      if (ev.at("name").string == "process_name" &&
-          ev.at("pid").number == 4242.0) {
-        saw_worker_process_name = true;
-        EXPECT_NE(ev.at("args").at("name").string.find("4242"),
-                  std::string::npos);
+      if (ev.at("name").string == "thread_name" &&
+          ev.at("args").at("name").string == "obs-test-main") {
+        saw_thread_name = true;
       }
       continue;
     }
@@ -540,18 +325,14 @@ TEST_F(ObsTest, WriteTraceEmitsParsableChromeJson) {
     EXPECT_GE(ev.at("dur").number, 0.0);
     if (ev.at("name").string == "milp.solve") {
       saw_milp = true;
-      EXPECT_EQ(ev.at("pid").number, self_pid);
       EXPECT_EQ(ev.at("args").at("id").number, 42.0);
       EXPECT_NEAR(ev.at("dur").number, 5.0, 1e-9);  // 5000 ns = 5 us
     }
-    if (ev.at("name").string == "work.slice") {
-      saw_worker = true;
-      EXPECT_EQ(ev.at("pid").number, 4242.0);
-    }
+    if (ev.at("name").string == "fleet.slice") saw_slice = true;
   }
   EXPECT_TRUE(saw_milp);
-  EXPECT_TRUE(saw_worker);
-  EXPECT_TRUE(saw_worker_process_name);
+  EXPECT_TRUE(saw_slice);
+  EXPECT_TRUE(saw_thread_name);
 
   const JsonValue& other = root.at("otherData");
   EXPECT_EQ(other.at("dropped_spans").number, 0.0);
@@ -571,58 +352,35 @@ TEST_F(ObsTest, WriteTraceExpandsPidPlaceholder) {
   std::remove(expanded.c_str());
 }
 
-// ------------------------------------------------------------------------
-// Proc-fleet response span section (sim/proc_fleet.hpp): the worker's
-// spans ride back after the theta block; old-format responses (disarmed
-// worker) still decode; a corrupted section is torn, never garbage.
-
-TEST_F(ObsTest, ProcResponseRoundTripsSpans) {
-  sim::SliceRun run;
-  run.thetas = {1.5, 2.25, 0.5};
-  run.degraded_slices = 2;
-  const std::vector<sim::proc::WorkerSpan> spans = {
-      {"work.parse", 100, 250},
-      {"work.slice", 50, 900},
+/// Tracing is pure observability: a fleet run over s208 scores the same
+/// theta, bit for bit, armed and disarmed, and the armed run did record
+/// its slices on the fleet's worker tracks.
+TEST_F(ObsTest, ArmedAndDisarmedFleetThetasAreBitExact) {
+  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s208"), 1);
+  sim::SimOptions options;
+  options.seed = 1;
+  options.warmup_cycles = 200;
+  options.measure_cycles = 1000;
+  options.runs = 4;
+  const auto score = [&] {
+    sim::SimFleet fleet(1);
+    const sim::SimTicket ticket = fleet.submit_async(Rrg(rrg), options);
+    const double theta = fleet.wait(ticket).theta;
+    fleet.release(ticket);
+    return theta;
   };
-  const std::string payload =
-      sim::proc::encode_ok_response(run, spans, 1234567890123, 4242);
-  const sim::proc::SliceOutcome outcome = sim::proc::decode_response(payload);
-  EXPECT_TRUE(outcome.error.empty());
-  EXPECT_EQ(outcome.thetas, run.thetas);
-  EXPECT_EQ(outcome.degraded_slices, 2u);
-  EXPECT_EQ(outcome.clock_ns, 1234567890123);
-  EXPECT_EQ(outcome.worker_pid, 4242u);
-  ASSERT_EQ(outcome.spans.size(), 2u);
-  EXPECT_EQ(outcome.spans[0].name, "work.parse");
-  EXPECT_EQ(outcome.spans[0].start_ns, 100);
-  EXPECT_EQ(outcome.spans[0].end_ns, 250);
-  EXPECT_EQ(outcome.spans[1].name, "work.slice");
-}
-
-TEST_F(ObsTest, ProcResponseWithoutSpanSectionDecodes) {
-  sim::SliceRun run;
-  run.thetas = {3.5};
-  const sim::proc::SliceOutcome outcome =
-      sim::proc::decode_response(sim::proc::encode_ok_response(run));
-  EXPECT_TRUE(outcome.error.empty());
-  EXPECT_EQ(outcome.thetas, run.thetas);
-  EXPECT_TRUE(outcome.spans.empty());
-  EXPECT_EQ(outcome.clock_ns, 0);
-  EXPECT_EQ(outcome.worker_pid, 0u);
-}
-
-TEST_F(ObsTest, ProcResponseCorruptSpanSectionIsTorn) {
-  sim::SliceRun run;
-  run.thetas = {1.0};
-  const std::vector<sim::proc::WorkerSpan> spans = {{"work.slice", 1, 2}};
-  const std::string good =
-      sim::proc::encode_ok_response(run, spans, 99, 1000);
-  // Truncated mid-section: the cursor underruns.
-  EXPECT_THROW(
-      sim::proc::decode_response(good.substr(0, good.size() - 3)),
-      InvalidInputError);
-  // Trailing junk after a complete section: rejected, not ignored.
-  EXPECT_THROW(sim::proc::decode_response(good + "z"), InvalidInputError);
+  const double disarmed = score();
+  EXPECT_TRUE(snapshot_spans().empty());
+  configure("", 1024);
+  arm(true);
+  const double traced = score();
+  arm(false);
+  EXPECT_EQ(traced, disarmed);
+  bool saw_slice = false;
+  for (const SpanRecord& span : snapshot_spans()) {
+    saw_slice = saw_slice || std::string(span.name) == "fleet.slice";
+  }
+  EXPECT_TRUE(saw_slice);
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 /// the one-load fast path is ASan-covered), the strict
 /// ELRR_POSTMORTEM_BUF taxonomy with its exact boundaries, journal ring
 /// wrap + drop accounting, the postmortem file's write/publish/
-/// first-wins protocol, in-flight marks, and the supervisor-side
-/// harvest. Live fatal signals are chaos-suite territory
-/// (postmortem_chaos_test.cpp); everything here dumps from a healthy
+/// first-wins protocol, and in-flight marks. One death test sends a
+/// real SIGSEGV to an armed child; everything else dumps from a healthy
 /// process through the same write(2)-only path the handlers use.
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -74,7 +74,6 @@ TEST_F(RecorderTest, DisarmedSitesRecordNothing) {
   EXPECT_EQ(dropped_events(), 0u);
   EXPECT_TRUE(postmortem_dir().empty());
   EXPECT_FALSE(write_postmortem("test"));
-  EXPECT_FALSE(harvest(::getpid()).has_value());
 }
 
 TEST_F(RecorderTest, ConfigureFromEnvValidatesCapacityStrictly) {
@@ -182,23 +181,38 @@ TEST_F(RecorderTest, ClearedInflightMarksDoNotDump) {
   EXPECT_EQ(slurp(postmortem_path()).find("inflight: "), std::string::npos);
 }
 
-TEST_F(RecorderTest, HarvestFindsTheDumpByPid) {
-  configure(dir_.string(), 64);
-  event("slice.recv", 12, 4);
-  set_inflight("slice", 12);
-  ASSERT_TRUE(write_postmortem("SIGSEGV"));
+/// A real fatal signal: an armed child marks a slice in flight, journals
+/// one event and raises SIGSEGV. The handler must publish a complete
+/// postmortem naming the slice, and the child must still die by the
+/// signal. The threadsafe style re-executes the binary for the child,
+/// so the handler runs in a fresh single-threaded process.
+TEST_F(RecorderTest, RealSigsegvPublishesAPostmortemNamingTheSlice) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        configure(dir_.string(), 64);
+        set_inflight("slice", 0);
+        event("slice.dispatch", 0, 4);
+        ::raise(SIGSEGV);
+      },
+      ::testing::KilledBySignal(SIGSEGV), "");
 
-  // The supervisor harvests by dead-worker pid; here the "worker" is
-  // this process.
-  const std::optional<Harvest> pm = harvest(::getpid());
-  ASSERT_TRUE(pm.has_value());
-  EXPECT_EQ(pm->path, postmortem_path());
-  // The excerpt names what was in flight and the trailing events.
-  EXPECT_NE(pm->excerpt.find("slice 12"), std::string::npos) << pm->excerpt;
-  EXPECT_NE(pm->excerpt.find("slice.recv"), std::string::npos) << pm->excerpt;
-
-  // A pid that never dumped harvests nothing.
-  EXPECT_FALSE(harvest(1).has_value());
+  std::vector<fs::path> dumps;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("postmortem-", 0) == 0 && entry.path().extension() == ".txt") {
+      dumps.push_back(entry.path());
+    }
+  }
+  ASSERT_EQ(dumps.size(), 1u);
+  const std::string text = slurp(dumps.front().string());
+  EXPECT_NE(text.find("ELRR-POSTMORTEM 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("reason: SIGSEGV\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("inflight: "), std::string::npos) << text;
+  EXPECT_NE(text.find(" slice 0\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("name=slice.dispatch a=0 b=4"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nend\n"), std::string::npos) << text;
 }
 
 TEST_F(RecorderTest, ResetDisarmsAndUnlinksTheTempFile) {

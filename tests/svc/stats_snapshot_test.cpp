@@ -14,6 +14,7 @@
 ///    observer must never kill the service it observes.
 
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,11 +26,23 @@
 #include "bench89/generator.hpp"
 #include "support/error.hpp"
 #include "svc/scheduler.hpp"
+#include "tests/json_parser.hpp"
 
 namespace elrr::svc {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// True iff `text` parses as exactly one JSON object: a torn or
+/// truncated snapshot does not.
+bool is_one_json_object(const std::string& text) {
+  try {
+    return test::JsonParser(text).parse().type ==
+           test::JsonValue::Type::kObject;
+  } catch (const std::exception&) {  // runtime_error, or std::stod's
+    return false;
+  }
+}
 
 class StatsSnapshotTest : public ::testing::Test {
  protected:
@@ -102,27 +115,39 @@ TEST_F(StatsSnapshotTest, MalformedKnobThrowsStrictly) {
 
 TEST_F(StatsSnapshotTest, PublishesPeriodicallyWhileRunning) {
   const fs::path snap = dir_ / "stats.json";
-  SchedulerOptions options;
-  options.workers = 1;
-  options.sim_threads = 1;
-  options.snapshot_path = snap.string();
-  options.snapshot_period_ms = 10;
-  Scheduler scheduler(options);
-  // No jobs at all: the publisher ticks on its own clock, not on job
-  // completions. Poll rather than sleep a fixed amount -- CI boxes stall.
-  bool seen = false;
-  for (int i = 0; i < 1000 && !seen; ++i) {
-    seen = fs::exists(snap);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  {
+    SchedulerOptions options;
+    options.workers = 1;
+    options.sim_threads = 1;
+    options.snapshot_path = snap.string();
+    options.snapshot_period_ms = 10;
+    Scheduler scheduler(options);
+    // No jobs at all: the publisher ticks on its own clock, not on job
+    // completions. Poll rather than sleep a fixed amount -- CI boxes
+    // stall.
+    bool seen = false;
+    for (int i = 0; i < 1000 && !seen; ++i) {
+      seen = fs::exists(snap);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_TRUE(seen) << "no periodic snapshot within the window";
+    // Atomic publish: the publisher writes `<path>.tmp` on every tick
+    // and renames it over the final path, so a reader of the final path
+    // sees one complete document on every read, never a torn one --
+    // across about ten ticks here.
+    for (int i = 0; i < 100; ++i) {
+      const std::string text = slurp(snap);
+      ASSERT_TRUE(is_one_json_object(text)) << "torn read: " << text;
+      EXPECT_EQ(text.rfind("{\"snapshot\": true, \"uptime_s\": ", 0), 0u)
+          << text;
+      EXPECT_NE(text.find("\"queued\": 0"), std::string::npos) << text;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
-  ASSERT_TRUE(seen) << "no periodic snapshot within the window";
-  // Atomic publish: the reader never sees the temp file.
+  // The destructor stopped the publisher and wrote the terminal
+  // snapshot through the same rename: no temp file is left behind.
+  EXPECT_TRUE(is_one_json_object(slurp(snap)));
   EXPECT_FALSE(fs::exists(snap.string() + ".tmp"));
-  const std::string text = slurp(snap);
-  EXPECT_NE(text.find("{\"snapshot\": true, \"uptime_s\": "),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("\"queued\": 0"), std::string::npos) << text;
 }
 
 TEST_F(StatsSnapshotTest, TerminalSnapshotShowsTheFinalState) {

@@ -7,10 +7,8 @@
 #      scheduler suite, the fail-point chaos harness, the LP/MILP solver
 #      suite with its warm-vs-cold session differentials, and the
 #      tracing/metrics suite). The ctest runs are traced: ELRR_TRACE
-#      arms every `elrr` process the tests spawn (proc-fleet workers
-#      ship their spans over the response protocol under the chaos
-#      schedules), and any written trace lands in $BUILD_DIR/obs_traces/
-#      -- a CI failure artifact;
+#      is exported to every test process, and any written trace lands
+#      in $BUILD_DIR/obs_traces/ -- a CI failure artifact;
 #   2. the `lp` suite once more in a host-tuned Release build
 #      (-DELRR_NATIVE=ON, i.e. -march=native). The suite pins simplex
 #      work counters, golden models and walk results bit for bit. They
@@ -23,8 +21,7 @@
 #      the failure-unwind paths, the MILP session's persistent tableau
 #      snapshots, the parent snapshots branch & bound nodes share, and
 #      the obs ring buffers' lock-free publish are the
-#      lifetime-bug honeypots). The fork/exec ObsProc tests are excluded
-#      there for the same reason the chaos suite is.
+#      lifetime-bug honeypots).
 #
 # Step 3 is skipped with ELRR_SKIP_SANITIZE=1 (e.g. on machines without
 # the sanitizer runtimes). No step gates on wall clock: performance is
@@ -47,15 +44,15 @@ abs_dir() { mkdir -p "$1" && (cd "$1" && pwd); }
 # concurrent test processes from clobbering each other's trace files.
 TRACE_DIR=$(abs_dir "$BUILD_DIR/obs_traces")
 GATE_TRACE="$TRACE_DIR/trace-%p.json"
-# Flight recorder armed for the same runs: any `elrr` process a test
-# crashes (or that dies for real) leaves postmortem-<pid>.txt here --
+# Flight recorder armed for the same runs: any test process that dies
+# by a fatal signal leaves postmortem-<pid>.txt here --
 # a CI failure artifact next to the traces. Tests that pin recorder
 # behavior manage the env themselves.
 PM_DIR=$(abs_dir "$BUILD_DIR/postmortems")
 
 echo "== [1/3] Release build + ctest -L sim|svc|chaos|lp|obs (traced) =="
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j --target elrr elrr_cli elrr_sim_tests elrr_svc_tests elrr_chaos_tests elrr_lp_tests elrr_obs_tests
+cmake --build "$BUILD_DIR" -j --target elrr elrr_sim_tests elrr_svc_tests elrr_chaos_tests elrr_lp_tests elrr_obs_tests
 ELRR_TRACE="$GATE_TRACE" ELRR_POSTMORTEM_DIR="$PM_DIR" \
   ctest --test-dir "$BUILD_DIR" -L 'sim|svc|chaos|lp|obs' --output-on-failure -j
 
@@ -73,8 +70,7 @@ else
   cmake --build "$ASAN_BUILD_DIR" -j --target elrr_sim_tests elrr_svc_tests elrr_lp_tests elrr_obs_tests
   ELRR_TRACE="$(abs_dir "$ASAN_BUILD_DIR/obs_traces")/trace-%p.json" \
     ELRR_POSTMORTEM_DIR=$(abs_dir "$ASAN_BUILD_DIR/postmortems") \
-    ctest --test-dir "$ASAN_BUILD_DIR" -L 'sim|svc|lp|obs' -E 'ObsProc' \
-    --output-on-failure -j
+    ctest --test-dir "$ASAN_BUILD_DIR" -L 'sim|svc|lp|obs' --output-on-failure -j
 fi
 
 echo "gate: all green"

@@ -9,15 +9,9 @@
 #
 # Logs land in $BUILD_DIR/chaos_logs/ (ctest's --output-log plus the
 # LastTest log), which CI uploads as an artifact when the run fails.
-# Worker processes spawned by the proc-fleet chaos tests write their
-# stderr under chaos_logs/proc/ (via ELRR_PROC_LOG_DIR), so a dead
-# worker's last words ride the same artifact.
 #
-# The harness runs with tracing armed (ELRR_TRACE): spawned `elrr work`
-# workers arm themselves from the inherited environment and ship their
-# spans back over the response protocol, so the span section is
-# exercised under every crash/redispatch schedule; any trace JSON an
-# `elrr` process writes lands in chaos_logs/trace/ and rides the same
+# The harness runs with tracing armed (ELRR_TRACE): any trace JSON a
+# test process writes lands in chaos_logs/trace/ and rides the same
 # failure artifact (%p in the path keeps concurrent processes from
 # clobbering each other).
 #
@@ -34,13 +28,11 @@ LOG_DIR="$BUILD_DIR/chaos_logs"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j --target elrr_chaos_tests
 
-mkdir -p "$LOG_DIR" "$LOG_DIR/proc" "$LOG_DIR/trace" "$LOG_DIR/postmortem"
-# Per-slot worker stderr (crash last-words) for the proc-fleet tests.
-export ELRR_PROC_LOG_DIR="$LOG_DIR/proc"
+mkdir -p "$LOG_DIR" "$LOG_DIR/trace" "$LOG_DIR/postmortem"
 # Tracing armed across the harness (see header).
 export ELRR_TRACE="$LOG_DIR/trace/trace-%p.json"
-# Flight recorder armed: any process the harness kills (or that dies on
-# its own) leaves a postmortem-<pid>.txt here, riding the same failure
+# Flight recorder armed: any test process that dies by a fatal signal
+# leaves a postmortem-<pid>.txt here, riding the same failure
 # artifact; render with `elrr postmortem <file>`.
 export ELRR_POSTMORTEM_DIR="$LOG_DIR/postmortem"
 CTEST_ARGS=(-L chaos --output-on-failure --output-log "$LOG_DIR/chaos.log")

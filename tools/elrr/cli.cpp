@@ -30,7 +30,6 @@
 #include "retime/leiserson_saxe.hpp"
 #include "retime/min_area.hpp"
 #include "sim/markov.hpp"
-#include "sim/proc_fleet.hpp"
 #include "sim/simulator.hpp"
 #include "support/args.hpp"
 #include "support/bench_json.hpp"
@@ -85,13 +84,9 @@ commands:
               summary; the rest run for real. --trace <out.json> arms
               the obs layer (same as ELRR_TRACE) and writes a Perfetto-
               loadable Chrome trace of the whole batch -- scheduler,
-              walk, MILP, fleet and proc-worker tracks on one timeline;
-              the summary stream gains a trace_summary record. When
-              both are set the flag wins: the trace goes to the --trace
-              path (and worker processes inherit it).
-  work        internal: simulation worker process (spawned by the fleet
-              when ELRR_PROC_WORKERS > 0; speaks the length-framed slice
-              protocol on stdin/stdout -- not for interactive use)
+              walk, MILP and fleet tracks on one timeline; the summary
+              stream gains a trace_summary record. When both are set
+              the flag wins: the trace goes to the --trace path.
   simulate    --cycles N, --runs R, --threads T (0 = all cores),
               --control (SELF network), --capacity C
   generate    --circuit <name> [--seed N] --output <file.rrg>
@@ -617,11 +612,7 @@ int cmd_batch(Args& args, std::ostream& out, std::ostream& err) {
   args.finish();
   if (trace.has_value()) {
     ELRR_REQUIRE(!trace->empty(), "--trace needs a non-empty path");
-    // --trace is ELRR_TRACE spelled as a flag: arm the obs layer here
-    // and export the env variable so the proc tier's worker processes
-    // (which inherit the environment) arm too and ship their spans back
-    // over the pipe protocol.
-    ::setenv("ELRR_TRACE", trace->c_str(), 1);
+    // --trace is ELRR_TRACE spelled as a flag: arm the obs layer here.
     obs::configure(*trace, obs::ring_capacity());
   }
 
@@ -680,7 +671,7 @@ int cmd_batch(Args& args, std::ostream& out, std::ostream& err) {
   }
   // Trailing summary record keeps the stream pure JSONL while still
   // reporting batch-wide stats. Every layer's counters ride one nested
-  // "stats" object -- scheduler, shared fleet cache, proc tier, disk
+  // "stats" object -- scheduler, shared fleet cache, disk
   // cache (when enabled) and the MILP session stats summed over the
   // jobs. The object itself is Scheduler::stats_json(), shared with the
   // periodic stats snapshot; after wait_all() every job is terminal, so
@@ -721,20 +712,6 @@ int cmd_batch(Args& args, std::ostream& out, std::ostream& err) {
     warn_dropped_spans(err, obs::dropped_spans(), obs::ring_capacity());
   }
   return failed > 0 ? 1 : 0;
-}
-
-/// `elrr work`: the body of one process-isolated fleet worker. The
-/// supervisor (sim::proc) spawned us with the request pipe on stdin and
-/// the response pipe on stdout; nothing else may write to stdout, and
-/// ELRR_FAILPOINTS was already re-armed by run() before dispatch, so a
-/// chaos schedule naming `proc.worker` fires *here*, in the child.
-int cmd_work(Args& args) {
-  args.finish();
-  // A worker inherits ELRR_TRACE (that is how it arms), but its spans
-  // travel back over the pipe protocol; writing the trace file itself
-  // would clobber the supervisor's export.
-  obs::set_export_on_exit(false);
-  return sim::proc::worker_loop(/*in_fd=*/0, /*out_fd=*/1);
 }
 
 /// One row of a per-phase latency table (`trace-summary`, `top`).
@@ -1014,12 +991,10 @@ int cmd_top(Args& args, std::ostream& out) {
   const long long pool = n(get("fleet", "pool"));
   const long long busy = n(get("fleet", "busy"));
   std::snprintf(row, sizeof(row),
-                "fleet: pool %lld, busy %lld (%.0f%%), proc workers %lld\n",
-                pool, busy,
+                "fleet: pool %lld, busy %lld (%.0f%%)\n", pool, busy,
                 pool > 0 ? 100.0 * static_cast<double>(busy) /
                                static_cast<double>(pool)
-                         : 0.0,
-                n(get("fleet", "proc_workers")));
+                         : 0.0);
   out << row;
   std::snprintf(row, sizeof(row),
                 "jobs:  submitted %lld, completed %lld, failed %lld, "
@@ -1052,16 +1027,6 @@ int cmd_top(Args& args, std::ostream& out) {
     out << row;
   }
   out << "\n";
-  if (n(get("proc", "workers")) > 0 || n(get("proc", "spawns")) > 0) {
-    std::snprintf(row, sizeof(row),
-                  "proc:  spawns %lld, crashes %lld, respawns %lld, "
-                  "redispatches %lld, postmortems %lld\n",
-                  n(get("proc", "spawns")), n(get("proc", "crashes")),
-                  n(get("proc", "respawns")),
-                  n(get("proc", "redispatches")),
-                  n(get("proc", "postmortems")));
-    out << row;
-  }
   std::snprintf(row, sizeof(row), "milp:  solves %lld, %.2fs total\n",
                 n(get("milp", "solves")),
                 get("milp", "solve_seconds").value_or(0.0));
@@ -1114,7 +1079,6 @@ int run(int argc, const char* const* argv, std::ostream& out,
     if (cmd == "min-area") return cmd_min_area(args, out);
     if (cmd == "from-bench") return cmd_from_bench(args, out);
     if (cmd == "batch") return cmd_batch(args, out, err);
-    if (cmd == "work") return cmd_work(args);
     if (cmd == "trace-summary") return cmd_trace_summary(args, out, err);
     if (cmd == "postmortem") return cmd_postmortem(args, out);
     if (cmd == "top") return cmd_top(args, out);
