@@ -2,10 +2,9 @@
 
 #include <algorithm>
 
-#include "core/tgmg.hpp"
+#include "core/evaluator.hpp"
 #include "graph/cycle_ratio.hpp"
 #include "graph/topo.hpp"
-#include "support/error.hpp"
 
 namespace elrr {
 
@@ -29,17 +28,13 @@ double late_eval_throughput(const Rrg& rrg) {
 }
 
 RcEvaluation evaluate_config(const Rrg& rrg, const RrConfig& config) {
-  return evaluate_rrg(apply_config(rrg, config));
+  const ConfigEvaluator evaluator(rrg);
+  evaluator.require_valid(config);
+  return evaluator.evaluate(config);
 }
 
 RcEvaluation evaluate_rrg(const Rrg& rrg) {
-  RcEvaluation eval;
-  const CycleTimeResult ct = cycle_time(rrg);
-  ELRR_ASSERT(ct.valid, "live RRG cannot have a zero-buffer cycle");
-  eval.tau = ct.tau;
-  eval.theta_lp = throughput_upper_bound(rrg);
-  eval.xi_lp = effective_cycle_time(eval.tau, eval.theta_lp);
-  return eval;
+  return evaluate_config(rrg, initial_config(rrg));
 }
 
 }  // namespace elrr

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/evaluator.hpp"
 #include "graph/bellman_ford.hpp"
 #include "graph/dot.hpp"
 #include "graph/topo.hpp"
@@ -85,6 +86,18 @@ void Rrg::validate() const {
                  " -> ", name(g.dst(e)), ") violates R >= R0: R=", buffers_[e],
                  " R0=", tokens_[e]);
   }
+  validate_structure();
+  std::vector<EdgeId> dead;
+  if (!is_live(&dead)) {
+    std::ostringstream os;
+    os << "RRG is not live: cycle with non-positive token sum through edges";
+    for (EdgeId e : dead) os << " " << e;
+    throw InvalidInputError(os.str());
+  }
+}
+
+void Rrg::validate_structure() const {
+  const Digraph& g = graph();
   for (NodeId n = 0; n < num_nodes(); ++n) {
     if (!is_early(n)) continue;
     ELRR_REQUIRE(g.in_degree(n) >= 2, "early-evaluation node ", name(n),
@@ -99,13 +112,6 @@ void Rrg::validate() const {
     ELRR_REQUIRE(std::abs(sum - 1.0) <= 1e-9,
                  "input probabilities of early node ", name(n),
                  " must sum to 1, got ", sum);
-  }
-  std::vector<EdgeId> dead;
-  if (!is_live(&dead)) {
-    std::ostringstream os;
-    os << "RRG is not live: cycle with non-positive token sum through edges";
-    for (EdgeId e : dead) os << " " << e;
-    throw InvalidInputError(os.str());
   }
 }
 
@@ -180,46 +186,7 @@ RrConfig apply_retiming(const Rrg& rrg, const std::vector<int>& r,
 
 bool validate_config(const Rrg& rrg, const RrConfig& config,
                      std::string* why) {
-  const auto fail = [&](const std::string& message) {
-    if (why != nullptr) *why = message;
-    return false;
-  };
-  if (config.tokens.size() != rrg.num_edges() ||
-      config.buffers.size() != rrg.num_edges()) {
-    return fail("configuration size mismatch");
-  }
-  for (EdgeId e = 0; e < rrg.num_edges(); ++e) {
-    if (config.buffers[e] < 0) {
-      return fail("negative buffer count on edge " + std::to_string(e));
-    }
-    if (config.buffers[e] < config.tokens[e]) {
-      return fail("R < R0 on edge " + std::to_string(e));
-    }
-  }
-  // Reachability by retiming: the token *change* must be a potential
-  // difference, i.e. delta(e) = r(dst) - r(src) for some integer r. This
-  // holds iff delta sums to zero around every cycle, which is equivalent
-  // to feasibility of both delta(e) <= r(v) - r(u) and its negation.
-  const Digraph& g = rrg.graph();
-  std::vector<std::int64_t> upper(rrg.num_edges());
-  Digraph doubled(g.num_nodes());
-  std::vector<std::int64_t> w;
-  for (EdgeId e = 0; e < rrg.num_edges(); ++e) {
-    const std::int64_t delta = config.tokens[e] - rrg.tokens(e);
-    doubled.add_edge(g.src(e), g.dst(e));
-    w.push_back(delta);
-    doubled.add_edge(g.dst(e), g.src(e));
-    w.push_back(-delta);
-  }
-  if (!graph::solve_difference_constraints(doubled, w).feasible) {
-    return fail("token change is not a retiming (cycle sums not preserved)");
-  }
-  // Liveness of the result.
-  std::vector<std::int64_t> tokens(config.tokens.begin(), config.tokens.end());
-  if (graph::has_nonpositive_cycle(g, tokens)) {
-    return fail("configuration is not live");
-  }
-  return true;
+  return ConfigChecker(rrg).check(config, why);
 }
 
 CycleTimeResult cycle_time(const Rrg& rrg) {

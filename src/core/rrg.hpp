@@ -113,6 +113,10 @@ class Rrg {
   /// naming the offending entity.
   void validate() const;
 
+  /// The conditions of validate() that do not depend on the marking:
+  /// early nodes' inputs and their probabilities.
+  void validate_structure() const;
+
   /// Liveness alone: no directed cycle with token sum <= 0.
   bool is_live(std::vector<EdgeId>* dead_cycle = nullptr) const;
 
@@ -167,6 +171,9 @@ RrConfig apply_retiming(const Rrg& rrg, const std::vector<int>& r,
 /// Checks an RC against its base RRG without materializing it:
 /// R' >= 0, R' >= R0', cycle token sums preserved & positive, i.e. the RC
 /// is reachable by retiming + recycling. Returns false and fills `why`.
+/// O(V + E) beyond one Bellman-Ford pass over the base RRG: a one-off
+/// ConfigChecker (core/evaluator.hpp), whose liveness certificate is that
+/// pass's potential, shifted by the configuration's retiming.
 bool validate_config(const Rrg& rrg, const RrConfig& config,
                      std::string* why = nullptr);
 

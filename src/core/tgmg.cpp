@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/evaluator.hpp"
 #include "graph/bellman_ford.hpp"
 #include "graph/dot.hpp"
 #include "graph/ratio_mdp.hpp"
@@ -12,7 +13,8 @@
 
 namespace elrr {
 
-NodeId Tgmg::add_node(std::string name, double delay, NodeKind kind) {
+NodeId Tgmg::add_node(std::string name, double delay, NodeKind kind,
+                      EdgeId delay_source) {
   ELRR_REQUIRE(std::isfinite(delay) && delay >= 0.0,
                "TGMG node delay must be finite and non-negative");
   const NodeId n = g_.add_node();
@@ -20,13 +22,16 @@ NodeId Tgmg::add_node(std::string name, double delay, NodeKind kind) {
   names_.push_back(std::move(name));
   delays_.push_back(delay);
   kinds_.push_back(kind);
+  delay_sources_.push_back(delay_source);
   return n;
 }
 
-EdgeId Tgmg::add_edge(NodeId u, NodeId v, int tokens, double gamma) {
+EdgeId Tgmg::add_edge(NodeId u, NodeId v, int tokens, double gamma,
+                      EdgeId marking_source) {
   const EdgeId e = g_.add_edge(u, v);
   tokens_.push_back(tokens);
   gammas_.push_back(gamma);
+  marking_sources_.push_back(marking_source);
   return e;
 }
 
@@ -78,26 +83,28 @@ Tgmg procedure1(const Rrg& rrg) {
   // must then live on auxiliary nodes even for a single input, or the
   // busy-throttle loop added below would wrongly serialize the EB chain.
   for (NodeId n = 0; n < rrg.num_nodes(); ++n) {
-    double delay = rrg.service(n);
     if (g.in_degree(n) == 1 && !rrg.is_telescopic(n)) {
-      delay = static_cast<double>(rrg.buffers(g.in_edges(n)[0]));
+      const EdgeId e = g.in_edges(n)[0];
+      out.add_node(rrg.name(n), static_cast<double>(rrg.buffers(e)),
+                   rrg.kind(n), e);
+    } else {
+      out.add_node(rrg.name(n), rrg.service(n), rrg.kind(n));
     }
-    out.add_node(rrg.name(n), delay, rrg.kind(n));
   }
   for (NodeId n = 0; n < rrg.num_nodes(); ++n) {
     if (g.in_degree(n) == 1 && !rrg.is_telescopic(n)) {
       // Single input: direct edge with the original marking; the buffer
       // latency lives on the node itself (step 3 of Procedure 1).
       const EdgeId e = g.in_edges(n)[0];
-      out.add_edge(g.src(e), n, rrg.tokens(e), rrg.gamma(e));
+      out.add_edge(g.src(e), n, rrg.tokens(e), rrg.gamma(e), e);
     } else {
       // Multi input: one delay node per input edge (step 4).
       for (EdgeId e : g.in_edges(n)) {
         const NodeId aux = out.add_node(
             rrg.name(n) + "/in" + std::to_string(e),
-            static_cast<double>(rrg.buffers(e)), NodeKind::kSimple);
+            static_cast<double>(rrg.buffers(e)), NodeKind::kSimple, e);
         out.add_edge(g.src(e), aux, 0);
-        out.add_edge(aux, n, rrg.tokens(e), rrg.gamma(e));
+        out.add_edge(aux, n, rrg.tokens(e), rrg.gamma(e), e);
       }
     }
   }
@@ -119,12 +126,13 @@ Tgmg procedure2(const Tgmg& in) {
   Tgmg out;
   const Digraph& g = in.graph();
   for (NodeId n = 0; n < in.num_nodes(); ++n) {
-    out.add_node(in.name(n), in.delay(n), in.kind(n));
+    out.add_node(in.name(n), in.delay(n), in.kind(n), in.delay_source(n));
   }
   // Copy edges into nodes that are not early; early-node inputs are split.
   for (EdgeId e = 0; e < in.num_edges(); ++e) {
     if (in.is_early(g.dst(e))) continue;
-    out.add_edge(g.src(e), g.dst(e), in.tokens(e), in.gamma(e));
+    out.add_edge(g.src(e), g.dst(e), in.tokens(e), in.gamma(e),
+                 in.marking_source(e));
   }
   for (NodeId n = 0; n < in.num_nodes(); ++n) {
     if (!in.is_early(n)) continue;
@@ -134,7 +142,7 @@ Tgmg procedure2(const Tgmg& in) {
     for (EdgeId e : g.in_edges(n)) {
       const NodeId k = out.add_node(
           in.name(n) + "/k" + std::to_string(e), 0.0, NodeKind::kSimple);
-      out.add_edge(g.src(e), k, in.tokens(e));
+      out.add_edge(g.src(e), k, in.tokens(e), 1.0, in.marking_source(e));
       out.add_edge(k, n, 0, in.gamma(e));
       out.add_edge(s, k, 0);
     }
@@ -215,19 +223,11 @@ ThroughputBound tgmg_throughput_bound(const Tgmg& tgmg) {
   return bound;
 }
 
-namespace {
-
-bool is_late_evaluation(const Rrg& rrg) {
-  for (NodeId n = 0; n < rrg.num_nodes(); ++n) {
-    if (rrg.is_early(n) || rrg.is_telescopic(n)) return false;
-  }
-  return true;
-}
-
-/// The decision process of `tgmg_policy_bound`: node n leaves through
-/// input edge e at cost tokens(e) and time delay(n); early nodes pick e
-/// with probability gamma(e).
-ThroughputBound unchecked_policy_bound(const Tgmg& tgmg) {
+ThroughputBound tgmg_policy_bound(const Tgmg& tgmg) {
+  tgmg.validate();
+  // The decision process: node n leaves through input edge e at cost
+  // tokens(e) and time delay(n); early nodes pick e with probability
+  // gamma(e).
   const Digraph& g = tgmg.graph();
   std::vector<double> cost(g.num_edges()), time(g.num_edges()),
       prob(g.num_edges());
@@ -243,38 +243,11 @@ ThroughputBound unchecked_policy_bound(const Tgmg& tgmg) {
   return {mdp.bounded, mdp.ratio};
 }
 
-}  // namespace
-
-ThroughputBound tgmg_policy_bound(const Tgmg& tgmg) {
-  tgmg.validate();
-  return unchecked_policy_bound(tgmg);
-}
-
 double throughput_upper_bound(const Rrg& rrg) {
-  // A valid RRG refines to a valid TGMG: the procedures copy its guard
-  // probabilities and add only cycles that carry a token.
-  rrg.validate();
-  ThroughputBound bound;
-  if (is_late_evaluation(rrg)) {
-    // The refined TGMG is the RRG with its buffer latencies moved onto
-    // nodes: the bound is the minimum cycle ratio of tokens over
-    // buffers, found on the RRG itself.
-    const Digraph& g = rrg.graph();
-    std::vector<double> cost(g.num_edges()), time(g.num_edges());
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      cost[e] = rrg.tokens(e);
-      time[e] = rrg.buffers(e);
-    }
-    const graph::RatioMdpResult mdp = graph::min_ratio_mdp(
-        g, cost, time, std::vector<double>(g.num_edges(), 1.0),
-        std::vector<std::uint8_t>(g.num_nodes(), 0));
-    bound = {mdp.bounded, mdp.ratio};
-  } else {
-    bound = unchecked_policy_bound(refined_tgmg(rrg));
-  }
-  ELRR_REQUIRE(bound.bounded,
-               "throughput unbounded: the RRG has no token-limited cycle");
-  return bound.theta;
+  const ConfigEvaluator evaluator(rrg);
+  const RrConfig config = initial_config(rrg);
+  evaluator.require_valid(config);
+  return evaluator.theta_lp(config);
 }
 
 }  // namespace elrr

@@ -10,6 +10,13 @@
 ///    self-loop structure so that the LP throughput bound (eq. (4)) is
 ///    tight w.r.t. single-firing-per-cycle semantics (Lemma 3.1).
 ///
+/// Both procedures record *provenance*: which RRG edge each node delay
+/// (a buffer count) and each marking (a token count) copies, or none for
+/// the constants they add. The structure they build depends only on the
+/// RRG's structure, so one refined TGMG serves every configuration of an
+/// RRG: core/evaluator.hpp builds it once and rewrites only the copied
+/// values per configuration, with the same node and edge ids.
+///
 /// The throughput bound of eq. (4)/(11) has two implementations that must
 /// agree: `tgmg_policy_bound`, which production uses (policy iteration
 /// on the min-ratio decision process the LP is dual to, no LP), and
@@ -30,9 +37,13 @@ namespace elrr {
 /// singleton guard per input edge, selected with probability gamma.
 class Tgmg {
  public:
+  /// `delay_source`: the RRG edge whose buffer count `delay` copies.
   NodeId add_node(std::string name, double delay,
-                  NodeKind kind = NodeKind::kSimple);
-  EdgeId add_edge(NodeId u, NodeId v, int tokens, double gamma = 1.0);
+                  NodeKind kind = NodeKind::kSimple,
+                  EdgeId delay_source = graph::kNoEdge);
+  /// `marking_source`: the RRG edge whose token count `tokens` copies.
+  EdgeId add_edge(NodeId u, NodeId v, int tokens, double gamma = 1.0,
+                  EdgeId marking_source = graph::kNoEdge);
 
   const Digraph& graph() const { return g_; }
   std::size_t num_nodes() const { return g_.num_nodes(); }
@@ -44,6 +55,9 @@ class Tgmg {
   bool is_early(NodeId n) const { return kinds_[n] == NodeKind::kEarly; }
   int tokens(EdgeId e) const { return tokens_[e]; }
   double gamma(EdgeId e) const { return gammas_[e]; }
+  /// Provenance: the RRG edge a delay or marking copies, or kNoEdge.
+  EdgeId delay_source(NodeId n) const { return delay_sources_[n]; }
+  EdgeId marking_source(EdgeId e) const { return marking_sources_[e]; }
 
   /// Kind/probability sanity plus liveness of the marking.
   void validate() const;
@@ -57,6 +71,8 @@ class Tgmg {
   std::vector<NodeKind> kinds_;
   std::vector<int> tokens_;
   std::vector<double> gammas_;
+  std::vector<EdgeId> delay_sources_;
+  std::vector<EdgeId> marking_sources_;
 };
 
 /// Procedure 1: TGMG model of an RRG.
@@ -109,7 +125,9 @@ ThroughputLp build_throughput_lp(const Tgmg& tgmg);
 /// without an LP. An RRG with no early and no telescopic node gets the
 /// exact minimum cycle ratio of tokens over buffers (the quotient of the
 /// critical cycle's integer sums); any other gets `tgmg_policy_bound` of
-/// its refined TGMG. Throws InvalidInputError when unbounded (no cycle).
+/// its refined TGMG. Throws InvalidInputError when the RRG is invalid or
+/// the bound unbounded (no cycle). Computed by a one-off
+/// ConfigEvaluator (core/evaluator.hpp).
 double throughput_upper_bound(const Rrg& rrg);
 
 }  // namespace elrr

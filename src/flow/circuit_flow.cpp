@@ -18,10 +18,11 @@ namespace elrr::flow {
 namespace {
 
 /// Heuristic budget scaled to the instance: dense circuits get fewer
-/// probes. Each probe evaluates one configuration: a validated copy, its
-/// cycle time and its throughput bound (policy iteration, no LP). The
-/// tiers date from when that bound was a dense LP, ~quadratic in the
-/// edge count; they are kept as tuned so results do not move.
+/// probes. Each probe checks one configuration in O(V + E) and evaluates
+/// its cycle time and throughput bound (one policy iteration, no LP) on
+/// the search's reused ConfigEvaluator; no copy is made. The tiers date
+/// from when that bound was a dense LP, ~quadratic in the edge count;
+/// they are kept as tuned so results do not move.
 HeuristicOptions scaled_heuristic(const Rrg& rrg) {
   HeuristicOptions hopt;
   const std::size_t edges = rrg.num_edges();

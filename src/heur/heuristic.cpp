@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <limits>
+#include <unordered_map>
 
-#include "core/analysis.hpp"
+#include "core/evaluator.hpp"
 #include "graph/scc.hpp"
 #include "obs/trace.hpp"
 #include "retime/leiserson_saxe.hpp"
@@ -21,44 +24,73 @@ struct Candidate {
   RcEvaluation eval;
 };
 
+/// FNV-1a over a configuration's tokens and buffers: the memo's key.
+std::uint64_t config_hash(const RrConfig& config) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::vector<int>* v : {&config.tokens, &config.buffers}) {
+    for (int x : *v) {
+      h ^= static_cast<std::uint32_t>(x);
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
 class Search {
  public:
-  Search(const Rrg& rrg, const HeuristicOptions& options)
-      : rrg_(rrg), options_(options) {}
+  static constexpr int kExhausted = -1;  ///< a new configuration, no budget
+  static constexpr int kIllegal = -2;    ///< fails validate_config
 
+  Search(const Rrg& rrg, const HeuristicOptions& options,
+         const detail::ProbeObserver& observe)
+      : evaluator_(rrg), options_(options), observe_(observe) {}
+
+  const ConfigEvaluator& evaluator() const { return evaluator_; }
   int lp_evals() const { return lp_evals_; }
-  const std::vector<Candidate>& seen() const { return seen_; }
+  /// Every configuration evaluated so far; references stay valid.
+  const std::deque<Candidate>& seen() const { return seen_; }
 
   bool budget_left() const { return lp_evals_ < options_.max_lp_evals; }
 
-  /// Evaluates and memoizes a configuration; returns its index in
-  /// `seen()` or -1 when the LP budget is exhausted.
+  /// Index in `seen()` of `config`, checked and evaluated on first sight
+  /// (a memo hit was checked then): kIllegal when it is not a legal
+  /// configuration, kExhausted when it is new and the budget is spent.
   int probe(const RrConfig& config) {
-    for (std::size_t i = 0; i < seen_.size(); ++i) {
-      if (seen_[i].config == config) return static_cast<int>(i);
+    const std::uint64_t key = config_hash(config);
+    const auto [first, last] = memo_.equal_range(key);
+    for (auto it = first; it != last; ++it) {
+      if (seen_[it->second].config == config) return it->second;
     }
-    if (!budget_left()) return -1;
+    if (!evaluator_.check(config)) return kIllegal;
+    if (!budget_left()) return kExhausted;
     ++lp_evals_;
     Candidate c;
     c.config = config;
     {
       OBS_SPAN("heur.eval");
-      c.eval = evaluate_config(rrg_, config);
+      c.eval = evaluator_.evaluate(config);
     }
+    if (observe_) observe_(c.config, c.eval);
+    const int index = static_cast<int>(seen_.size());
     seen_.push_back(std::move(c));
-    return static_cast<int>(seen_.size()) - 1;
+    memo_.emplace(key, index);
+    return index;
   }
 
  private:
-  const Rrg& rrg_;
+  ConfigEvaluator evaluator_;
   const HeuristicOptions& options_;
-  std::vector<Candidate> seen_;
+  const detail::ProbeObserver& observe_;
+  std::deque<Candidate> seen_;
+  std::unordered_multimap<std::uint64_t, int> memo_;
   int lp_evals_ = 0;
 };
 
 /// Zero-buffer edges connecting consecutive nodes of the critical path.
-std::vector<EdgeId> critical_edges(const Rrg& rrg, const RrConfig& config) {
-  const CycleTimeResult ct = cycle_time(apply_config(rrg, config));
+std::vector<EdgeId> critical_edges(const Rrg& rrg,
+                                   const ConfigEvaluator& evaluator,
+                                   const RrConfig& config) {
+  const CycleTimeResult ct = evaluator.cycle_time(config);
   std::vector<EdgeId> edges;
   const Digraph& g = rrg.graph();
   for (std::size_t i = 0; i + 1 < ct.critical_path.size(); ++i) {
@@ -98,6 +130,13 @@ RrConfig retime_move(const Rrg& rrg, const RrConfig& config, NodeId n,
 }  // namespace
 
 HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options) {
+  return detail::heur_eff_cyc(rrg, options, {});
+}
+
+namespace detail {
+
+HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options,
+                             const ProbeObserver& observe) {
   OBS_SPAN("heur.eff_cyc");
   Stopwatch watch;
   rrg.validate();
@@ -105,7 +144,7 @@ HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options) {
                "the heuristic requires a strongly connected RRG");
   ELRR_REQUIRE(options.max_lp_evals > 0, "LP budget must be positive");
 
-  Search search(rrg, options);
+  Search search(rrg, options, observe);
 
   // --- seeds -------------------------------------------------------
   int best = search.probe(initial_config(rrg));
@@ -139,9 +178,10 @@ HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options) {
   const double beta_max = rrg.max_delay();
   std::vector<int> visited{cursor};
   for (int round = 0; round < options.max_bubble_rounds; ++round) {
-    const Candidate current = search.seen()[cursor];
+    const Candidate& current = search.seen()[cursor];
     if (current.eval.tau <= beta_max + 1e-9) break;
-    std::vector<EdgeId> edges = critical_edges(rrg, current.config);
+    std::vector<EdgeId> edges =
+        critical_edges(rrg, search.evaluator(), current.config);
     if (edges.empty()) break;
     if (static_cast<int>(edges.size()) > options.max_edges_per_round) {
       // Evenly spaced subsample so both ends of the path stay covered.
@@ -156,10 +196,9 @@ HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options) {
     }
     int round_best = -1;
     const auto consider = [&](const RrConfig& next) {
-      std::string why;
-      if (!validate_config(rrg, next, &why)) return true;
       const int idx = search.probe(next);
-      if (idx < 0) return false;  // budget exhausted
+      if (idx == Search::kIllegal) return true;
+      if (idx == Search::kExhausted) return false;
       if (round_best < 0 || search.seen()[idx].eval.xi_lp <
                                 search.seen()[round_best].eval.xi_lp) {
         round_best = idx;
@@ -194,14 +233,12 @@ HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options) {
   if (options.polish) {
     for (int round = 0; round < options.max_polish_rounds; ++round) {
       bool improved = false;
-      const Candidate pivot = search.seen()[best];
+      const Candidate& pivot = search.seen()[best];
       for (NodeId n = 0; n < rrg.num_nodes() && !improved; ++n) {
         for (int d : {1, -1}) {
-          const RrConfig moved = retime_move(rrg, pivot.config, n, d);
-          std::string why;
-          if (!validate_config(rrg, moved, &why)) continue;
-          const int idx = search.probe(moved);
-          if (idx < 0) break;
+          const int idx = search.probe(retime_move(rrg, pivot.config, n, d));
+          if (idx == Search::kIllegal) continue;
+          if (idx == Search::kExhausted) break;
           if (search.seen()[idx].eval.xi_lp <
               pivot.eval.xi_lp - 1e-12) {
             best = idx;
@@ -211,7 +248,7 @@ HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options) {
         }
       }
       for (EdgeId e = 0; e < rrg.num_edges() && !improved; ++e) {
-        const Candidate pivot2 = search.seen()[best];
+        const Candidate& pivot2 = search.seen()[best];
         const int floor =
             std::max(pivot2.config.tokens[e], 0);
         if (pivot2.config.buffers[e] <= floor) continue;
@@ -263,5 +300,7 @@ HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options) {
   result.seconds = watch.seconds();
   return result;
 }
+
+}  // namespace detail
 
 }  // namespace elrr

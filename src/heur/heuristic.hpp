@@ -25,10 +25,21 @@
 /// policy iteration otherwise), so heuristic and MILP results are
 /// directly comparable; the only thing given up is the MILP's proof of
 /// optimality per Pareto point.
+///
+/// What a probe costs: one search keeps one ConfigEvaluator
+/// (core/evaluator.hpp), built once per call. A probe looks its
+/// configuration up in the search's memo first (a hit was checked when
+/// first seen); a new one is checked for legality in O(V + E) (bounds,
+/// retiming reachability, liveness by certificate, no Bellman-Ford) and
+/// then evaluated: one longest path for tau and one policy iteration on
+/// the reused decision process for theta_lp. No RRG is copied and no
+/// graph or string is built per probe.
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
+#include "core/analysis.hpp"
 #include "core/opt.hpp"
 #include "core/rrg.hpp"
 
@@ -66,5 +77,16 @@ struct HeuristicResult {
 /// worse than the identity.
 HeuristicResult heur_eff_cyc(const Rrg& rrg,
                              const HeuristicOptions& options = {});
+
+namespace detail {
+/// Sees every configuration the search evaluates, in order, with its
+/// evaluation.
+using ProbeObserver =
+    std::function<void(const RrConfig&, const RcEvaluation&)>;
+/// heur_eff_cyc reporting its probes: how tests compare every evaluation
+/// of a search with the reference bound.
+HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options,
+                             const ProbeObserver& observe);
+}  // namespace detail
 
 }  // namespace elrr

@@ -20,10 +20,6 @@
 
 namespace elrr::obs {
 
-namespace detail {
-std::atomic<bool> g_armed{false};
-}  // namespace detail
-
 namespace {
 
 constexpr std::size_t kHistBuckets = 64;
@@ -66,7 +62,6 @@ struct State {
   std::size_t ring_capacity = 8192;
   std::uint32_t next_tid = 0;
   std::atomic<std::uint64_t> generation{0};
-  std::atomic<bool> export_on_exit{true};
   bool atexit_installed = false;
 };
 
@@ -175,7 +170,6 @@ double hist_percentile_s(const Hist& h, double q) {
 
 void atexit_export() {
   State& s = state();
-  if (!s.export_on_exit.load(std::memory_order_relaxed)) return;
   std::string path;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
@@ -193,6 +187,8 @@ void atexit_export() {
 }  // namespace
 
 namespace detail {
+
+std::atomic<bool> g_armed{false};
 
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -303,10 +299,6 @@ std::size_t ring_capacity() {
   State& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
   return s.ring_capacity;
-}
-
-void set_export_on_exit(bool on) {
-  state().export_on_exit.store(on, std::memory_order_relaxed);
 }
 
 std::string expand_trace_path(const std::string& path) {

@@ -174,10 +174,6 @@ const std::string& trace_path();
 /// Per-thread ring capacity currently in force.
 std::size_t ring_capacity();
 
-/// Whether the atexit hook (installed by configure_from_env for a
-/// non-empty ELRR_TRACE) actually writes. Default on.
-void set_export_on_exit(bool on);
-
 /// Expands `%p` to the pid. Applied by write_trace and the atexit hook.
 std::string expand_trace_path(const std::string& path);
 

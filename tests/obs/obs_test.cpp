@@ -46,9 +46,6 @@ class ObsTest : public ::testing::Test {
   void SetUp() override {
     ::unsetenv("ELRR_TRACE");
     ::unsetenv("ELRR_OBS_BUF");
-    // This binary never wants the atexit trace write a
-    // configure_from_env test may have installed.
-    set_export_on_exit(false);
     reset();
   }
   void TearDown() override {

@@ -52,14 +52,14 @@ PM_DIR=$(abs_dir "$BUILD_DIR/postmortems")
 
 echo "== [1/3] Release build + ctest -L sim|svc|chaos|lp|obs (traced) =="
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j --target elrr elrr_sim_tests elrr_svc_tests elrr_chaos_tests elrr_lp_tests elrr_obs_tests
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target elrr elrr_sim_tests elrr_svc_tests elrr_chaos_tests elrr_lp_tests elrr_obs_tests
 ELRR_TRACE="$GATE_TRACE" ELRR_POSTMORTEM_DIR="$PM_DIR" \
-  ctest --test-dir "$BUILD_DIR" -L 'sim|svc|chaos|lp|obs' --output-on-failure -j
+  ctest --test-dir "$BUILD_DIR" -L 'sim|svc|chaos|lp|obs' --output-on-failure -j "$(nproc)"
 
 echo "== [2/3] host-tuned (-march=native) Release build + ctest -L lp =="
 cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DELRR_NATIVE=ON
-cmake --build "$NATIVE_BUILD_DIR" -j --target elrr_lp_tests
-ctest --test-dir "$NATIVE_BUILD_DIR" -L lp --output-on-failure -j
+cmake --build "$NATIVE_BUILD_DIR" -j "$(nproc)" --target elrr_lp_tests
+ctest --test-dir "$NATIVE_BUILD_DIR" -L lp --output-on-failure -j "$(nproc)"
 
 if [ "${ELRR_SKIP_SANITIZE:-0}" = "1" ]; then
   echo "== [3/3] sanitizer sweep skipped (ELRR_SKIP_SANITIZE=1) =="
@@ -67,10 +67,10 @@ else
   echo "== [3/3] ASan/UBSan ctest -L sim|svc|lp|obs (traced) =="
   cmake -B "$ASAN_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DELRR_SANITIZE=address,undefined
-  cmake --build "$ASAN_BUILD_DIR" -j --target elrr_sim_tests elrr_svc_tests elrr_lp_tests elrr_obs_tests
+  cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target elrr_sim_tests elrr_svc_tests elrr_lp_tests elrr_obs_tests
   ELRR_TRACE="$(abs_dir "$ASAN_BUILD_DIR/obs_traces")/trace-%p.json" \
     ELRR_POSTMORTEM_DIR=$(abs_dir "$ASAN_BUILD_DIR/postmortems") \
-    ctest --test-dir "$ASAN_BUILD_DIR" -L 'sim|svc|lp|obs' --output-on-failure -j
+    ctest --test-dir "$ASAN_BUILD_DIR" -L 'sim|svc|lp|obs' --output-on-failure -j "$(nproc)"
 fi
 
 echo "gate: all green"
