@@ -179,14 +179,21 @@ ConfigEvaluator::ConfigEvaluator(const Rrg& rrg) : checker_(rrg) {
   }
 }
 
+std::optional<NodeId> ConfigEvaluator::longest_path(
+    const RrConfig& config) const {
+  return graph::longest_path(
+      checker_.rrg().graph(), delays_,
+      [&](EdgeId e) { return config.buffers[e] == 0; }, path_);
+}
+
 CycleTimeResult ConfigEvaluator::cycle_time(const RrConfig& config) const {
-  const auto res =
-      graph::longest_path(checker_.rrg().graph(), delays_,
-                          [&](EdgeId e) { return config.buffers[e] == 0; });
+  const std::optional<NodeId> sink = longest_path(config);
   CycleTimeResult out;
-  out.valid = res.is_dag;
-  out.tau = res.max_arrival;
-  out.critical_path = res.critical_path;
+  out.valid = sink.has_value();
+  if (out.valid && *sink != graph::kNoNode) {
+    out.tau = path_.arrival[*sink];
+    out.critical_path = graph::critical_path(path_, *sink);
+  }
   return out;
 }
 
@@ -202,9 +209,9 @@ double ConfigEvaluator::theta_lp(const RrConfig& config) const {
 
 RcEvaluation ConfigEvaluator::evaluate(const RrConfig& config) const {
   RcEvaluation eval;
-  const CycleTimeResult ct = cycle_time(config);
-  ELRR_ASSERT(ct.valid, "live RRG cannot have a zero-buffer cycle");
-  eval.tau = ct.tau;
+  const std::optional<NodeId> sink = longest_path(config);
+  ELRR_ASSERT(sink.has_value(), "live RRG cannot have a zero-buffer cycle");
+  eval.tau = *sink != graph::kNoNode ? path_.arrival[*sink] : 0.0;
   eval.theta_lp = theta_lp(config);
   eval.xi_lp = effective_cycle_time(eval.tau, eval.theta_lp);
   return eval;

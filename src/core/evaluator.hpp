@@ -36,6 +36,7 @@
 /// was built from may change afterwards.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +44,7 @@
 #include "core/analysis.hpp"
 #include "core/rrg.hpp"
 #include "graph/digraph.hpp"
+#include "graph/topo.hpp"
 
 namespace elrr {
 
@@ -109,8 +111,13 @@ class ConfigEvaluator {
   double theta_lp(const RrConfig& config) const;
 
  private:
+  /// Longest path over the configuration's zero-buffer edges into
+  /// path_: its sink, or std::nullopt for a zero-buffer cycle.
+  std::optional<NodeId> longest_path(const RrConfig& config) const;
+
   ConfigChecker checker_;
   std::vector<double> delays_;  ///< RRG node delays (cycle time)
+  mutable graph::LongestPathScratch path_;
   /// The decision process: graph, per-edge probability, random nodes.
   graph::Digraph g_;
   std::vector<double> prob_;

@@ -33,44 +33,24 @@ std::optional<std::vector<NodeId>> topological_order(const Digraph& g,
 LongestPathResult longest_path(const Digraph& g,
                                const std::vector<double>& node_weight,
                                const EdgeFilter& keep) {
-  ELRR_REQUIRE(node_weight.size() == g.num_nodes(),
-               "node weight vector size mismatch");
+  LongestPathScratch s;
+  const std::optional<NodeId> sink = longest_path(g, node_weight, keep, s);
   LongestPathResult result;
-  const auto order = topological_order(g, keep);
-  if (!order) return result;  // is_dag stays false
-
+  if (!sink) return result;  // is_dag stays false
   result.is_dag = true;
-  const std::size_t n = g.num_nodes();
-  result.arrival.assign(n, 0.0);
-  std::vector<NodeId> pred(n, kNoNode);
-
-  for (NodeId v : *order) {
-    double best_in = 0.0;
-    for (EdgeId e : g.in_edges(v)) {
-      if (!keep(e)) continue;
-      const NodeId u = g.src(e);
-      if (result.arrival[u] > best_in) {
-        best_in = result.arrival[u];
-        pred[v] = u;
-      }
-    }
-    result.arrival[v] = node_weight[v] + best_in;
+  if (*sink != kNoNode) {
+    result.max_arrival = s.arrival[*sink];
+    result.critical_path = critical_path(s, *sink);
   }
-
-  NodeId sink = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (result.arrival[v] > result.arrival[sink]) sink = v;
-  }
-  result.max_arrival = n > 0 ? result.arrival[sink] : 0.0;
-
-  // Backtrace one critical path.
-  if (n > 0) {
-    for (NodeId v = sink; v != kNoNode; v = pred[v]) {
-      result.critical_path.push_back(v);
-    }
-    std::reverse(result.critical_path.begin(), result.critical_path.end());
-  }
+  result.arrival = std::move(s.arrival);
   return result;
+}
+
+std::vector<NodeId> critical_path(const LongestPathScratch& s, NodeId sink) {
+  std::vector<NodeId> path;
+  for (NodeId v = sink; v != kNoNode; v = s.pred[v]) path.push_back(v);
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 }  // namespace elrr::graph

@@ -157,7 +157,10 @@ HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options,
     return true;
   }();
   if (classical) {
-    const retime::RetimingResult ls = retime::min_period_retiming(rrg);
+    const retime::RetimingResult ls = [&] {
+      OBS_SPAN("heur.seed");
+      return retime::min_period_retiming(rrg);
+    }();
     const int idx = search.probe(apply_retiming(rrg, ls.r, false));
     if (idx >= 0 &&
         search.seen()[idx].eval.xi_lp < search.seen()[best].eval.xi_lp) {

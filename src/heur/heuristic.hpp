@@ -9,7 +9,11 @@
 /// The search combines three cheap ingredients, none of which needs
 /// branch & bound:
 ///  1. seeds: the identity configuration and (when all token counts are
-///     non-negative) the classical Leiserson-Saxe min-period retiming;
+///     non-negative) the classical Leiserson-Saxe min-period retiming
+///     (retime/leiserson_saxe.hpp; traced as `heur.seed`). One call
+///     builds the W/D matrices and one constraint system for every
+///     candidate period, then binary-searches the periods with warm,
+///     incremental feasibility solves;
 ///  2. a greedy *recycling walk*: repeatedly insert the bubble on the
 ///     current critical combinational path that minimizes the resulting
 ///     xi_lp, recording every configuration visited (this sweeps the
@@ -31,9 +35,9 @@
 /// configuration up in the search's memo first (a hit was checked when
 /// first seen); a new one is checked for legality in O(V + E) (bounds,
 /// retiming reachability, liveness by certificate, no Bellman-Ford) and
-/// then evaluated: one longest path for tau and one policy iteration on
-/// the reused decision process for theta_lp. No RRG is copied and no
-/// graph or string is built per probe.
+/// then evaluated: one longest path for tau, in the evaluator's reused
+/// arrays, and one policy iteration on the reused decision process for
+/// theta_lp. No RRG is copied and no graph or string is built per probe.
 
 #include <cstddef>
 #include <functional>

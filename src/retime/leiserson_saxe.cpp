@@ -1,11 +1,10 @@
 #include "retime/leiserson_saxe.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
-#include "graph/bellman_ford.hpp"
-#include "graph/topo.hpp"
 #include "support/error.hpp"
 
 namespace elrr::retime {
@@ -82,73 +81,189 @@ WdMatrices compute_wd(const Rrg& rrg) {
   return wd;
 }
 
-/// Bellman-Ford feasibility of the L&S constraint system for period P.
-std::optional<std::vector<int>> ls_feasible(const Rrg& rrg,
-                                            const WdMatrices& wd, double period) {
+/// The Leiserson-Saxe constraint systems of every candidate period as
+/// one arc set. Constraint r(u) - r(v) <= c is the arc v -> u of weight
+/// c (a potential x satisfies it when x(u) <= x(v) + c). The arcs leaving
+/// each tail are stored contiguously: the RRG's edges first, binding at
+/// every period, then the W/D pair arcs in descending D. Pair (u, v)
+/// binds at period P iff D(u, v) > P, i.e. iff the rank of its D among
+/// the candidate periods exceeds the probed candidate's index, so the
+/// system of a candidate is each tail's prefix of arcs above that index.
+class ConstraintSystem {
+ public:
+  ConstraintSystem(const Rrg& rrg, const WdMatrices& wd);
+
+  /// The distinct D values, ascending: the optimum period is one of them.
+  const std::vector<double>& candidates() const { return candidates_; }
+
+  /// Is the system of candidate `c` feasible? Each call warm-starts from
+  /// the potential of the latest feasible call (initially 0, the solution
+  /// at the largest candidate: no pair binds there and the RRG's arcs
+  /// weigh tokens >= 0). A binary search only probes below its feasible
+  /// end, so `c` binds a superset of that potential's arcs, and the
+  /// potential, made of path lengths of the new system, bounds its
+  /// shortest distances from above. Bellman-Ford-Moore (a FIFO queue of
+  /// changed nodes, counted in rounds) then converges to the same unique
+  /// shortest distances from a virtual source as a cold solve; that
+  /// vector becomes the held potential. A cycle of predecessor links is
+  /// always negative, whatever the start, and ends an infeasible call at
+  /// the round that closes it; more than n rounds is the backstop.
+  bool solve(std::size_t c);
+
+  /// The potential of the latest feasible call.
+  const std::vector<std::int64_t>& potential() const { return warm_; }
+
+ private:
+  static constexpr std::uint32_t kAlways =
+      std::numeric_limits<std::uint32_t>::max();
+
+  struct Arc {
+    NodeId head;
+    std::uint32_t rank;  ///< binds at candidate c iff rank > c
+    std::int64_t weight;
+  };
+
+  bool has_predecessor_cycle();
+
+  std::vector<double> candidates_;
+  /// The arcs of tail t are arcs_[begin_[t]] .. arcs_[begin_[t + 1] - 1];
+  /// those binding at warm_ end at warm_end_[t].
+  std::vector<std::size_t> begin_;
+  std::vector<Arc> arcs_;
+  std::vector<std::size_t> warm_end_;
+  std::vector<std::int64_t> warm_;
+  std::vector<std::int64_t> dist_;
+  std::vector<NodeId> pred_;
+  std::vector<NodeId> queue_;
+  std::vector<NodeId> next_;
+  std::vector<std::uint8_t> queued_;
+  std::vector<NodeId> mark_;
+};
+
+ConstraintSystem::ConstraintSystem(const Rrg& rrg, const WdMatrices& wd) {
   const std::size_t n = rrg.num_nodes();
-  // Constraint graph: edge (u -> v) weight c encodes r(u) - r(v) <= c,
-  // i.e. in difference-constraint form x(v')... we use the convention of
-  // graph::solve_difference_constraints: x(dst) - x(src) <= w. Writing
-  // r(u) - r(v) <= c as edge src=v, dst=u with weight c.
-  Digraph cg(n);
-  std::vector<std::int64_t> weights;
-  const Digraph& g = rrg.graph();
-  for (EdgeId e = 0; e < rrg.num_edges(); ++e) {
-    // r(u) - r(v) <= tokens(e)
-    cg.add_edge(g.dst(e), g.src(e));
-    weights.push_back(rrg.tokens(e));
-  }
+  struct Pair {
+    double d;
+    NodeId u;
+    NodeId v;
+    std::int64_t w;
+  };
+  std::vector<Pair> pairs;
   for (std::size_t u = 0; u < n; ++u) {
     for (std::size_t v = 0; v < n; ++v) {
       if (wd.W(u, v) >= kInfW) continue;
-      if (wd.D(u, v) > period) {
-        // r(u) - r(v) <= W(u, v) - 1
-        cg.add_edge(static_cast<NodeId>(v), static_cast<NodeId>(u));
-        weights.push_back(wd.W(u, v) - 1);
-      }
+      pairs.push_back({wd.D(u, v), static_cast<NodeId>(u),
+                       static_cast<NodeId>(v), wd.W(u, v)});
     }
   }
-  const auto sol = graph::solve_difference_constraints(cg, weights);
-  if (!sol.feasible) return std::nullopt;
-  std::vector<int> r(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    r[v] = static_cast<int>(sol.potential[v]);
+  std::sort(pairs.begin(), pairs.end(),
+            [](const Pair& a, const Pair& b) { return a.d < b.d; });
+  std::vector<std::uint32_t> rank(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (i == 0 || pairs[i].d != pairs[i - 1].d) {
+      candidates_.push_back(pairs[i].d);
+    }
+    rank[i] = static_cast<std::uint32_t>(candidates_.size() - 1);
   }
-  return r;
+
+  const Digraph& g = rrg.graph();
+  begin_.assign(n + 1, 0);
+  for (EdgeId e = 0; e < rrg.num_edges(); ++e) ++begin_[g.dst(e) + 1];
+  for (const Pair& p : pairs) ++begin_[p.v + 1];
+  for (std::size_t t = 0; t < n; ++t) begin_[t + 1] += begin_[t];
+  arcs_.resize(begin_[n]);
+  std::vector<std::size_t> fill(begin_.begin(), begin_.end() - 1);
+  // r(src) - r(dst) <= tokens(e)
+  for (EdgeId e = 0; e < rrg.num_edges(); ++e) {
+    arcs_[fill[g.dst(e)]++] = {g.src(e), kAlways, rrg.tokens(e)};
+  }
+  warm_end_ = fill;
+  // r(u) - r(v) <= W(u, v) - 1 while D(u, v) > P; in descending D.
+  for (std::size_t i = pairs.size(); i-- > 0;) {
+    const Pair& p = pairs[i];
+    arcs_[fill[p.v]++] = {p.u, rank[i], p.w - 1};
+  }
+
+  warm_.assign(n, 0);
+  dist_.resize(n);
+  pred_.resize(n);
+  queued_.resize(n);
+  mark_.resize(n);
+}
+
+bool ConstraintSystem::solve(std::size_t c) {
+  const std::size_t n = warm_.size();
+  dist_ = warm_;
+  std::fill(pred_.begin(), pred_.end(), graph::kNoNode);
+  std::fill(queued_.begin(), queued_.end(), 0);
+  // Only a tail with a newly binding arc can violate the warm potential.
+  queue_.clear();
+  for (NodeId t = 0; t < n; ++t) {
+    if (warm_end_[t] < begin_[t + 1] && arcs_[warm_end_[t]].rank > c) {
+      queue_.push_back(t);
+      queued_[t] = 1;
+    }
+  }
+  for (std::size_t round = 1; !queue_.empty(); ++round) {
+    if (round > n) return false;
+    next_.clear();
+    for (const NodeId t : queue_) {
+      queued_[t] = 0;
+      for (std::size_t i = begin_[t]; i < begin_[t + 1] && arcs_[i].rank > c;
+           ++i) {
+        const Arc& arc = arcs_[i];
+        const std::int64_t d = dist_[t] + arc.weight;
+        if (d < dist_[arc.head]) {
+          dist_[arc.head] = d;
+          pred_[arc.head] = t;
+          if (queued_[arc.head] == 0) {
+            queued_[arc.head] = 1;
+            next_.push_back(arc.head);
+          }
+        }
+      }
+    }
+    if (has_predecessor_cycle()) return false;
+    queue_.swap(next_);
+  }
+  warm_.swap(dist_);
+  for (NodeId t = 0; t < n; ++t) {
+    while (warm_end_[t] < begin_[t + 1] && arcs_[warm_end_[t]].rank > c) {
+      ++warm_end_[t];
+    }
+  }
+  return true;
+}
+
+/// O(n): each node is marked by the first walk up the links that
+/// reaches it; a walk that meets its own mark has closed a cycle.
+bool ConstraintSystem::has_predecessor_cycle() {
+  std::fill(mark_.begin(), mark_.end(), graph::kNoNode);
+  for (NodeId s = 0; s < mark_.size(); ++s) {
+    NodeId v = s;
+    while (v != graph::kNoNode && mark_[v] == graph::kNoNode) {
+      mark_[v] = s;
+      v = pred_[v];
+    }
+    if (v != graph::kNoNode && mark_[v] == s) return true;
+  }
+  return false;
 }
 
 }  // namespace
 
-double retimed_cycle_time(const Rrg& rrg, const std::vector<int>& r) {
-  const RrConfig config = apply_retiming(rrg, r);
-  std::string why;
-  ELRR_REQUIRE(validate_config(rrg, config, &why), "invalid retiming: ", why);
-  return cycle_time(apply_config(rrg, config)).tau;
-}
-
 RetimingResult min_period_retiming(const Rrg& rrg) {
   check_preconditions(rrg);
-  const WdMatrices wd = compute_wd(rrg);
-
-  // Candidate periods: the distinct D values (the optimum is one of them).
-  std::vector<double> candidates;
-  candidates.reserve(wd.d.size());
-  for (std::size_t i = 0; i < wd.d.size(); ++i) {
-    if (wd.w[i] < kInfW) candidates.push_back(wd.d[i]);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  ConstraintSystem system(rrg, compute_wd(rrg));
+  const std::vector<double>& candidates = system.candidates();
   ELRR_ASSERT(!candidates.empty(), "no candidate periods");
 
-  // Binary search for the smallest feasible candidate.
+  // Binary search for the smallest feasible candidate; the largest is
+  // feasible without a solve (see ConstraintSystem::solve).
   std::size_t lo = 0, hi = candidates.size() - 1;
-  ELRR_REQUIRE(ls_feasible(rrg, wd, candidates[hi]).has_value(),
-               "retiming infeasible even at the largest candidate period -- "
-               "is the RRG live?");
   while (lo < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    if (ls_feasible(rrg, wd, candidates[mid]).has_value()) {
+    if (system.solve(mid)) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -156,52 +271,8 @@ RetimingResult min_period_retiming(const Rrg& rrg) {
   }
   RetimingResult result;
   result.period = candidates[lo];
-  result.r = *ls_feasible(rrg, wd, candidates[lo]);
+  result.r.assign(system.potential().begin(), system.potential().end());
   return result;
-}
-
-bool feasible_period(const Rrg& rrg, double period, std::vector<int>* r_out) {
-  check_preconditions(rrg);
-  const std::size_t n = rrg.num_nodes();
-  const Digraph& g = rrg.graph();
-
-  // FEAS: iteratively increment r(v) for nodes whose arrival exceeds P.
-  std::vector<int> r(n, 0);
-  for (std::size_t round = 0; round + 1 < n || round == 0; ++round) {
-    // Arrival times in the retimed graph.
-    const RrConfig config = apply_retiming(rrg, r);
-    for (EdgeId e = 0; e < rrg.num_edges(); ++e) {
-      if (config.tokens[e] < 0) return false;  // left the classical domain
-    }
-    const Rrg retimed = apply_config(rrg, config);
-    const CycleTimeResult ct = cycle_time(retimed);
-    if (!ct.valid) return false;
-    if (ct.tau <= period + 1e-12) {
-      if (r_out != nullptr) *r_out = r;
-      return true;
-    }
-    // Increment the lagging nodes.
-    std::vector<double> delays;
-    delays.reserve(n);
-    for (NodeId v = 0; v < n; ++v) delays.push_back(rrg.delay(v));
-    const auto arrivals = graph::longest_path(
-        g, delays, [&](EdgeId e) { return config.tokens[e] == 0; });
-    ELRR_ASSERT(arrivals.is_dag, "retimed graph has a register-free cycle");
-    for (std::size_t v = 0; v < n; ++v) {
-      if (arrivals.arrival[v] > period + 1e-12) ++r[v];
-    }
-  }
-  // One final check after |V| - 1 rounds.
-  const RrConfig config = apply_retiming(rrg, r);
-  for (EdgeId e = 0; e < rrg.num_edges(); ++e) {
-    if (config.tokens[e] < 0) return false;
-  }
-  const CycleTimeResult ct = cycle_time(apply_config(rrg, config));
-  if (ct.valid && ct.tau <= period + 1e-12) {
-    if (r_out != nullptr) *r_out = r;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace elrr::retime

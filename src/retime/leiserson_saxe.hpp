@@ -6,19 +6,28 @@
 ///
 /// Used as
 ///  * the min-delay retiming baseline of the paper (tau_nee often equals
-///    it; MIN_CYC(1) must agree with it -- tested), and
+///    it; MIN_CYC(1) must agree with it -- tested),
+///  * the classical seed of the heuristic (heur/heuristic.hpp), and
 ///  * an independent combinatorial oracle for the MILP path constraints.
 ///
-/// Two implementations are provided and cross-checked:
-///  * OPT: W/D matrices (lexicographic Floyd-Warshall) + binary search
-///    over candidate periods + Bellman-Ford feasibility;
-///  * FEAS: the iterative clock-period relaxation algorithm.
+/// The algorithm is OPT: W/D matrices (lexicographic Floyd-Warshall),
+/// then a binary search over the candidate periods (the distinct D
+/// values) with a difference-constraint feasibility test. One call
+/// builds one constraint system for all periods, sorted once by D, and
+/// solves it incrementally: each probe warm-starts Bellman-Ford-Moore
+/// from the potential of the latest feasible probe and stops at the
+/// first negative cycle of its predecessor links. The retiming returned
+/// is the unique vector of shortest distances of the optimum period's
+/// system, the one a cold Bellman-Ford solve of that system returns.
+///
+/// The tests cross-check it against FEAS, the iterative clock-period
+/// relaxation algorithm, and against OPT with one cold solve per period
+/// (tests/retime/oracles.hpp).
 ///
 /// Restrictions: token counts must be non-negative (classical registers;
 /// anti-tokens are an elastic-only concept) and the graph must have at
 /// least one node.
 
-#include <optional>
 #include <vector>
 
 #include "core/rrg.hpp"
@@ -31,16 +40,7 @@ struct RetimingResult {
 };
 
 /// Minimum achievable clock period over all retimings, with a witness
-/// retiming vector (OPT-style algorithm).
+/// retiming vector.
 RetimingResult min_period_retiming(const Rrg& rrg);
-
-/// Is clock period `period` achievable by retiming? If so and `r` is
-/// non-null, stores a witness (FEAS algorithm).
-bool feasible_period(const Rrg& rrg, double period,
-                     std::vector<int>* r = nullptr);
-
-/// The cycle time of the RRG after applying retiming vector `r` with
-/// buffers equal to max(tokens', 0) -- the quantity both algorithms bound.
-double retimed_cycle_time(const Rrg& rrg, const std::vector<int>& r);
 
 }  // namespace elrr::retime

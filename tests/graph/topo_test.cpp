@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 namespace elrr::graph {
 namespace {
@@ -86,6 +88,48 @@ TEST(LongestPath, MultiEdgeTakesMax) {
   ASSERT_TRUE(res.is_dag);
   EXPECT_DOUBLE_EQ(res.max_arrival, 7.0);  // 0 -> 1 -> 2
   EXPECT_EQ(res.critical_path, (std::vector<NodeId>{0, 1, 2}));
+}
+
+TEST(LongestPath, TiesGoToTheFirstInEdgeAndTheFirstSink) {
+  // Two equal diamonds: node 3 reaches arrival 3 through 1 and through
+  // 2, and so does node 4. The critical path takes the first in-edge of
+  // maximum arrival and ends at the first node of maximum arrival.
+  Digraph g(5);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(2, 3);
+  g.add_edge(1, 3);
+  g.add_edge(1, 4);
+  g.add_edge(2, 4);
+  const auto res = longest_path(g, {1.0, 1.0, 1.0, 1.0, 1.0}, kAll);
+  ASSERT_TRUE(res.is_dag);
+  EXPECT_DOUBLE_EQ(res.max_arrival, 3.0);
+  EXPECT_EQ(res.critical_path, (std::vector<NodeId>{0, 2, 3}));
+}
+
+TEST(LongestPath, ReusedScratchGivesTheSameBits) {
+  // One scratch across graphs of different sizes and filters: every
+  // call returns what a fresh longest_path returns.
+  LongestPathScratch scratch;
+  for (std::size_t n = 1; n <= 6; ++n) {
+    Digraph g(n);
+    std::vector<double> delay;
+    for (NodeId v = 0; v < n; ++v) {
+      delay.push_back(0.5 + static_cast<double>((v * 7) % 3));
+      for (NodeId w = v + 1; w < n; ++w) g.add_edge(v, w);
+    }
+    if (n > 1) g.add_edge(static_cast<NodeId>(n - 1), 0);
+    for (const bool acyclic : {true, false}) {
+      const auto keep = [&](EdgeId e) { return !acyclic || g.dst(e) != 0; };
+      const auto want = longest_path(g, delay, keep);
+      const std::optional<NodeId> sink = longest_path(g, delay, keep, scratch);
+      ASSERT_EQ(sink.has_value(), want.is_dag);
+      if (!sink) continue;
+      EXPECT_EQ(scratch.arrival, want.arrival);
+      EXPECT_EQ(scratch.arrival[*sink], want.max_arrival);
+      EXPECT_EQ(critical_path(scratch, *sink), want.critical_path);
+    }
+  }
 }
 
 }  // namespace

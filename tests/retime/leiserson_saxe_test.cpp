@@ -4,6 +4,7 @@
 
 #include "core/figures.hpp"
 #include "core/opt.hpp"
+#include "tests/retime/oracles.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -11,31 +12,6 @@ namespace elrr::retime {
 namespace {
 
 using namespace figures;
-
-/// The correlator example from the Leiserson-Saxe paper: a host (delay 0),
-/// three comparators (delay 3) and three adders (delay 7) in the classic
-/// ring; optimal period 13 (down from 24).
-Rrg correlator() {
-  Rrg rrg;
-  const NodeId host = rrg.add_node("host", 0.0);
-  const NodeId d1 = rrg.add_node("d1", 3.0);
-  const NodeId d2 = rrg.add_node("d2", 3.0);
-  const NodeId d3 = rrg.add_node("d3", 3.0);
-  const NodeId p1 = rrg.add_node("p1", 7.0);
-  const NodeId p2 = rrg.add_node("p2", 7.0);
-  const NodeId p3 = rrg.add_node("p3", 7.0);
-  rrg.add_edge(host, d1, 1, 1);
-  rrg.add_edge(d1, d2, 1, 1);
-  rrg.add_edge(d2, d3, 1, 1);
-  rrg.add_edge(d1, p1, 0, 0);
-  rrg.add_edge(d2, p2, 0, 0);
-  rrg.add_edge(d3, p3, 0, 0);
-  rrg.add_edge(p3, p2, 0, 0);
-  rrg.add_edge(p2, p1, 0, 0);
-  rrg.add_edge(p1, host, 0, 0);
-  rrg.validate();
-  return rrg;
-}
 
 TEST(LeisersonSaxe, CorrelatorOptimalPeriodIs13) {
   const Rrg rrg = correlator();

@@ -2,11 +2,12 @@
 # tools/bench_gate.sh -- the one-command correctness gate.
 #
 # Runs, in order:
-#   1. Release build + the `sim`/`svc`/`chaos`/`lp`/`obs`-labelled ctest
-#      suites (kernel/driver/fleet differential tests, the batch
+#   1. Release build + the `sim`/`svc`/`chaos`/`lp`/`obs`/`heur`-labelled
+#      ctest suites (kernel/driver/fleet differential tests, the batch
 #      scheduler suite, the fail-point chaos harness, the LP/MILP solver
-#      suite with its warm-vs-cold session differentials, and the
-#      tracing/metrics suite). The ctest runs are traced: ELRR_TRACE
+#      suite with its warm-vs-cold session differentials, the
+#      tracing/metrics suite, and the heuristic/retiming/graph suite with
+#      its bit-exact pins). The ctest runs are traced: ELRR_TRACE
 #      is exported to every test process, and any written trace lands
 #      in $BUILD_DIR/obs_traces/ -- a CI failure artifact;
 #   2. the `lp` suite once more in a host-tuned Release build
@@ -17,11 +18,12 @@
 #      `a -= c * b` into fused multiply-adds, even in ISO C++20 mode, and
 #      the pivots' low bits move. This step fails if that flag is dropped;
 #   3. an ASan/UBSan build (-DELRR_SANITIZE=address,undefined) of the
-#      `sim` + `svc` + `lp` + `obs` suites (the scheduler/fleet sharing,
-#      the failure-unwind paths, the MILP session's persistent tableau
-#      snapshots, the parent snapshots branch & bound nodes share, and
-#      the obs ring buffers' lock-free publish are the
-#      lifetime-bug honeypots).
+#      `sim` + `svc` + `lp` + `obs` + `heur` suites (the scheduler/fleet
+#      sharing, the failure-unwind paths, the MILP session's persistent
+#      tableau snapshots, the parent snapshots branch & bound nodes
+#      share, the obs ring buffers' lock-free publish, and the
+#      heuristic's reused evaluator scratch and Leiserson-Saxe arc/queue
+#      indexing are the lifetime-bug honeypots).
 #
 # Step 3 is skipped with ELRR_SKIP_SANITIZE=1 (e.g. on machines without
 # the sanitizer runtimes). No step gates on wall clock: performance is
@@ -50,11 +52,11 @@ GATE_TRACE="$TRACE_DIR/trace-%p.json"
 # behavior manage the env themselves.
 PM_DIR=$(abs_dir "$BUILD_DIR/postmortems")
 
-echo "== [1/3] Release build + ctest -L sim|svc|chaos|lp|obs (traced) =="
+echo "== [1/3] Release build + ctest -L sim|svc|chaos|lp|obs|heur (traced) =="
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target elrr elrr_sim_tests elrr_svc_tests elrr_chaos_tests elrr_lp_tests elrr_obs_tests
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target elrr elrr_sim_tests elrr_svc_tests elrr_chaos_tests elrr_lp_tests elrr_obs_tests elrr_heur_tests
 ELRR_TRACE="$GATE_TRACE" ELRR_POSTMORTEM_DIR="$PM_DIR" \
-  ctest --test-dir "$BUILD_DIR" -L 'sim|svc|chaos|lp|obs' --output-on-failure -j "$(nproc)"
+  ctest --test-dir "$BUILD_DIR" -L 'sim|svc|chaos|lp|obs|heur' --output-on-failure -j "$(nproc)"
 
 echo "== [2/3] host-tuned (-march=native) Release build + ctest -L lp =="
 cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DELRR_NATIVE=ON
@@ -64,13 +66,13 @@ ctest --test-dir "$NATIVE_BUILD_DIR" -L lp --output-on-failure -j "$(nproc)"
 if [ "${ELRR_SKIP_SANITIZE:-0}" = "1" ]; then
   echo "== [3/3] sanitizer sweep skipped (ELRR_SKIP_SANITIZE=1) =="
 else
-  echo "== [3/3] ASan/UBSan ctest -L sim|svc|lp|obs (traced) =="
+  echo "== [3/3] ASan/UBSan ctest -L sim|svc|lp|obs|heur (traced) =="
   cmake -B "$ASAN_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DELRR_SANITIZE=address,undefined
-  cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target elrr_sim_tests elrr_svc_tests elrr_lp_tests elrr_obs_tests
+  cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target elrr_sim_tests elrr_svc_tests elrr_lp_tests elrr_obs_tests elrr_heur_tests
   ELRR_TRACE="$(abs_dir "$ASAN_BUILD_DIR/obs_traces")/trace-%p.json" \
     ELRR_POSTMORTEM_DIR=$(abs_dir "$ASAN_BUILD_DIR/postmortems") \
-    ctest --test-dir "$ASAN_BUILD_DIR" -L 'sim|svc|lp|obs' --output-on-failure -j "$(nproc)"
+    ctest --test-dir "$ASAN_BUILD_DIR" -L 'sim|svc|lp|obs|heur' --output-on-failure -j "$(nproc)"
 fi
 
 echo "gate: all green"
