@@ -1,13 +1,11 @@
 #include "lp/milp.hpp"
 
-#include "lp/presolve.hpp"
 #include "lp/session.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "support/failpoint.hpp"
-#include "support/stopwatch.hpp"
 
 namespace elrr::lp {
 
@@ -30,88 +28,13 @@ double MilpResult::gap() const {
   return std::abs(objective - best_bound) / denom;
 }
 
-namespace detail {
-
-MilpResult solve_milp_impl(const Model& model, const MilpOptions& options) {
-  if (options.presolve) {
-    const Presolved pre = presolve(model);
-    MilpOptions inner = options;
-    inner.presolve = false;
-    if (pre.infeasible) {
-      MilpResult result;
-      result.status = MilpStatus::kInfeasible;
-      return result;
-    }
-    // Cutoffs live in objective space; shift them into the reduced one.
-    if (std::isfinite(inner.target_obj)) inner.target_obj -= pre.obj_offset;
-    if (std::isfinite(inner.futile_bound)) {
-      inner.futile_bound -= pre.obj_offset;
-    }
-    MilpResult result;
-    if (pre.reduced.num_cols() == 0) {
-      // Everything was pinned; the offset is the whole objective.
-      result.status = MilpStatus::kOptimal;
-      result.nodes = 0;
-    } else {
-      result = solve_milp(pre.reduced, inner);
-    }
-    result.objective += pre.obj_offset;
-    result.best_bound += pre.obj_offset;
-    if (result.has_solution() || pre.reduced.num_cols() == 0) {
-      result.x = pre.lift(result.x);
-    }
-    return result;
-  }
-  if (!model.has_integers()) {
-    // Pure LP: single simplex solve, wrapped in the MILP result type.
-    SimplexOptions lp_options = options.lp;
-    if (options.time_limit_s > 0) {
-      lp_options.time_limit_s =
-          lp_options.time_limit_s > 0
-              ? std::min(lp_options.time_limit_s, options.time_limit_s)
-              : options.time_limit_s;
-    }
-    Stopwatch watch;
-    SimplexSolver solver(model, lp_options);
-    const LpResult lp = solver.solve();
-    MilpResult result;
-    result.nodes = 1;
-    result.lp_iterations = lp.iterations;
-    result.seconds = watch.seconds();
-    switch (lp.status) {
-      case LpStatus::kOptimal:
-        result.status = MilpStatus::kOptimal;
-        result.objective = lp.objective;
-        result.best_bound = lp.objective;
-        result.x = lp.x;
-        break;
-      case LpStatus::kInfeasible:
-        result.status = MilpStatus::kInfeasible;
-        break;
-      case LpStatus::kUnbounded:
-        result.status = MilpStatus::kUnbounded;
-        break;
-      case LpStatus::kNumericError:
-        result.status = MilpStatus::kNumericError;
-        break;
-      default:
-        result.status = MilpStatus::kNoSolution;
-        break;
-    }
-    return result;
-  }
-  // The branch-and-bound core lives in session.cpp (it is shared with
-  // the warm-starting MilpSession); a null warm context is the
-  // stateless fresh-engine path.
-  return solve_branch_and_bound(model, options, nullptr);
-}
-
-}  // namespace detail
-
 MilpResult solve_milp(const Model& model, const MilpOptions& options) {
   failpoint::trip("milp.solve");
   model.validate();
-  return detail::solve_milp_impl(model, options);
+  // The branch-and-bound core lives in session.cpp (it is shared with
+  // the warm-starting MilpSession); a null warm context is the
+  // stateless fresh-engine path.
+  return detail::solve_branch_and_bound(model, options, nullptr);
 }
 
 }  // namespace elrr::lp

@@ -13,6 +13,11 @@
 /// Parent snapshots live under a fixed byte budget
 /// (kNodeSnapshotBudgetBytes); a node without one restores the root
 /// relaxation and replays its bound changes from there.
+///
+/// One search runs every solve: `solve_milp` and `MilpSession` (session.hpp)
+/// both call `detail::solve_branch_and_bound`, defined in session.cpp with
+/// its integrality and gap tolerances. A model without an integer column
+/// stops at its root relaxation.
 
 #include <cstdint>
 #include <limits>
@@ -46,16 +51,8 @@ inline constexpr std::int64_t kNodeSnapshotBudgetBytes = 256 * 1024;
 
 struct MilpOptions {
   SimplexOptions lp;
-  /// Run the presolve reductions (presolve.hpp) before solving; the
-  /// returned solution is lifted back to the original variable space.
-  bool presolve = false;
-  double int_tol = 1e-6;        ///< integrality tolerance
-  double gap_abs = 1e-9;        ///< absolute optimality gap
-  double gap_rel = 1e-9;        ///< relative optimality gap
   std::int64_t max_nodes = -1;  ///< <0: unlimited
   double time_limit_s = -1.0;   ///< <=0: unlimited
-  bool rounding_heuristic = true;
-  int rounding_period = 16;     ///< try fix-and-round every k nodes
 
   /// Decision-problem accelerators (both in the model's original sense,
   /// NaN = disabled). `target_obj`: stop as soon as an incumbent at least
@@ -93,7 +90,8 @@ struct MilpResult {
   double gap() const;
 };
 
-/// Solves a MILP (also accepts pure LPs, where it reduces to one solve).
+/// Solves a MILP. A pure LP (no integer column) is its own root
+/// relaxation: one simplex solve, reported with `nodes == 1`.
 MilpResult solve_milp(const Model& model, const MilpOptions& options = {});
 
 }  // namespace elrr::lp

@@ -14,6 +14,13 @@ namespace elrr::lp {
 
 namespace {
 
+// Branch & bound settings every solve shares.
+constexpr double kIntTol = 1e-6;            ///< integrality tolerance
+constexpr double kGapAbs = 1e-9;            ///< absolute optimality gap
+constexpr double kGapRel = 1e-9;            ///< relative optimality gap
+constexpr bool kRoundingHeuristic = true;   ///< run fix-and-round
+constexpr int kRoundingPeriod = 16;         ///< ... every k nodes
+
 struct BoundChange {
   int col;
   double lo;
@@ -94,11 +101,8 @@ class BranchAndBound {
   bool tighten_integer_bounds() {
     for (int j : int_cols_) {
       const Column& c = model_.col(j);
-      const double lo = std::isfinite(c.lo) ? std::ceil(c.lo - options_.int_tol)
-                                            : c.lo;
-      const double hi = std::isfinite(c.hi)
-                            ? std::floor(c.hi + options_.int_tol)
-                            : c.hi;
+      const double lo = std::isfinite(c.lo) ? std::ceil(c.lo - kIntTol) : c.lo;
+      const double hi = std::isfinite(c.hi) ? std::floor(c.hi + kIntTol) : c.hi;
       if (lo > hi) return false;
       root_lo_.push_back(lo);
       root_hi_.push_back(hi);
@@ -146,7 +150,7 @@ class BranchAndBound {
 
   int most_fractional(const std::vector<double>& x) const {
     int best = -1;
-    double best_frac = options_.int_tol;
+    double best_frac = kIntTol;
     for (int j : int_cols_) {
       const double v = x[static_cast<std::size_t>(j)];
       const double frac = std::abs(v - std::round(v));
@@ -182,8 +186,7 @@ class BranchAndBound {
       for (std::size_t k = 0; k < int_cols_.size(); ++k) {
         const int j = int_cols_[k];
         const double raw = x[static_cast<std::size_t>(j)];
-        double v = use_ceil ? std::ceil(raw - options_.int_tol)
-                            : std::round(raw);
+        double v = use_ceil ? std::ceil(raw - kIntTol) : std::round(raw);
         v = std::min(std::max(v, root_lo_[k]), root_hi_[k]);
         engine_.set_col_bounds(j, v, v);
       }
@@ -274,8 +277,8 @@ class BranchAndBound {
 
   bool should_prune(double bound) const {
     if (!has_incumbent_) return false;
-    const double slack = std::max(options_.gap_abs,
-                                  std::abs(incumbent_obj_) * options_.gap_rel);
+    const double slack =
+        std::max(kGapAbs, std::abs(incumbent_obj_) * kGapRel);
     return bound >= incumbent_obj_ - slack;
   }
 
@@ -337,11 +340,20 @@ class BranchAndBound {
       return result;
     }
 
-    const SimplexSolver::State root_state = engine_.save_state();
     if (warm_ && warm_->root_state_out) {
-      *warm_->root_state_out = root_state;
+      *warm_->root_state_out = engine_.save_state();
       warm_->root_state_written = true;
     }
+    if (int_cols_.empty()) {
+      // A pure LP is its own root relaxation.
+      result.status = MilpStatus::kOptimal;
+      result.objective = root.objective;
+      result.best_bound = root.objective;
+      result.x = root.x;
+      result.nodes = 1;
+      return result;
+    }
+    const SimplexSolver::State root_state = engine_.save_state();
     if (warm_ && warm_->seed_incumbent && warm_->incumbent &&
         warm_->incumbent->size() ==
             static_cast<std::size_t>(model_.num_cols())) {
@@ -425,10 +437,8 @@ class BranchAndBound {
       // Taken before try_rounding, which clobbers the engine.
       std::shared_ptr<const SimplexSolver::State> snapshot =
           snapshot_for_children();
-      if (options_.rounding_heuristic &&
-          (result.nodes == 1 ||
-           (options_.rounding_period > 0 &&
-            result.nodes % options_.rounding_period == 0))) {
+      if (kRoundingHeuristic &&
+          (result.nodes == 1 || result.nodes % kRoundingPeriod == 0)) {
         const std::vector<double> x_node = lp.x;
         try_rounding(x_node, root_state);
         if (should_prune(bound)) continue;
@@ -524,36 +534,17 @@ MilpResult solve_branch_and_bound(const Model& model,
 
 // ---------------------------------------------------------------- session
 
-struct MilpSession::PresolveCache {
-  Presolved pre;
-  /// Per original row: total fixed-column substitution shift at the
-  /// time presolve ran (reduced bounds = original bounds - shift).
-  std::vector<double> row_shift;
-  std::unique_ptr<MilpSession> reduced_session;
-  bool valid = false;
-};
-
 MilpSession::MilpSession(Model model, MilpOptions options)
     : model_(std::move(model)), options_(options) {
   model_.validate();
 }
 
-MilpSession::~MilpSession() = default;
-
 void MilpSession::set_row_bounds(int row, double lo, double hi) {
   model_.set_row_bounds(row, lo, hi);
-  if (engine_) engine_->set_row_bounds(row, lo, hi);
-  if (pre_ && pre_->valid && !translate_row_change(row, lo, hi)) {
-    pre_->valid = false;  // touched an eliminated row: re-presolve lazily
-  }
 }
 
 void MilpSession::set_col_bounds(int col, double lo, double hi) {
   model_.set_col_bounds(col, lo, hi);
-  if (engine_) engine_->set_col_bounds(col, lo, hi);
-  if (pre_ && pre_->valid && !translate_col_change(col, lo, hi)) {
-    pre_->valid = false;
-  }
 }
 
 void MilpSession::set_cutoffs(double target_obj, double futile_bound) {
@@ -569,35 +560,6 @@ void MilpSession::invalidate_warm() {
   root_state_.reset();
   last_x_.clear();
   has_last_x_ = false;
-  if (pre_ && pre_->reduced_session) pre_->reduced_session->invalidate_warm();
-}
-
-bool MilpSession::translate_row_change(int row, double lo, double hi) {
-  const int mapped = pre_->pre.row_map[static_cast<std::size_t>(row)];
-  if (mapped < 0) return false;  // row was reduced away (empty/singleton)
-  if (!pre_->reduced_session) return false;
-  const double shift = pre_->row_shift[static_cast<std::size_t>(row)];
-  const double lo_r = std::isfinite(lo) ? lo - shift : lo;
-  const double hi_r = std::isfinite(hi) ? hi - shift : hi;
-  if (lo_r > hi_r) return false;  // shift emptied the range: recompute
-  pre_->reduced_session->set_row_bounds(mapped, lo_r, hi_r);
-  return true;
-}
-
-bool MilpSession::translate_col_change(int /*col*/, double /*lo*/,
-                                       double /*hi*/) {
-  // A surviving column's reduced bounds may include singleton-row
-  // tightenings that the user's new bounds would silently discard, and
-  // an eliminated column's fixed value may no longer hold. Re-presolve
-  // rather than risk either. (The Pareto walks only move row bounds, so
-  // this conservatism costs nothing on the hot path.)
-  return false;
-}
-
-void MilpSession::ensure_engine() {
-  if (!engine_) {
-    engine_ = std::make_unique<SimplexSolver>(model_, options_.lp);
-  }
 }
 
 MilpResult MilpSession::solve() {
@@ -610,11 +572,10 @@ MilpResult MilpSession::solve() {
   ++stats_.solves;
   const std::int64_t cold_before = stats_.cold_solves;
   Stopwatch watch;
-  MilpResult result =
-      options_.presolve ? solve_presolved() : solve_direct();
+  MilpResult result = search();
   stats_.solve_seconds += watch.seconds();
-  // Warm vs cold is decided inside the solve paths; read it back off
-  // the stats delta so the trace counters agree with SessionStats.
+  // Warm vs cold is decided inside search(); read it back off the stats
+  // delta so the trace counters agree with SessionStats.
   obs::count(stats_.cold_solves > cold_before ? "milp.solve.cold"
                                               : "milp.solve.warm");
   stats_.nodes += result.nodes;
@@ -632,82 +593,12 @@ MilpResult MilpSession::solve() {
   return result;
 }
 
-MilpResult MilpSession::solve_direct() {
-  MilpOptions opts = options_;
-  opts.presolve = false;
-
-  if (!model_.has_integers()) {
-    // Pure LP. Warm = keep the engine and let the dual simplex
-    // re-optimize after the bound changes; cold = the stateless path.
-    if (!warm_) {
-      ++stats_.cold_solves;
-      return detail::solve_milp_impl(model_, opts);
-    }
-    const bool first = !engine_;
-    ensure_engine();
-    double lp_limit = opts.lp.time_limit_s;
-    if (opts.time_limit_s > 0) {
-      lp_limit = lp_limit > 0 ? std::min(lp_limit, opts.time_limit_s)
-                              : opts.time_limit_s;
-    }
-    engine_->set_time_limit(lp_limit);
-    Stopwatch watch;
-    const std::int64_t iter_base = engine_->total_iterations();
-    const std::int64_t certified_base = engine_->infeasible_certified();
-    const std::int64_t cold_base = engine_->infeasible_cold();
-    LpResult lp;
-    bool solved = false;
-    if (!first) {
-      ++stats_.warm_attempts;
-      try {
-        failpoint::trip("milp.warm");
-        OBS_SPAN("milp.warm");
-        lp = engine_->resolve();
-        solved = true;
-        ++stats_.warm_roots;
-      } catch (const failpoint::FailPointError&) {
-        ++stats_.warm_fallbacks;
-      }
-    }
-    if (!solved) {
-      lp = engine_->solve();
-      ++stats_.cold_solves;
-    }
-    MilpResult result;
-    result.nodes = 1;
-    result.lp_iterations = engine_->total_iterations() - iter_base;
-    result.infeasible_certified =
-        engine_->infeasible_certified() - certified_base;
-    result.infeasible_cold = engine_->infeasible_cold() - cold_base;
-    result.seconds = watch.seconds();
-    switch (lp.status) {
-      case LpStatus::kOptimal:
-        result.status = MilpStatus::kOptimal;
-        result.objective = lp.objective;
-        result.best_bound = lp.objective;
-        result.x = lp.x;
-        break;
-      case LpStatus::kInfeasible:
-        result.status = MilpStatus::kInfeasible;
-        break;
-      case LpStatus::kUnbounded:
-        result.status = MilpStatus::kUnbounded;
-        break;
-      case LpStatus::kNumericError:
-        result.status = MilpStatus::kNumericError;
-        break;
-      default:
-        result.status = MilpStatus::kNoSolution;
-        break;
-    }
-    return result;
-  }
-
+MilpResult MilpSession::search() {
   if (!warm_) {
     ++stats_.cold_solves;
-    return detail::solve_milp_impl(model_, opts);
+    return detail::solve_branch_and_bound(model_, options_, nullptr);
   }
-  ensure_engine();
+  if (!engine_) engine_ = std::make_unique<SimplexSolver>(model_, options_.lp);
   detail::WarmContext ctx;
   ctx.engine = engine_.get();
   ctx.root_state = root_state_.get();
@@ -716,7 +607,7 @@ MilpResult MilpSession::solve_direct() {
   SimplexSolver::State new_root;
   ctx.root_state_out = &new_root;
   if (ctx.root_state) ++stats_.warm_attempts;
-  MilpResult result = detail::solve_branch_and_bound(model_, opts, &ctx);
+  MilpResult result = detail::solve_branch_and_bound(model_, options_, &ctx);
   if (ctx.warm_root_used) {
     ++stats_.warm_roots;
   } else if (ctx.failpoint_fallback) {
@@ -728,67 +619,6 @@ MilpResult MilpSession::solve_direct() {
   if (ctx.root_state_written) {
     root_state_ =
         std::make_unique<SimplexSolver::State>(std::move(new_root));
-  }
-  return result;
-}
-
-MilpResult MilpSession::solve_presolved() {
-  if (!pre_ || !pre_->valid) {
-    pre_ = std::make_unique<PresolveCache>();
-    pre_->pre = presolve(model_);
-    ++stats_.presolves;
-    pre_->row_shift.assign(static_cast<std::size_t>(model_.num_rows()), 0.0);
-    if (!pre_->pre.infeasible) {
-      for (int i = 0; i < model_.num_rows(); ++i) {
-        double shift = 0.0;
-        for (const ColEntry& entry : model_.row(i).entries) {
-          const std::size_t j = static_cast<std::size_t>(entry.col);
-          if (pre_->pre.col_map[j] < 0) {
-            shift += entry.coef * pre_->pre.fixed_value[j];
-          }
-        }
-        pre_->row_shift[static_cast<std::size_t>(i)] = shift;
-      }
-      if (pre_->pre.reduced.num_cols() > 0) {
-        MilpOptions inner = options_;
-        inner.presolve = false;
-        pre_->reduced_session =
-            std::make_unique<MilpSession>(pre_->pre.reduced, inner);
-      }
-    }
-    pre_->valid = true;
-  }
-  const Presolved& pre = pre_->pre;
-  if (pre.infeasible) {
-    // Later bound changes may cure the infeasibility: recompute then.
-    pre_->valid = false;
-    MilpResult result;
-    result.status = MilpStatus::kInfeasible;
-    return result;
-  }
-  MilpResult result;
-  if (pre.reduced.num_cols() == 0) {
-    // Everything was pinned; the offset is the whole objective.
-    result.status = MilpStatus::kOptimal;
-    result.nodes = 0;
-  } else {
-    MilpSession& inner = *pre_->reduced_session;
-    inner.set_warm(warm_);
-    inner.set_seed_incumbent(seed_incumbent_);
-    // Cutoffs live in objective space; shift them into the reduced one.
-    inner.set_cutoffs(std::isfinite(options_.target_obj)
-                          ? options_.target_obj - pre.obj_offset
-                          : options_.target_obj,
-                      std::isfinite(options_.futile_bound)
-                          ? options_.futile_bound - pre.obj_offset
-                          : options_.futile_bound);
-    inner.set_time_limit(options_.time_limit_s);
-    result = inner.solve();
-  }
-  result.objective += pre.obj_offset;
-  result.best_bound += pre.obj_offset;
-  if (result.has_solution() || pre.reduced.num_cols() == 0) {
-    result.x = pre.lift(result.x);
   }
   return result;
 }

@@ -14,11 +14,11 @@
 ///  * the previous solve's optimal root basis, restored and re-optimized
 ///    with the dual simplex instead of a cold phase-1/phase-2 start;
 ///  * optionally the previous solve's integer solution, re-fixed and
-///    re-priced as the initial branch-and-bound incumbent;
-///  * when `MilpOptions::presolve` is on, the reductions are computed
-///    once and later bound changes are translated into the cached
-///    reduced model (re-presolving only when a change touches an
-///    eliminated row/column).
+///    re-priced as the initial branch-and-bound incumbent.
+///
+/// Every solve, warm or cold, MILP or pure LP, runs the one
+/// branch-and-bound core (`detail::solve_branch_and_bound`); a model
+/// without an integer column returns its root relaxation.
 ///
 /// Exactness contract: with `set_warm(false)` a session solve is
 /// bit-identical to a fresh `solve_milp` call on the same model by
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "lp/milp.hpp"
-#include "lp/presolve.hpp"
 #include "lp/simplex.hpp"
 
 namespace elrr::lp {
@@ -62,13 +61,11 @@ struct WarmContext {
   bool root_state_written = false;
 };
 
-/// `solve_milp` minus the `milp.solve` fail-point trip and the input
-/// re-validation; the session's cold path delegates here so one
-/// session solve counts as exactly one trip.
-MilpResult solve_milp_impl(const Model& model, const MilpOptions& options);
-
 /// The branch-and-bound core shared by `solve_milp` (warm == nullptr)
-/// and `MilpSession`. Defined in session.cpp.
+/// and `MilpSession`, whose cold path makes the same call: the
+/// `milp.solve` fail-point trip and the input validation stay with the
+/// callers, so one session solve counts as exactly one trip. Defined in
+/// session.cpp.
 MilpResult solve_branch_and_bound(const Model& model,
                                   const MilpOptions& options,
                                   WarmContext* warm);
@@ -84,7 +81,6 @@ struct SessionStats {
   std::int64_t warm_fallbacks = 0;  ///< warm state rejected (fail point /
                                     ///< shape mismatch) -> cold solve
   std::int64_t cold_solves = 0;     ///< full stateless-path solves
-  std::int64_t presolves = 0;       ///< presolve recomputations
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
   std::int64_t infeasible_certified = 0;  ///< Farkas-proven LP verdicts
@@ -101,7 +97,6 @@ struct SessionStats {
 class MilpSession {
  public:
   explicit MilpSession(Model model, MilpOptions options = {});
-  ~MilpSession();
   MilpSession(const MilpSession&) = delete;
   MilpSession& operator=(const MilpSession&) = delete;
 
@@ -123,8 +118,10 @@ class MilpSession {
 
   /// Seed the next solves' incumbent from each solve's solution.
   /// Separate from set_warm because incumbent seeding can legitimately
-  /// change which optimum is reported among exact ties; callers that
-  /// need argmin stability keep it off (see src/lp/README.md).
+  /// change which optimum is reported among exact ties. The Pareto walk
+  /// turns it on (core/opt.cpp); its argmin stability rests on
+  /// `MilpSession.WarmWalksAreBitIdenticalToColdWalks`, which checks
+  /// warm walks against cold ones bit for bit (see src/lp/README.md).
   void set_seed_incumbent(bool on) { seed_incumbent_ = on; }
 
   /// Drops all warm state (basis + incumbent). The next solve is cold.
@@ -137,11 +134,7 @@ class MilpSession {
   const SessionStats& stats() const { return stats_; }
 
  private:
-  MilpResult solve_direct();    ///< presolve already handled / off
-  MilpResult solve_presolved();
-  void ensure_engine();
-  bool translate_row_change(int row, double lo, double hi);
-  bool translate_col_change(int col, double lo, double hi);
+  MilpResult search();  ///< one solve: warm when it can be, else cold
 
   Model model_;
   MilpOptions options_;
@@ -149,18 +142,12 @@ class MilpSession {
   bool seed_incumbent_ = false;
   SessionStats stats_;
 
-  // Warm state (integer models: B&B root basis + last solution; pure-LP
-  // models: the engine's own basis doubles as the warm state).
+  // Warm state: the engine, the previous root basis and the last
+  // solution (a pure LP's root basis is its optimal basis).
   std::unique_ptr<SimplexSolver> engine_;
   std::unique_ptr<SimplexSolver::State> root_state_;
   std::vector<double> last_x_;
   bool has_last_x_ = false;
-
-  // Presolve cache (options_.presolve only): reductions computed once,
-  // later bound changes translated into `reduced_`; any change touching
-  // an eliminated row/column invalidates the cache.
-  struct PresolveCache;
-  std::unique_ptr<PresolveCache> pre_;
 };
 
 }  // namespace elrr::lp

@@ -164,6 +164,12 @@ bool SimplexSolver::is_dual_feasible() const {
   return true;
 }
 
+// The pivot and the three phases hold nearly all simplex time. Each
+// starts on a 64-byte boundary, so the alignment of their loops does
+// not depend on what the linker places before them: with identical
+// object code, a shifted position alone moved perfbench's exact_walk
+// makespan by ~16% (median of 10 pairs, 4-vCPU Intel Xeon VM, GCC 12).
+[[gnu::aligned(64)]]
 void SimplexSolver::pivot(int row, int col) {
   // The leaving variable takes over the entering column's slot. Its
   // column was the unit vector e_row: writing 1 (row `row`) and 0 (every
@@ -209,6 +215,7 @@ double SimplexSolver::infeasibility() const {
   return total;
 }
 
+[[gnu::aligned(64)]]
 LpStatus SimplexSolver::primal_phase1(const Deadline& deadline) {
   const double ftol = options_.feas_tol;
   const std::int64_t budget = iteration_budget();
@@ -340,6 +347,7 @@ LpStatus SimplexSolver::primal_phase1(const Deadline& deadline) {
   }
 }
 
+[[gnu::aligned(64)]]
 LpStatus SimplexSolver::primal_phase2(const Deadline& deadline) {
   if (!dj_valid_) compute_reduced_costs();
   const std::int64_t budget = iteration_budget();
@@ -426,6 +434,7 @@ LpStatus SimplexSolver::primal_phase2(const Deadline& deadline) {
   }
 }
 
+[[gnu::aligned(64)]]
 LpStatus SimplexSolver::dual_phase(const Deadline& deadline) {
   if (!dj_valid_) compute_reduced_costs();
   const std::int64_t budget = iteration_budget();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "support/error.hpp"
@@ -31,6 +32,17 @@ void check_preconditions(const Rrg& rrg) {
                  "classical retiming requires non-negative tokens (edge ", e,
                  " has ", rrg.tokens(e), ")");
   }
+  // With no register on some cycle no period is achievable; the system
+  // at the largest candidate would still bind and return r = 0.
+  std::vector<EdgeId> dead;
+  const bool live = rrg.is_live(&dead);
+  std::string edges;
+  for (const EdgeId e : dead) {
+    edges += ' ';
+    edges += std::to_string(e);
+  }
+  ELRR_REQUIRE(live, "min-period retiming requires a live circuit "
+               "(zero-token cycle through edges", edges, ")");
 }
 
 /// Lexicographic (min registers, then max delay) all-pairs paths.

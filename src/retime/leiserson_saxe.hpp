@@ -25,8 +25,10 @@
 /// (tests/retime/oracles.hpp).
 ///
 /// Restrictions: token counts must be non-negative (classical registers;
-/// anti-tokens are an elastic-only concept) and the graph must have at
-/// least one node.
+/// anti-tokens are an elastic-only concept), the graph must have at
+/// least one node, and every cycle must carry a token (the liveness
+/// `Rrg::validate` checks). A circuit that breaks one is rejected with
+/// InvalidInputError, a zero-token cycle with its edges named.
 
 #include <vector>
 

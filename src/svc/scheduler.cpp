@@ -880,7 +880,6 @@ std::string Scheduler::stats_json() const {
       milp.warm_seeds += m.warm_seeds;
       milp.warm_fallbacks += m.warm_fallbacks;
       milp.cold_solves += m.cold_solves;
-      milp.presolves += m.presolves;
       milp.nodes += m.nodes;
       milp.lp_iterations += m.lp_iterations;
       milp.infeasible_certified += m.infeasible_certified;
@@ -932,8 +931,8 @@ std::string Scheduler::stats_json() const {
   }
   std::snprintf(buf, sizeof(buf),
                 ", \"milp\": {\"solves\": %lld, \"warm_attempts\": %lld, "
-                "\"warm_roots\": %lld, \"warm_fallbacks\": %lld, "
-                "\"cold_solves\": %lld, \"presolves\": %lld, "
+                "\"warm_roots\": %lld, \"warm_seeds\": %lld, "
+                "\"warm_fallbacks\": %lld, \"cold_solves\": %lld, "
                 "\"nodes\": %lld, \"lp_iterations\": %lld, "
                 "\"infeasible_certified\": %lld, \"infeasible_cold\": %lld, "
                 "\"warm_nodes\": %lld, \"replayed_nodes\": %lld, "
@@ -942,9 +941,9 @@ std::string Scheduler::stats_json() const {
                 static_cast<long long>(milp.solves),
                 static_cast<long long>(milp.warm_attempts),
                 static_cast<long long>(milp.warm_roots),
+                static_cast<long long>(milp.warm_seeds),
                 static_cast<long long>(milp.warm_fallbacks),
                 static_cast<long long>(milp.cold_solves),
-                static_cast<long long>(milp.presolves),
                 static_cast<long long>(milp.nodes),
                 static_cast<long long>(milp.lp_iterations),
                 static_cast<long long>(milp.infeasible_certified),

@@ -1,8 +1,7 @@
 /// \file integration_test.cpp
 /// Cross-module integration checks: the documentation example parses to
-/// the paper's figure, presolve leaves the real RR MILPs' optima intact,
-/// and the three MCR oracles agree with the analysis layer on suite
-/// circuits.
+/// the paper's figure, and the three MCR oracles agree with the analysis
+/// layer on suite circuits.
 
 #include <gtest/gtest.h>
 
@@ -41,28 +40,6 @@ edge f  m  tokens=-2 buffers=0 gamma=0.1  # bottom, two anti-tokens
   EXPECT_NEAR(parsed.tau, expected.tau, 1e-12);
   EXPECT_NEAR(parsed.theta_lp, expected.theta_lp, 1e-9);
   EXPECT_NEAR(parsed.theta_lp, figures::figure2_throughput(0.9), 1e-9);
-}
-
-TEST(Integration, PresolvePreservesRrMilpOptima) {
-  // The RR MILPs carry pinned columns (r(0), sigma(0)) and singleton
-  // rows; presolve must not change MIN_CYC / MAX_THR answers.
-  for (const char* name : {"s208", "s27"}) {
-    const Rrg rrg =
-        bench89::make_table2_rrg(bench89::spec_by_name(name), 1);
-    OptOptions plain;
-    plain.milp.time_limit_s = 20.0;
-    OptOptions pre = plain;
-    pre.milp.presolve = true;
-    const RcSolveResult a = min_cyc(rrg, 1.0, plain);
-    const RcSolveResult b = min_cyc(rrg, 1.0, pre);
-    ASSERT_TRUE(a.feasible);
-    ASSERT_TRUE(b.feasible);
-    if (a.exact && b.exact) {
-      EXPECT_NEAR(a.objective, b.objective, 1e-6) << name;
-    }
-    std::string why;
-    EXPECT_TRUE(validate_config(rrg, b.config, &why)) << name << ": " << why;
-  }
 }
 
 TEST(Integration, HowardAgreesWithLateThroughputOnSuiteCircuits) {

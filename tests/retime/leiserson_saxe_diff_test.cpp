@@ -2,7 +2,8 @@
 /// `min_period_retiming` against OPT as first written (one constraint
 /// graph per probed period, each solved cold; tests/retime/oracles.hpp)
 /// on random classical circuits: the period and the retiming must agree
-/// bit for bit, and so must the error of an input either one rejects.
+/// bit for bit, and so must the error of an input both reject. Only
+/// `min_period_retiming` checks liveness (NonLiveCircuits).
 /// The circuits cover what the incremental solve orders and prunes
 /// differently: integer delays (many tied D values, hence shared
 /// candidate ranks), self loops, parallel edges, one- and two-node
@@ -127,8 +128,10 @@ TEST(LeisersonSaxeDiff, OneAndTwoNodeCircuits) {
   EXPECT_EQ(retimed, 96);
 }
 
-/// Zero-token cycles are left in place. Neither algorithm checks
-/// liveness; both retime such a circuit the same way.
+/// Zero-token cycles are left in place. The reference does not check
+/// liveness and returns a period no retiming achieves; the algorithm
+/// rejects every such circuit, naming the dead cycle, and still matches
+/// the reference on the live ones.
 TEST(LeisersonSaxeDiff, NonLiveCircuits) {
   int non_live = 0;
   for (int seed = 0; seed < 64; ++seed) {
@@ -137,8 +140,21 @@ TEST(LeisersonSaxeDiff, NonLiveCircuits) {
     const Shape shape{static_cast<std::size_t>(rng.uniform_int(1, 8)),
                       seed % 2 == 0, true, false};
     const Rrg rrg = random_classical(rng, shape);
-    non_live += !rrg.is_live();
-    expect_same(rrg);
+    std::vector<EdgeId> dead;
+    if (rrg.is_live(&dead)) {
+      expect_same(rrg);
+      continue;
+    }
+    ++non_live;
+    EXPECT_THROW(min_period_retiming(rrg), InvalidInputError);
+    std::string edges;
+    for (const EdgeId e : dead) {
+      edges += ' ';
+      edges += std::to_string(e);
+    }
+    EXPECT_EQ(run(min_period_retiming, rrg).error,
+              "requirement failed: min-period retiming requires a live "
+              "circuit (zero-token cycle through edges" + edges + ")");
   }
   EXPECT_GE(non_live, 16);
 }
