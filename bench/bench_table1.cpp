@@ -14,8 +14,8 @@
 /// Runs as one MIN_EFF_CYC job on the svc::Scheduler (the multi-circuit
 /// batch service bench_table2 drives at scale): the walk streams each
 /// Pareto candidate into the scheduler's shared simulation fleet while
-/// the next MILP solves; FlowOptions::pipeline = false restores the
-/// sequential walk-then-score order (identical rows either way).
+/// the next MILP solves (identical rows to the sequential
+/// walk-then-score order).
 
 #include <cstdio>
 
@@ -36,7 +36,6 @@ int main() {
   svc::SchedulerOptions sopt;
   sopt.workers = 1;
   sopt.sim_threads = options.sim_threads;
-  sopt.sim_dedup = options.sim_dedup;
   sopt.sim_cache_cap = options.sim_cache_cap;
   svc::Scheduler scheduler(sopt);
   svc::JobSpec job;

@@ -54,7 +54,6 @@ int main() {
   svc::SchedulerOptions sopt;
   sopt.workers = 1;
   sopt.sim_threads = options.sim_threads;
-  sopt.sim_dedup = options.sim_dedup;
   sopt.sim_cache_cap = options.sim_cache_cap;
   sopt.start_paused = true;
   svc::Scheduler scheduler(sopt);

@@ -7,6 +7,7 @@
 #include "graph/scc.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace elrr::bench89 {
 
@@ -129,7 +130,7 @@ Rrg annotate(const Digraph& structure, int n_early,
 
   // Delays uniform in (0, 20] (Section 5).
   for (NodeId v = 0; v < structure.num_nodes(); ++v) {
-    rrg.add_node("g" + std::to_string(v),
+    rrg.add_node(indexed_name('g', v),
                  rng.uniform_open_closed(options.delay_lo, options.delay_hi));
   }
   // Tokens with probability 0.25; R = R0 ("originally RRGs have no

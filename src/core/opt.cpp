@@ -536,6 +536,28 @@ RcSolveResult max_thr(const Rrg& input, double tau,
   return max_thr_impl(rrg, tau, options, nullptr, {});
 }
 
+std::size_t keep_pareto_frontier(std::vector<ParetoPoint>& points) {
+  std::sort(points.begin(), points.end(),
+            [](const ParetoPoint& a, const ParetoPoint& b) {
+              if (a.tau != b.tau) return a.tau < b.tau;
+              return a.theta_lp > b.theta_lp;
+            });
+  std::vector<ParetoPoint> frontier;
+  double best_theta = -1.0;
+  for (ParetoPoint& point : points) {
+    if (point.theta_lp > best_theta + 1e-12) {
+      best_theta = point.theta_lp;
+      frontier.push_back(std::move(point));
+    }
+  }
+  points = std::move(frontier);
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    if (points[i].xi_lp < points[best].xi_lp) best = i;
+  }
+  return best;
+}
+
 std::vector<std::size_t> MinEffCycResult::k_best(std::size_t k) const {
   std::vector<std::size_t> order(points.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -696,29 +718,7 @@ MinEffCycResult ParetoWalk::finish() const {
   result.points = points_;
   result.milp_calls = milp_calls_;
   result.all_exact = all_exact_;
-
-  // Keep only non-dominated points (Definition 4.1), sorted by cycle time.
-  std::sort(result.points.begin(), result.points.end(),
-            [](const ParetoPoint& a, const ParetoPoint& b) {
-              if (a.tau != b.tau) return a.tau < b.tau;
-              return a.theta_lp > b.theta_lp;
-            });
-  std::vector<ParetoPoint> frontier;
-  double best_theta = -1.0;
-  for (const ParetoPoint& point : result.points) {
-    if (point.theta_lp > best_theta + 1e-12) {
-      frontier.push_back(point);
-      best_theta = point.theta_lp;
-    }
-  }
-  result.points = std::move(frontier);
-
-  result.best_index = 0;
-  for (std::size_t i = 1; i < result.points.size(); ++i) {
-    if (result.points[i].xi_lp < result.points[result.best_index].xi_lp) {
-      result.best_index = i;
-    }
-  }
+  result.best_index = keep_pareto_frontier(result.points);
   result.seconds = watch_.seconds();
   return result;
 }

@@ -80,6 +80,14 @@ struct ParetoPoint {
   bool exact = true;
 };
 
+/// Keeps the non-dominated points of `points` (Definition 4.1), in
+/// increasing cycle time: sorted by tau ascending, then theta_lp
+/// descending, a point stays only when its theta_lp exceeds every kept
+/// one's by more than 1e-12. Returns the index of the xi_lp-minimal kept
+/// point (the first on ties; 0 when none is kept). The one Pareto filter
+/// of the exact walk, the heuristic and every merge of their frontiers.
+std::size_t keep_pareto_frontier(std::vector<ParetoPoint>& points);
+
 struct MinEffCycResult {
   /// Non-dominated configurations, sorted by increasing cycle time.
   std::vector<ParetoPoint> points;

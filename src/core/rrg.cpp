@@ -30,7 +30,7 @@ NodeId Rrg::add_node(std::string name, double delay, NodeKind kind) {
                "node delay must be finite and non-negative, got ", delay);
   Structure& s = structure();
   const NodeId n = s.g.add_node();
-  if (name.empty()) name = "n" + std::to_string(n);
+  if (name.empty()) name = indexed_name('n', n);
   s.names.push_back(std::move(name));
   s.delays.push_back(delay);
   s.kinds.push_back(kind);

@@ -18,7 +18,7 @@ NodeId Tgmg::add_node(std::string name, double delay, NodeKind kind,
   ELRR_REQUIRE(std::isfinite(delay) && delay >= 0.0,
                "TGMG node delay must be finite and non-negative");
   const NodeId n = g_.add_node();
-  if (name.empty()) name = "t" + std::to_string(n);
+  if (name.empty()) name = indexed_name('t', n);
   names_.push_back(std::move(name));
   delays_.push_back(delay);
   kinds_.push_back(kind);

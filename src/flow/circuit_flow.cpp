@@ -92,7 +92,6 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
   opt.epsilon = options.epsilon;
   opt.milp.time_limit_s = options.milp_timeout_s;
   opt.polish = options.polish;
-  opt.milp_warm = options.milp_warm;
 
   // Late-evaluation baseline: for all-simple graphs the throughput bound
   // is the exact throughput, so xi_nee needs no simulation. The heuristic
@@ -135,21 +134,17 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
 
   // Early evaluation: the pipelined engine runs the exact walk and
   // streams every emitted candidate into its simulation fleet while the
-  // next MILP step solves (flow::Engine; FlowOptions::pipeline = false
-  // degrades to the sequential walk-then-score baseline, results
-  // bit-identical). The
-  // engine's session cache carries those mid-walk scores over to the
-  // candidate reranking below, so frontier points selected for the
-  // tables cost nothing to rescore. With FlowHooks::fleet the same
-  // candidates score on a *shared* multi-client fleet instead -- the
-  // svc::Scheduler shape -- with bit-identical results.
+  // next MILP step solves (flow::Engine). The engine's session cache
+  // carries those mid-walk scores over to the candidate reranking below,
+  // so frontier points selected for the tables cost nothing to rescore.
+  // With FlowHooks::fleet the same candidates score on a *shared*
+  // multi-client fleet instead -- the svc::Scheduler shape -- with
+  // bit-identical results.
   EngineOptions eopt;
   eopt.opt = opt;
   eopt.sim = sopt;
   eopt.sim_threads = options.sim_threads;
-  eopt.sim_dedup = options.sim_dedup;
   eopt.sim_cache_cap = options.sim_cache_cap;
-  eopt.overlap = options.pipeline;
   eopt.on_candidate = [&](const ParetoPoint&, std::size_t index) {
     if (hooks.on_progress) hooks.on_progress(index + 1);
   };
@@ -221,26 +216,7 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
     const HeuristicResult heur = heur_eff_cyc(rrg, scaled_heuristic(rrg));
     early.points.insert(early.points.end(), heur.points.begin(),
                         heur.points.end());
-    std::sort(early.points.begin(), early.points.end(),
-              [](const ParetoPoint& a, const ParetoPoint& b) {
-                if (a.tau != b.tau) return a.tau < b.tau;
-                return a.theta_lp > b.theta_lp;
-              });
-    std::vector<ParetoPoint> frontier;
-    double best_theta = -1.0;
-    for (ParetoPoint& point : early.points) {
-      if (point.theta_lp > best_theta + 1e-12) {
-        best_theta = point.theta_lp;
-        frontier.push_back(std::move(point));
-      }
-    }
-    early.points = std::move(frontier);
-    early.best_index = 0;
-    for (std::size_t i = 1; i < early.points.size(); ++i) {
-      if (early.points[i].xi_lp < early.points[early.best_index].xi_lp) {
-        early.best_index = i;
-      }
-    }
+    early.best_index = keep_pareto_frontier(early.points);
   }
 
   std::vector<std::size_t> simulate =

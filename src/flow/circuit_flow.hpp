@@ -13,7 +13,7 @@
 /// fleet while the next MILP step solves, and the fleet's session cache
 /// dedups revisited configurations across the walk and the heuristic
 /// merge. Results are bit-identical to the sequential walk-then-score
-/// path for every thread count (FlowOptions::pipeline = false runs that
+/// path for every thread count (EngineOptions::overlap = false runs that
 /// sequential path for comparison) -- and, via FlowHooks::fleet, to a
 /// run on a *shared* multi-client fleet at any job interleaving (the
 /// fleet's determinism contract).
@@ -57,32 +57,15 @@ struct FlowOptions {
   /// Worker-pool size of the candidate-scoring SimFleet (0 = all cores);
   /// deterministic: thread count never changes the reported theta.
   std::size_t sim_threads = 1;
-  /// Candidate dedup in the scoring fleet: identical buffer/retiming
-  /// assignments (a routine artifact of walks revisiting configurations)
-  /// simulate once, scores fan back out. Bit-identical results either
-  /// way; false benchmarks the undeduped fleet (no env knob: a
-  /// wall-clock-only switch, set by the tests that compare the paths).
-  bool sim_dedup = true;
   /// Byte cap of the scoring fleet's session result cache (LRU past it;
   /// 0 = unbounded). Applies to the fleet this flow creates -- a shared
   /// fleet passed through FlowHooks keeps its own cap. Bit-identical
   /// results either way; env ELRR_SIM_CACHE_CAP.
   std::size_t sim_cache_cap = sim::kDefaultSimCacheCapBytes;
-  /// Overlap the MILP Pareto walk with candidate simulation through the
-  /// pipelined flow::Engine (each emitted candidate scores on the fleet
-  /// while the next MILP solves). Bit-identical results either way;
-  /// false runs the sequential walk-then-score baseline.
-  bool pipeline = true;
   std::size_t max_simulated_points = 8;
   /// Run the MAX_THR polish inside MIN_EFF_CYC (paper-exact, slower);
   /// env ELRR_POLISH=1. bench_table1 enables it by default.
   bool polish = false;
-  /// Warm-start adjacent MILP solves of the walks from the previous
-  /// step's optimal basis (lp::MilpSession). Bit-identical results
-  /// either way (pinned by the differential suites); false runs every
-  /// step cold (`elrr flow --cold-milp`). A wall-clock knob, so it is
-  /// deliberately *not* part of the scheduler's cache job key.
-  bool milp_warm = true;
   /// Merge the MILP-free heuristic's Pareto points into the candidate
   /// set (both for the early walk and the late baseline). This is our
   /// extension beyond the paper -- it costs milliseconds and rescues

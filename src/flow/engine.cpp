@@ -34,7 +34,7 @@ Engine::Engine(const Rrg& rrg, const EngineOptions& options)
     : base_(options.opt.treat_all_simple ? as_all_simple(rrg) : rrg),
       options_(options),
       owned_fleet_(std::make_unique<sim::SimFleet>(
-          options.sim_threads, options.sim_dedup, options.sim_cache_cap)),
+          options.sim_threads, /*dedup=*/true, options.sim_cache_cap)),
       fleet_(owned_fleet_.get()) {
   // The rewrite is baked into base_; the walk and apply_config below must
   // both see the rewritten graph, never re-apply the flag.

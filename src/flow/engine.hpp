@@ -83,9 +83,6 @@ struct EngineOptions {
   /// Fleet worker-pool size (0 = hardware concurrency). Purely a
   /// wall-clock knob: results are identical for every value.
   std::size_t sim_threads = 1;
-  /// Candidate dedup in the fleet's session cache (identical canonical
-  /// content + options simulate once). Results identical either way.
-  bool sim_dedup = true;
   /// Byte cap of the owned fleet's session result cache (LRU past it;
   /// 0 = unbounded). Ignored when the engine runs on a shared fleet --
   /// the shared fleet's own cap applies. Results identical either way
@@ -158,8 +155,8 @@ class Engine {
   /// Owned-fleet engine: spawns its own sim::SimFleet per `options`.
   explicit Engine(const Rrg& rrg, const EngineOptions& options = {});
   /// Shared-fleet engine: scores candidates on `shared_fleet`, which
-  /// must outlive the engine. `sim_threads`/`sim_dedup`/`sim_cache_cap`
-  /// in `options` are ignored (the shared fleet's configuration
+  /// must outlive the engine. `sim_threads`/`sim_cache_cap` in
+  /// `options` are ignored (the shared fleet's configuration
   /// applies); all result-affecting knobs (`opt`, `sim`) behave exactly
   /// as in the owned-fleet constructor.
   Engine(const Rrg& rrg, const EngineOptions& options,

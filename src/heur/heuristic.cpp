@@ -271,35 +271,14 @@ HeuristicResult heur_eff_cyc(const Rrg& rrg, const HeuristicOptions& options,
   // --- Pareto filter -----------------------------------------------
   HeuristicResult result;
   result.lp_evals = search.lp_evals();
-  std::vector<std::size_t> order(search.seen().size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const auto& ea = search.seen()[a].eval;
-    const auto& eb = search.seen()[b].eval;
-    if (ea.tau != eb.tau) return ea.tau < eb.tau;
-    return ea.theta_lp > eb.theta_lp;
-  });
-  double best_theta = -1.0;
-  for (std::size_t i : order) {
-    const Candidate& c = search.seen()[i];
-    if (c.eval.theta_lp > best_theta + 1e-12) {
-      ParetoPoint point;
-      point.config = c.config;
-      point.tau = c.eval.tau;
-      point.theta_lp = c.eval.theta_lp;
-      point.xi_lp = c.eval.xi_lp;
-      point.exact = false;  // heuristic: no optimality proof
-      result.points.push_back(std::move(point));
-      best_theta = c.eval.theta_lp;
-    }
+  result.points.reserve(search.seen().size());
+  for (const Candidate& c : search.seen()) {
+    // exact = false: a heuristic point carries no optimality proof.
+    result.points.push_back(
+        {c.config, c.eval.tau, c.eval.theta_lp, c.eval.xi_lp, false});
   }
+  result.best_index = keep_pareto_frontier(result.points);
   ELRR_ASSERT(!result.points.empty(), "frontier cannot be empty");
-  result.best_index = 0;
-  for (std::size_t i = 1; i < result.points.size(); ++i) {
-    if (result.points[i].xi_lp < result.points[result.best_index].xi_lp) {
-      result.best_index = i;
-    }
-  }
   result.seconds = watch.seconds();
   return result;
 }

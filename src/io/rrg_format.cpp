@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/strings.hpp"
 
 namespace elrr::io {
@@ -212,9 +213,9 @@ std::string write_rrg(const Rrg& rrg, std::string_view name) {
 std::string write_json(const Rrg& rrg, std::string_view name) {
   std::ostringstream os;
   const std::vector<std::string> names = writable_names(rrg);
-  os << "{\n  \"name\": \"" << json_escape(name) << "\",\n  \"nodes\": [\n";
+  os << "{\n  \"name\": \"" << json::escape(name) << "\",\n  \"nodes\": [\n";
   for (NodeId n = 0; n < rrg.num_nodes(); ++n) {
-    os << "    {\"name\": \"" << json_escape(names[n])
+    os << "    {\"name\": \"" << json::escape(names[n])
        << "\", \"delay\": " << number(rrg.delay(n)) << ", \"early\": "
        << (rrg.is_early(n) ? "true" : "false");
     if (rrg.is_telescopic(n)) {
@@ -227,8 +228,8 @@ std::string write_json(const Rrg& rrg, std::string_view name) {
   os << "  ],\n  \"edges\": [\n";
   const Digraph& g = rrg.graph();
   for (EdgeId e = 0; e < rrg.num_edges(); ++e) {
-    os << "    {\"src\": \"" << json_escape(names[g.src(e)])
-       << "\", \"dst\": \"" << json_escape(names[g.dst(e)])
+    os << "    {\"src\": \"" << json::escape(names[g.src(e)])
+       << "\", \"dst\": \"" << json::escape(names[g.dst(e)])
        << "\", \"tokens\": " << rrg.tokens(e)
        << ", \"buffers\": " << rrg.buffers(e);
     if (rrg.is_early(g.dst(e))) {

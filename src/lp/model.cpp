@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "support/strings.hpp"
+
 namespace elrr::lp {
 
 int Model::add_col(double lo, double hi, double obj, bool is_integer,
@@ -119,7 +121,7 @@ double Model::max_infeasibility(const std::vector<double>& x) const {
 namespace {
 std::string col_name(const Model& m, int j) {
   const std::string& n = m.col(j).name;
-  return n.empty() ? "x" + std::to_string(j) : n;
+  return n.empty() ? indexed_name('x', j) : n;
 }
 }  // namespace
 
@@ -140,8 +142,7 @@ std::string Model::to_lp_format() const {
       expr << (e.coef >= 0 ? " + " : " - ") << std::abs(e.coef) << " "
            << col_name(*this, e.col);
     }
-    const std::string rname =
-        r.name.empty() ? "c" + std::to_string(i) : r.name;
+    const std::string rname = r.name.empty() ? indexed_name('c', i) : r.name;
     if (r.lo == r.hi) {
       os << " " << rname << ":" << expr.str() << " = " << r.lo << "\n";
     } else {

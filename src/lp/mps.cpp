@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace elrr::lp {
 
@@ -37,9 +38,9 @@ std::vector<std::string> sanitize(const std::vector<std::string>& raw,
                       (c >= '0' && c <= '9') || c == '_' || c == '.';
       if (!ok) c = '_';
     }
-    if (name.empty()) name = std::string(1, prefix) + std::to_string(i);
+    if (name.empty()) name = indexed_name(prefix, i);
     if (name.size() > 60) name.resize(60);
-    if (used.count(name) != 0) name += "_" + std::to_string(i);
+    if (used.count(name) != 0) name += indexed_name('_', i);
     used.emplace(name, 1);
     names.push_back(std::move(name));
   }

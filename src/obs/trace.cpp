@@ -16,7 +16,7 @@
 
 #include "support/env.hpp"
 #include "support/error.hpp"
-#include "support/strings.hpp"
+#include "support/json.hpp"
 
 namespace elrr::obs {
 
@@ -387,7 +387,7 @@ std::string summary_json() {
                   "%s{\"name\": \"%s\", \"count\": %llu, "
                   "\"total_s\": %.6f, \"p50_s\": %.9f, \"p95_s\": %.9f, "
                   "\"p99_s\": %.9f}",
-                  first ? "" : ", ", json_escape(row.name).c_str(),
+                  first ? "" : ", ", json::escape(row.name).c_str(),
                   static_cast<unsigned long long>(row.count), row.total_s,
                   row.p50_s, row.p95_s, row.p99_s);
     os << buf;
@@ -396,7 +396,7 @@ std::string summary_json() {
   os << "], \"counters\": {";
   first = true;
   for (const CounterValue& counter : counters()) {
-    os << (first ? "" : ", ") << "\"" << json_escape(counter.name)
+    os << (first ? "" : ", ") << "\"" << json::escape(counter.name)
        << "\": " << counter.value;
     first = false;
   }
@@ -457,7 +457,7 @@ void write_trace(const std::string& path) {
     std::fprintf(out,
                  "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %u, "
                  "\"tid\": %u, \"args\": {\"name\": \"%s\"}}",
-                 self_pid, tid, json_escape(label).c_str());
+                 self_pid, tid, json::escape(label).c_str());
   }
 
   for (const SpanRecord& rec : spans) {
@@ -468,7 +468,7 @@ void write_trace(const std::string& path) {
     std::fprintf(out,
                  "{\"name\": \"%s\", \"cat\": \"elrr\", \"ph\": \"X\", "
                  "\"ts\": %.3f, \"dur\": %.3f, \"pid\": %u, \"tid\": %u",
-                 json_escape(rec.name).c_str(), ts_us,
+                 json::escape(rec.name).c_str(), ts_us,
                  dur_us < 0.0 ? 0.0 : dur_us, self_pid, rec.tid);
     if (rec.arg != kNoArg) {
       std::fprintf(out, ", \"args\": {\"id\": %llu}",
@@ -483,7 +483,7 @@ void write_trace(const std::string& path) {
                static_cast<unsigned long long>(dropped));
   std::fprintf(out, ",\n    \"ring_capacity\": %zu", ring_capacity());
   for (const CounterValue& c : counter_rows) {
-    std::fprintf(out, ",\n    \"%s\": %llu", json_escape(c.name).c_str(),
+    std::fprintf(out, ",\n    \"%s\": %llu", json::escape(c.name).c_str(),
                  static_cast<unsigned long long>(c.value));
   }
   std::fputs("\n  }\n}\n", out);

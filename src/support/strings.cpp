@@ -61,33 +61,18 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+std::string indexed_name(char prefix, std::size_t index) {
+  // Appending, not `"n" + std::to_string(i)`: GCC 12 reports a false
+  // -Wrestrict overlap on that concatenation.
+  std::string name(1, prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 std::string format_fixed(double value, int decimals) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
   return buffer;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string pad_left(std::string_view s, std::size_t width) {

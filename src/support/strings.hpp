@@ -24,14 +24,12 @@ bool starts_with(std::string_view s, std::string_view prefix);
 std::string to_upper(std::string_view s);
 std::string to_lower(std::string_view s);
 
+/// `prefix` followed by the decimal `index` ("n12"): the default name of
+/// an unnamed node, row or column.
+std::string indexed_name(char prefix, std::size_t index);
+
 /// Fixed-point decimal rendering, e.g. format_fixed(3.14159, 2) == "3.14".
 std::string format_fixed(double value, int decimals);
-
-/// JSON string-content escaping: quotes, backslashes and every control
-/// character (< 0x20, as \n/\t/\r or \u00xx). One escaper for every
-/// JSON the tree emits (rrg JSON export, batch JSONL, trace-summary
-/// --json) -- divergent per-file copies are how invalid JSON ships.
-std::string json_escape(std::string_view s);
 
 /// Left-pads with spaces up to `width` characters.
 std::string pad_left(std::string_view s, std::size_t width);

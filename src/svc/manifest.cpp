@@ -1,11 +1,8 @@
 #include "svc/manifest.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -14,6 +11,7 @@
 #include "io/rrg_format.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
+#include "support/json.hpp"
 #include "support/strings.hpp"
 
 namespace elrr::svc {
@@ -24,205 +22,6 @@ namespace {
   throw InvalidInputError(
       detail::concat("manifest line ", line, ": ", message));
 }
-
-/// Minimal strict parser for one *flat* JSON object -- the only shape a
-/// manifest line may take. Not a general JSON parser on purpose: no
-/// nesting, no arrays, no null; every violation is a loud error with the
-/// line number (the alternative, a lenient scan, is how malformed CI
-/// manifests silently drop jobs).
-class LineParser {
- public:
-  LineParser(std::string_view text, int line) : text_(text), line_(line) {}
-
-  ManifestEntry parse() {
-    ManifestEntry entry;
-    entry.line = line_;
-    skip_ws();
-    if (at_end()) fail(line_, "empty manifest line (expected a JSON object)");
-    expect('{', "expected '{'");
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-    } else {
-      for (;;) {
-        const std::string key = parse_string("object key");
-        if (!keys_.insert(key).second) fail(line_, "duplicate key \"" + key + "\"");
-        skip_ws();
-        expect(':', "expected ':' after key \"" + key + "\"");
-        skip_ws();
-        assign(entry, key);
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          skip_ws();
-          continue;
-        }
-        expect('}', "expected ',' or '}'");
-        break;
-      }
-    }
-    skip_ws();
-    if (!at_end()) fail(line_, "trailing characters after the JSON object");
-    validate(entry);
-    return entry;
-  }
-
- private:
-  bool at_end() const { return pos_ >= text_.size(); }
-  char peek() const { return at_end() ? '\0' : text_[pos_]; }
-  void skip_ws() {
-    while (!at_end() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  void expect(char c, const std::string& message) {
-    if (peek() != c) fail(line_, message);
-    ++pos_;
-  }
-
-  std::string parse_string(const char* what) {
-    if (peek() != '"') fail(line_, detail::concat("expected a string for ", what));
-    ++pos_;
-    std::string out;
-    for (;;) {
-      if (at_end()) fail(line_, "unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (at_end()) fail(line_, "unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          default:
-            fail(line_, detail::concat("unsupported escape \\", esc));
-        }
-        continue;
-      }
-      out.push_back(c);
-    }
-  }
-
-  double parse_number(const std::string& key) {
-    const std::size_t start = pos_;
-    while (!at_end() && (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                         text_[pos_] == '-' || text_[pos_] == '+' ||
-                         text_[pos_] == '.' || text_[pos_] == 'e' ||
-                         text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (token.empty() || end == nullptr || *end != '\0' ||
-        !std::isfinite(value)) {
-      fail(line_, "key \"" + key + "\": expected a number");
-    }
-    return value;
-  }
-
-  bool parse_bool(const std::string& key) {
-    if (text_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      return false;
-    }
-    fail(line_, "key \"" + key + "\": expected true or false");
-  }
-
-  std::uint64_t parse_u64(const std::string& key, std::uint64_t min_value) {
-    const double value = parse_number(key);
-    if (value < 0.0 || value != std::floor(value)) {
-      fail(line_, "key \"" + key + "\": expected a non-negative integer");
-    }
-    const auto integral = static_cast<std::uint64_t>(value);
-    if (integral < min_value) {
-      fail(line_, detail::concat("key \"", key, "\": must be >= ", min_value));
-    }
-    return integral;
-  }
-
-  double parse_positive(const std::string& key) {
-    const double value = parse_number(key);
-    if (value <= 0.0) fail(line_, "key \"" + key + "\": must be positive");
-    return value;
-  }
-
-  void assign(ManifestEntry& entry, const std::string& key) {
-    if (key == "circuit") {
-      entry.circuit = parse_string("\"circuit\"");
-    } else if (key == "input") {
-      entry.input = parse_string("\"input\"");
-    } else if (key == "name") {
-      entry.name = parse_string("\"name\"");
-    } else if (key == "mode") {
-      const std::string mode = parse_string("\"mode\"");
-      if (mode == "min_eff_cyc" || mode == "flow") {
-        entry.mode = JobMode::kMinEffCyc;
-      } else if (mode == "min_cyc") {
-        entry.mode = JobMode::kMinCyc;
-      } else if (mode == "score" || mode == "score_only") {
-        entry.mode = JobMode::kScoreOnly;
-      } else if (mode == "portfolio") {
-        entry.mode = JobMode::kPortfolio;
-      } else {
-        fail(line_, "unknown mode \"" + mode +
-                        "\" (min_eff_cyc|min_cyc|score|portfolio)");
-      }
-    } else if (key == "priority") {
-      const std::string priority = parse_string("\"priority\"");
-      if (priority == "high") {
-        entry.priority = JobPriority::kHigh;
-      } else if (priority == "normal") {
-        entry.priority = JobPriority::kNormal;
-      } else if (priority == "low") {
-        entry.priority = JobPriority::kLow;
-      } else {
-        fail(line_, "unknown priority \"" + priority +
-                        "\" (high|normal|low)");
-      }
-    } else if (key == "seed") {
-      entry.seed = parse_u64(key, 0);
-    } else if (key == "cycles") {
-      entry.cycles = parse_u64(key, 1);
-    } else if (key == "epsilon") {
-      entry.epsilon = parse_positive(key);
-    } else if (key == "timeout") {
-      entry.timeout = parse_positive(key);
-    } else if (key == "min_cyc_x") {
-      const double x = parse_number(key);
-      if (x < 1.0) fail(line_, "key \"min_cyc_x\": must be >= 1");
-      entry.min_cyc_x = x;
-    } else if (key == "deadline") {
-      entry.deadline = parse_positive(key);
-    } else if (key == "retries") {
-      entry.retries = parse_u64(key, 0);
-    } else if (key == "heur") {
-      entry.heur = parse_bool(key);
-    } else if (key == "polish") {
-      entry.polish = parse_bool(key);
-    } else {
-      fail(line_, "unknown key \"" + key + "\"");
-    }
-  }
-
-  void validate(const ManifestEntry& entry) {
-    if (entry.circuit.empty() == entry.input.empty()) {
-      fail(line_, "provide exactly one of \"circuit\" or \"input\"");
-    }
-  }
-
-  std::string_view text_;
-  int line_;
-  std::size_t pos_ = 0;
-  std::set<std::string> keys_;
-};
 
 /// Inputs materialized before and still held by some job, keyed by what
 /// determines them: a generated circuit's name and seed, or an .rrg
@@ -265,7 +64,121 @@ InputTable& inputs() {
 }  // namespace
 
 ManifestEntry parse_manifest_line(std::string_view text, int line_number) {
-  return LineParser(text, line_number).parse();
+  const std::string_view body = trim(text);
+  if (body.empty()) {
+    fail(line_number, "empty manifest line (expected a JSON object)");
+  }
+  if (body.front() != '{') fail(line_number, "expected '{'");
+  json::Value object;
+  try {
+    object = json::parse(text);
+  } catch (const InvalidInputError& error) {
+    fail(line_number, error.what());
+  }
+
+  // The typed checks of the members, each failure naming its key.
+  using Member = json::Value::Member;
+  const auto key_error = [line_number](const Member& m,
+                                       const std::string& what) {
+    fail(line_number, detail::concat("key \"", m.key, "\": ", what));
+  };
+  const auto text_of = [line_number](const Member& m) -> const std::string& {
+    if (!m.value.is_string()) {
+      fail(line_number, "expected a string for \"" + m.key + "\"");
+    }
+    return m.value.as_string();
+  };
+  const auto number = [&](const Member& m) {
+    if (!m.value.is_number()) key_error(m, "expected a number");
+    return m.value.as_number();
+  };
+  const auto positive = [&](const Member& m) {
+    const double x = number(m);
+    if (x <= 0.0) key_error(m, "must be positive");
+    return x;
+  };
+  const auto u64 = [&](const Member& m, std::uint64_t min_value) {
+    // Past 2^53 a double no longer holds every integer: the value read
+    // could differ from the one written.
+    const double x = number(m);
+    if (x < 0.0 || x != std::floor(x) || x > 9007199254740992.0) {
+      key_error(m, "expected a non-negative integer up to 2^53");
+    }
+    const auto integral = static_cast<std::uint64_t>(x);
+    if (integral < min_value) {
+      key_error(m, detail::concat("must be >= ", min_value));
+    }
+    return integral;
+  };
+  const auto boolean = [&](const Member& m) {
+    if (m.value.type() != json::Value::Type::kBool) {
+      key_error(m, "expected true or false");
+    }
+    return m.value.as_bool();
+  };
+
+  ManifestEntry entry;
+  entry.line = line_number;
+  for (const Member& m : object.members()) {
+    if (m.key == "circuit") {
+      entry.circuit = text_of(m);
+    } else if (m.key == "input") {
+      entry.input = text_of(m);
+    } else if (m.key == "name") {
+      entry.name = text_of(m);
+    } else if (m.key == "mode") {
+      const std::string& mode = text_of(m);
+      if (mode == "min_eff_cyc" || mode == "flow") {
+        entry.mode = JobMode::kMinEffCyc;
+      } else if (mode == "min_cyc") {
+        entry.mode = JobMode::kMinCyc;
+      } else if (mode == "score" || mode == "score_only") {
+        entry.mode = JobMode::kScoreOnly;
+      } else if (mode == "portfolio") {
+        entry.mode = JobMode::kPortfolio;
+      } else {
+        fail(line_number, "unknown mode \"" + json::escape(mode) +
+                              "\" (min_eff_cyc|min_cyc|score|portfolio)");
+      }
+    } else if (m.key == "priority") {
+      const std::string& priority = text_of(m);
+      if (priority == "high") {
+        entry.priority = JobPriority::kHigh;
+      } else if (priority == "normal") {
+        entry.priority = JobPriority::kNormal;
+      } else if (priority == "low") {
+        entry.priority = JobPriority::kLow;
+      } else {
+        fail(line_number, "unknown priority \"" + json::escape(priority) +
+                              "\" (high|normal|low)");
+      }
+    } else if (m.key == "seed") {
+      entry.seed = u64(m, 0);
+    } else if (m.key == "cycles") {
+      entry.cycles = u64(m, 1);
+    } else if (m.key == "epsilon") {
+      entry.epsilon = positive(m);
+    } else if (m.key == "timeout") {
+      entry.timeout = positive(m);
+    } else if (m.key == "min_cyc_x") {
+      entry.min_cyc_x = number(m);
+      if (*entry.min_cyc_x < 1.0) key_error(m, "must be >= 1");
+    } else if (m.key == "deadline") {
+      entry.deadline = positive(m);
+    } else if (m.key == "retries") {
+      entry.retries = u64(m, 0);
+    } else if (m.key == "heur") {
+      entry.heur = boolean(m);
+    } else if (m.key == "polish") {
+      entry.polish = boolean(m);
+    } else {
+      fail(line_number, "unknown key \"" + json::escape(m.key) + "\"");
+    }
+  }
+  if (entry.circuit.empty() == entry.input.empty()) {
+    fail(line_number, "provide exactly one of \"circuit\" or \"input\"");
+  }
+  return entry;
 }
 
 std::vector<ManifestEntry> parse_manifest(std::string_view text) {

@@ -2,11 +2,13 @@
 
 /// \file manifest.hpp
 /// JSONL job manifests for the batch service (`elrr batch`): one job per
-/// line, each a flat JSON object. Strictly validated -- empty lines,
-/// malformed JSON, unknown or duplicate keys, type mismatches and
-/// out-of-range values all throw InvalidInputError *with the line
-/// number*, so a CI batch fails loudly at the offending line instead of
-/// silently skipping work.
+/// line, each a flat JSON object read by the strict RFC 8259 reader of
+/// support/json.hpp (every standard escape, `\uXXXX` included; numbers
+/// in the RFC grammar only, so no `+1`, `.5` or `01`). Strictly
+/// validated -- empty lines, malformed JSON, unknown or duplicate keys,
+/// type mismatches and out-of-range values all throw InvalidInputError
+/// *with the line number*, so a CI batch fails loudly at the offending
+/// line instead of silently skipping work.
 ///
 /// Line shape (all keys optional except exactly one of circuit/input):
 ///   {"circuit": "s526"}

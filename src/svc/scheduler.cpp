@@ -107,7 +107,6 @@ SchedulerOptions SchedulerOptions::from_env() {
   const flow::FlowOptions flow = flow::FlowOptions::from_env();
   SchedulerOptions options;
   options.sim_threads = flow.sim_threads;
-  options.sim_dedup = flow.sim_dedup;
   options.sim_cache_cap = flow.sim_cache_cap;
   // 0 disables the deadline, so this one knob is non-negative where
   // ELRR_MILP_TIMEOUT and friends demand strictly positive.
@@ -156,9 +155,9 @@ std::string Scheduler::job_key(const JobSpec& spec) {
   // simulation-visible content, the node delays (the simulation never
   // reads them, so canonical_rrg_key omits them -- but tau, every MILP
   // solve and every xi depend on them), the mode, and the
-  // result-affecting FlowOptions fields. Wall-clock knobs (sim_threads,
-  // sim_dedup, sim_cache_cap, pipeline) are deliberately absent -- they
-  // never move a number, per the engine/fleet determinism contracts.
+  // result-affecting FlowOptions fields. The wall-clock knobs
+  // (sim_threads, sim_cache_cap) are deliberately absent -- they never
+  // move a number, per the engine/fleet determinism contracts.
   std::string key = sim::canonical_rrg_key(spec.rrg);
   for (NodeId n = 0; n < spec.rrg.num_nodes(); ++n) {
     append_value(key, spec.rrg.delay(n));
@@ -180,7 +179,7 @@ std::string Scheduler::job_key(const JobSpec& spec) {
 
 Scheduler::Scheduler(const SchedulerOptions& options)
     : options_(options),
-      fleet_(options.sim_threads, options.sim_dedup, options.sim_cache_cap) {
+      fleet_(options.sim_threads, /*dedup=*/true, options.sim_cache_cap) {
   options_.workers = std::max<std::size_t>(options_.workers, 1);
   paused_ = options_.start_paused;
   // The persistent layer must stand before any worker can complete a job

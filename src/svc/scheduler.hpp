@@ -191,8 +191,6 @@ struct SchedulerOptions {
   std::size_t workers = 1;
   /// Shared fleet worker-pool size (0 = hardware concurrency).
   std::size_t sim_threads = 1;
-  /// Candidate dedup in the shared fleet (cross-job; results identical).
-  bool sim_dedup = true;
   /// Byte cap of the fleet's session result cache (0 = unbounded).
   std::size_t sim_cache_cap = sim::kDefaultSimCacheCapBytes;
   /// Cross-job whole-result cache: duplicate jobs (identical circuit

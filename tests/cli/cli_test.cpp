@@ -14,6 +14,7 @@
 
 #include "io/rrg_format.hpp"
 #include "obs/trace.hpp"
+#include "support/json.hpp"
 
 namespace elrr::cli {
 namespace {
@@ -312,6 +313,82 @@ TEST(Cli, TraceSummaryJsonPinsTheSchema) {
       << txt.out;
 
   obs::reset();
+}
+
+/// `value` written out again with one member or item per line, every
+/// object's keys in reverse order, and string values `from` made `to`.
+std::string relayout(const json::Value& value, const std::string& from,
+                     const std::string& to) {
+  using Type = json::Value::Type;
+  std::string out;
+  if (value.type() == Type::kString) {
+    out += '"';
+    out += json::escape(value.as_string() == from ? to : value.as_string());
+    out += '"';
+  } else if (value.type() == Type::kNumber) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", value.as_number());
+    out = buf;
+  } else if (value.type() == Type::kArray) {
+    for (const json::Value& item : value.items()) {
+      out += (out.empty() ? "[\n" : ",\n") + relayout(item, from, to);
+    }
+    out = out.empty() ? "[]" : out + "\n]";
+  } else if (value.type() == Type::kObject) {
+    const std::vector<json::Value::Member>& members = value.members();
+    for (auto it = members.rbegin(); it != members.rend(); ++it) {
+      out += out.empty() ? "{\n\"" : ",\n\"";
+      out += json::escape(it->key) + "\":\n" + relayout(it->value, from, to);
+    }
+    out = out.empty() ? "{}" : out + "\n}";
+  } else {
+    out = value.type() == Type::kNull ? "null"
+                                      : (value.as_bool() ? "true" : "false");
+  }
+  return out;
+}
+
+/// trace-summary reads the trace by structure, not by line: the same
+/// trace laid out one field per line, with its keys reordered and a
+/// thread label holding a quote and a backslash, yields the same table
+/// and the same --json document as the compact file `elrr batch` wrote.
+TEST(Cli, TraceSummaryReadsAnyLayoutOfTheTrace) {
+  const std::string manifest_path =
+      ::testing::TempDir() + "/trace_layout.jsonl";
+  io::save_text_file(manifest_path,
+                     "{\"circuit\": \"s208\", \"mode\": \"score\", "
+                     "\"cycles\": 2000}\n");
+  const std::string compact = ::testing::TempDir() + "/trace_compact.json";
+  const std::string relaid = ::testing::TempDir() + "/trace_relaid.json";
+  const CliResult r = run_cli({"batch", manifest_path, "--trace", compact});
+  ASSERT_EQ(r.code, 0) << r.out << r.err;
+  obs::reset();
+
+  const std::string text =
+      relayout(json::parse(io::load_text_file(compact)), "sched-worker",
+               "sched \"worker\" \\ 0");
+  ASSERT_NE(text.find("\"sched \\\"worker\\\" \\\\ 0\""),
+            std::string::npos)
+      << text;
+  ASSERT_NE(text.find("\"ph\":\n\"X\""), std::string::npos);
+  io::save_text_file(relaid, text + "\n");
+
+  const CliResult table = run_cli({"trace-summary", compact});
+  ASSERT_EQ(table.code, 0) << table.err;
+  EXPECT_NE(table.out.find("job.run"), std::string::npos) << table.out;
+  const CliResult relaid_table = run_cli({"trace-summary", relaid});
+  EXPECT_EQ(relaid_table.code, 0) << relaid_table.err;
+  EXPECT_EQ(relaid_table.out, table.out);
+
+  const CliResult js = run_cli({"trace-summary", compact, "--json"});
+  ASSERT_EQ(js.code, 0) << js.err;
+  CliResult relaid_js = run_cli({"trace-summary", relaid, "--json"});
+  EXPECT_EQ(relaid_js.code, 0) << relaid_js.err;
+  // The documents differ only in the "input" path they echo.
+  const std::size_t at = relaid_js.out.find(relaid);
+  ASSERT_NE(at, std::string::npos) << relaid_js.out;
+  relaid_js.out.replace(at, relaid.size(), compact);
+  EXPECT_EQ(relaid_js.out, js.out);
 }
 
 /// --trace vs ELRR_TRACE precedence: both arm the same obs layer, and

@@ -4,8 +4,8 @@
 /// sweep -- `ctest -L obs` on an ELRR_SANITIZE build -- so the one-load
 /// fast path is ASan/UBSan-covered), ring wrap-around semantics, span
 /// nesting, histogram percentile brackets, the Chrome trace-event JSON
-/// emitted by write_trace (parsed back by a small recursive-descent
-/// parser: "the emitted JSON parses" is the contract, not a substring
+/// emitted by write_trace (parsed back by the strict support/json
+/// reader: "the emitted JSON parses" is the contract, not a substring
 /// match), and the bit-exactness of fleet thetas armed vs disarmed.
 
 #include <unistd.h>
@@ -31,13 +31,10 @@
 #include "obs/trace.hpp"
 #include "sim/fleet.hpp"
 #include "support/error.hpp"
-#include "tests/json_parser.hpp"
+#include "support/json.hpp"
 
 namespace elrr::obs {
 namespace {
-
-using test::JsonParser;
-using test::JsonValue;
 
 /// Every test leaves the process-wide registry disarmed and empty: the
 /// obs state is a singleton, and suite order must not matter.
@@ -294,46 +291,44 @@ TEST_F(ObsTest, WriteTraceEmitsParsableChromeJson) {
   count("job.done", 3);
   write_trace(trace_path());
 
-  const JsonValue root = JsonParser(read_file(path)).parse();
-  ASSERT_EQ(root.type, JsonValue::Type::kObject);
-  const JsonValue& events = root.at("traceEvents");
-  ASSERT_EQ(events.type, JsonValue::Type::kArray);
+  const json::Value root = json::parse(read_file(path));
+  ASSERT_TRUE(root.is_object());
+  const json::Value& events = root.at("traceEvents");
+  ASSERT_EQ(events.type(), json::Value::Type::kArray);
 
   // One process track: every event, metadata included, carries our pid.
   const double self_pid = static_cast<double>(::getpid());
   bool saw_milp = false, saw_slice = false, saw_thread_name = false;
-  for (const JsonValue& ev : events.array) {
-    ASSERT_EQ(ev.type, JsonValue::Type::kObject);
-    EXPECT_EQ(ev.at("pid").number, self_pid);
-    const std::string ph = ev.at("ph").string;
+  for (const json::Value& ev : events.items()) {
+    ASSERT_TRUE(ev.is_object());
+    EXPECT_EQ(ev.at("pid").as_number(), self_pid);
+    const std::string ph = ev.at("ph").as_string();
     ASSERT_TRUE(ph == "X" || ph == "M") << ph;
     if (ph == "M") {
-      if (ev.at("name").string == "thread_name" &&
-          ev.at("args").at("name").string == "obs-test-main") {
+      if (ev.at("name").as_string() == "thread_name" &&
+          ev.at("args").at("name").as_string() == "obs-test-main") {
         saw_thread_name = true;
       }
       continue;
     }
     // Every complete event carries the full Chrome trace-event shape.
-    EXPECT_EQ(ev.at("cat").string, "elrr");
-    EXPECT_EQ(ev.at("ts").type, JsonValue::Type::kNumber);
-    EXPECT_EQ(ev.at("dur").type, JsonValue::Type::kNumber);
-    EXPECT_GE(ev.at("ts").number, 0.0);
-    EXPECT_GE(ev.at("dur").number, 0.0);
-    if (ev.at("name").string == "milp.solve") {
+    EXPECT_EQ(ev.at("cat").as_string(), "elrr");
+    EXPECT_GE(ev.at("ts").as_number(), 0.0);
+    EXPECT_GE(ev.at("dur").as_number(), 0.0);
+    if (ev.at("name").as_string() == "milp.solve") {
       saw_milp = true;
-      EXPECT_EQ(ev.at("args").at("id").number, 42.0);
-      EXPECT_NEAR(ev.at("dur").number, 5.0, 1e-9);  // 5000 ns = 5 us
+      EXPECT_EQ(ev.at("args").at("id").as_number(), 42.0);
+      EXPECT_NEAR(ev.at("dur").as_number(), 5.0, 1e-9);  // 5000 ns = 5 us
     }
-    if (ev.at("name").string == "fleet.slice") saw_slice = true;
+    if (ev.at("name").as_string() == "fleet.slice") saw_slice = true;
   }
   EXPECT_TRUE(saw_milp);
   EXPECT_TRUE(saw_slice);
   EXPECT_TRUE(saw_thread_name);
 
-  const JsonValue& other = root.at("otherData");
-  EXPECT_EQ(other.at("dropped_spans").number, 0.0);
-  EXPECT_EQ(other.at("job.done").number, 3.0);
+  const json::Value& other = root.at("otherData");
+  EXPECT_EQ(other.at("dropped_spans").as_number(), 0.0);
+  EXPECT_EQ(other.at("job.done").as_number(), 3.0);
   std::remove(path.c_str());
 }
 

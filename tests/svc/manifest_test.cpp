@@ -116,6 +116,17 @@ TEST(Manifest, ValueValidation) {
                     "expected a number");
 }
 
+TEST(Manifest, IntegersPastDoublePrecisionThrow) {
+  // A double holds every integer only up to 2^53: a larger seed would
+  // run as another value.
+  expect_line_error(R"({"circuit":"x","seed": 1e30})", 1, "up to 2^53");
+  expect_line_error(R"({"circuit":"x","seed": 18446744073709551615})", 1,
+                    "up to 2^53");
+  EXPECT_EQ(parse_manifest_line(R"({"circuit":"x","seed": 9007199254740992})",
+                                1).seed,
+            9007199254740992u);
+}
+
 TEST(Manifest, RequiresExactlyOneSource) {
   expect_line_error(R"({"name": "nothing"})", 1, "exactly one");
   expect_line_error(R"({"circuit": "s27", "input": "x.rrg"})", 1,

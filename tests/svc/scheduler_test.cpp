@@ -37,8 +37,8 @@
 #include "flow/circuit_flow.hpp"
 #include "lp/milp.hpp"
 #include "sim/simulator.hpp"
-#include "support/bench_json.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace elrr::svc {
 namespace {
@@ -258,19 +258,18 @@ TEST(Scheduler, MilpStatsSayHowBranchAndBoundNodesWereSolved) {
     ASSERT_EQ(scheduler.wait(scheduler.submit(flow_job(name))).state,
               JobState::kDone);
   }
-  const std::string json = scheduler.stats_json();
-  const auto warm = bench_json::find_number(json, "milp", "warm_nodes");
-  const auto replayed =
-      bench_json::find_number(json, "milp", "replayed_nodes");
-  const auto peak =
-      bench_json::find_number(json, "milp", "peak_snapshot_bytes");
-  const auto nodes = bench_json::find_number(json, "milp", "nodes");
-  ASSERT_TRUE(warm && replayed && peak && nodes) << json;
-  EXPECT_GT(*warm, 0.0) << json;
-  EXPECT_LE(*warm + *replayed, *nodes) << json;
-  EXPECT_GT(*peak, 0.0) << json;
+  const std::string text = scheduler.stats_json();
+  const json::Value stats = json::parse(text);
+  const auto warm = stats.number_at("milp.warm_nodes");
+  const auto replayed = stats.number_at("milp.replayed_nodes");
+  const auto peak = stats.number_at("milp.peak_snapshot_bytes");
+  const auto nodes = stats.number_at("milp.nodes");
+  ASSERT_TRUE(warm && replayed && peak && nodes) << text;
+  EXPECT_GT(*warm, 0.0) << text;
+  EXPECT_LE(*warm + *replayed, *nodes) << text;
+  EXPECT_GT(*peak, 0.0) << text;
   EXPECT_LE(*peak, static_cast<double>(lp::kNodeSnapshotBudgetBytes))
-      << json;
+      << text;
 }
 
 TEST(Scheduler, PriorityClassesAreFairShared) {

@@ -14,7 +14,6 @@
 ///    observer must never kill the service it observes.
 
 #include <cstdlib>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,8 +24,8 @@
 
 #include "bench89/generator.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "svc/scheduler.hpp"
-#include "tests/json_parser.hpp"
 
 namespace elrr::svc {
 namespace {
@@ -37,9 +36,8 @@ namespace fs = std::filesystem;
 /// truncated snapshot does not.
 bool is_one_json_object(const std::string& text) {
   try {
-    return test::JsonParser(text).parse().type ==
-           test::JsonValue::Type::kObject;
-  } catch (const std::exception&) {  // runtime_error, or std::stod's
+    return json::parse(text).is_object();
+  } catch (const InvalidInputError&) {
     return false;
   }
 }

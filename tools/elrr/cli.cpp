@@ -32,10 +32,10 @@
 #include "sim/markov.hpp"
 #include "sim/simulator.hpp"
 #include "support/args.hpp"
-#include "support/bench_json.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
+#include "support/json.hpp"
 #include "support/stats.hpp"
 #include "support/strings.hpp"
 #include "svc/disk_cache.hpp"
@@ -72,9 +72,10 @@ commands:
   batch       multi-circuit optimization service: one scheduler, one
               shared simulation fleet, many jobs. elrr batch
               <manifest.jsonl> [--jobs N] [--threads T] [--output file]
-              [--resume] -- one JSON job per manifest line ({"circuit":
+              [--resume] -- one JSON object per manifest line ({"circuit":
               "s526", "mode": "min_eff_cyc|min_cyc|score", "priority":
-              "high|normal|low", ...}; see src/svc/manifest.hpp), JSONL
+              "high|normal|low", ...}; strict RFC 8259: standard
+              escapes, JSON numbers; see src/svc/manifest.hpp), JSONL
               results out (last line = batch summary). ELRR_* env knobs
               are the batch-wide defaults; per-line keys override.
               --resume re-runs a crashed/interrupted batch's manifest
@@ -215,35 +216,19 @@ int cmd_optimize(Args& args, std::ostream& out) {
   ELRR_REQUIRE(!points.empty(), "unknown --method '", method,
                "' (exact|heur|hybrid)");
 
-  // Merge: sort by tau, keep the Pareto frontier.
-  std::sort(points.begin(), points.end(),
-            [](const ParetoPoint& a, const ParetoPoint& b) {
-              if (a.tau != b.tau) return a.tau < b.tau;
-              return a.theta_lp > b.theta_lp;
-            });
-  std::vector<ParetoPoint> frontier;
-  double best_theta = -1.0;
-  for (ParetoPoint& p : points) {
-    if (p.theta_lp > best_theta + 1e-12) {
-      best_theta = p.theta_lp;
-      frontier.push_back(std::move(p));
-    }
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < frontier.size(); ++i) {
-    if (frontier[i].xi_lp < frontier[best].xi_lp) best = i;
-  }
-  print_points(out, frontier, best, k);
+  // Merge: keep the Pareto frontier of both.
+  const std::size_t best = keep_pareto_frontier(points);
+  print_points(out, points, best, k);
 
   if (simulate) {
     out << "\nsimulated candidates:\n";
     out << "   #   Theta_sim     xi_sim\n";
     std::size_t best_sim = 0;
     double best_xi = 0.0;
-    for (std::size_t i = 0; i < frontier.size() && i < k; ++i) {
-      const Rrg tuned = apply_config(in.rrg, frontier[i].config);
+    for (std::size_t i = 0; i < points.size() && i < k; ++i) {
+      const Rrg tuned = apply_config(in.rrg, points[i].config);
       const sim::SimResult sim = sim::simulate_throughput(tuned);
-      const double xi = frontier[i].tau / sim.theta;
+      const double xi = points[i].tau / sim.theta;
       if (i == 0 || xi < best_xi) {
         best_xi = xi;
         best_sim = i;
@@ -256,7 +241,7 @@ int cmd_optimize(Args& args, std::ostream& out) {
         << format_fixed(best_xi, 4) << ")\n";
   }
   if (save.has_value()) {
-    const Rrg tuned = apply_config(in.rrg, frontier[best].config);
+    const Rrg tuned = apply_config(in.rrg, points[best].config);
     io::save_text_file(*save, io::write_rrg(tuned, in.name + "_optimized"));
     out << "saved best configuration to " << *save << "\n";
   }
@@ -490,7 +475,7 @@ int cmd_from_bench(Args& args, std::ostream& out) {
 }
 
 /// One JSONL result line per batch job (strings go through the shared
-/// elrr::json_escape). Numeric fields use %.10g: enough
+/// json::escape). Numeric fields use %.10g: enough
 /// digits that two runs of a deterministic batch diff clean.
 /// One-word outcome for scripts: jq 'select(.status != "ok")' finds
 /// everything that needs a human, whatever the failure flavour.
@@ -508,14 +493,14 @@ const char* batch_status(const svc::JobResult& result) {
 void print_batch_result(std::ostream& out, const svc::JobResult& result) {
   char buf[320];
   out << "{\"job\": " << result.id << ", \"name\": \""
-      << json_escape(result.name) << "\", \"mode\": \""
+      << json::escape(result.name) << "\", \"mode\": \""
       << svc::to_string(result.mode) << "\", \"state\": \""
       << svc::to_string(result.state) << "\", \"status\": \""
       << batch_status(result) << "\"";
   // The error field travels with every non-clean outcome: the failure
   // reason, the rejection reason, or the degradation reason.
   if (!result.error.empty()) {
-    out << ", \"error\": \"" << json_escape(result.error) << "\"";
+    out << ", \"error\": \"" << json::escape(result.error) << "\"";
   }
   // Metrics are emitted only for completed jobs: a cancelled job's
   // zero-initialized xi fields would read as measured values. A
@@ -714,6 +699,16 @@ int cmd_batch(Args& args, std::ostream& out, std::ostream& err) {
   return failed > 0 ? 1 : 0;
 }
 
+/// Parses the JSON file at `path`; a parse error names the file.
+json::Value read_json_file(const std::string& path) {
+  const std::string text = io::load_text_file(path);
+  try {
+    return json::parse(text);
+  } catch (const InvalidInputError& error) {
+    throw InvalidInputError(detail::concat(path, ": ", error.what()));
+  }
+}
+
 /// One row of a per-phase latency table (`trace-summary`, `top`).
 struct PhaseRow {
   std::string name;
@@ -752,25 +747,22 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
                "usage: elrr trace-summary <trace.json> [--json]");
   const bool json = args.get_flag("json");
   args.finish();
-  const std::string text = io::load_text_file(path);
+  const json::Value trace = read_json_file(path);
 
-  // The exporter writes one complete-span event per line with a fixed
-  // field order; scan for `"ph": "X"` lines and pull name + dur.
+  // Complete-span events ("ph": "X") carry a name and a duration in us.
   std::map<std::string, std::vector<double>> durations_us;
-  std::istringstream stream(text);
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (line.find("\"ph\": \"X\"") == std::string::npos) continue;
-    const std::string name_tag = "\"name\": \"";
-    const std::string dur_tag = "\"dur\": ";
-    const std::size_t name_at = line.find(name_tag);
-    const std::size_t dur_at = line.find(dur_tag);
-    if (name_at == std::string::npos || dur_at == std::string::npos) continue;
-    const std::size_t name_from = name_at + name_tag.size();
-    const std::size_t name_to = line.find('"', name_from);
-    if (name_to == std::string::npos) continue;
-    durations_us[line.substr(name_from, name_to - name_from)].push_back(
-        std::strtod(line.c_str() + dur_at + dur_tag.size(), nullptr));
+  const json::Value* events = trace.find("traceEvents");
+  if (events != nullptr && events->type() == json::Value::Type::kArray) {
+    for (const json::Value& event : events->items()) {
+      const json::Value* ph = event.find("ph");
+      const json::Value* name = event.find("name");
+      const std::optional<double> dur = event.number_at("dur");
+      if (ph == nullptr || !ph->is_string() || ph->as_string() != "X" ||
+          name == nullptr || !name->is_string() || !dur.has_value()) {
+        continue;
+      }
+      durations_us[name->as_string()].push_back(*dur);
+    }
   }
   ELRR_REQUIRE(!durations_us.empty(), "no complete-span events in ", path,
                " (expected a trace written by `elrr batch --trace` or "
@@ -780,9 +772,9 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
   // so a wrapped ring (under-counted totals) is visible from the
   // summary alone. Missing keys (older traces) render as absent.
   const std::optional<double> dropped =
-      bench_json::find_number(text, "otherData", "dropped_spans");
+      trace.number_at("otherData.dropped_spans");
   const std::optional<double> capacity =
-      bench_json::find_number(text, "otherData", "ring_capacity");
+      trace.number_at("otherData.ring_capacity");
 
   // One row per phase, in name order; both output formats only render
   // these.
@@ -802,7 +794,7 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
     // per-phase rows in an array, ring health at the tail. Exit code
     // unchanged.
     char buf[256];
-    out << "{\n  \"input\": \"" << json_escape(path)
+    out << "{\n  \"input\": \"" << json::escape(path)
         << "\",\n  \"phases\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const PhaseRow& r = rows[i];
@@ -810,7 +802,7 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
                     "    {\"name\": \"%s\", \"count\": %zu, "
                     "\"total_s\": %.6f, \"p50_s\": %.9f, \"p95_s\": %.9f, "
                     "\"p99_s\": %.9f}%s\n",
-                    json_escape(r.name).c_str(), r.count, r.total_s, r.p50_s,
+                    json::escape(r.name).c_str(), r.count, r.total_s, r.p50_s,
                     r.p95_s, r.p99_s, i + 1 < rows.size() ? "," : "");
       out << buf;
     }
@@ -968,28 +960,25 @@ int cmd_top(Args& args, std::ostream& out) {
   }
   ELRR_REQUIRE(!path.empty(), "usage: elrr top <snapshot.json>");
   args.finish();
-  const std::string text = io::load_text_file(path);
-  // The snapshot's gauges sit at its root ("" below); the scheduler's
-  // stats nest in labelled objects.
-  const auto get = [&text](const char* section,
-                           const char* key) -> std::optional<double> {
-    return bench_json::find_number(text, section, key);
-  };
-  ELRR_REQUIRE(get("", "uptime_s").has_value(), path,
+  const json::Value snapshot = read_json_file(path);
+  // The snapshot's gauges sit at its root, the scheduler's stats under
+  // "stats" (see svc::Scheduler::write_stats_snapshot).
+  const std::optional<double> uptime = snapshot.number_at("uptime_s");
+  ELRR_REQUIRE(uptime.has_value(), path,
                " is not a stats snapshot (expected the JSON published "
                "by ELRR_STATS_SNAPSHOT=path:period_ms)");
-  const auto n = [](std::optional<double> v) -> long long {
-    return v.has_value() ? static_cast<long long>(*v) : 0;
+  const auto n = [&snapshot](const char* key) -> long long {
+    return static_cast<long long>(snapshot.number_at(key).value_or(0.0));
   };
   char row[256];
   std::snprintf(row, sizeof(row),
                 "elrr top -- %s\nuptime %.1fs   queued %lld   running %lld"
                 "   scheduler workers %lld\n",
-                path.c_str(), *get("", "uptime_s"), n(get("", "queued")),
-                n(get("", "running")), n(get("", "workers")));
+                path.c_str(), *uptime, n("queued"), n("running"),
+                n("workers"));
   out << row;
-  const long long pool = n(get("fleet", "pool"));
-  const long long busy = n(get("fleet", "busy"));
+  const long long pool = n("fleet.pool");
+  const long long busy = n("fleet.busy");
   std::snprintf(row, sizeof(row),
                 "fleet: pool %lld, busy %lld (%.0f%%)\n", pool, busy,
                 pool > 0 ? 100.0 * static_cast<double>(busy) /
@@ -999,26 +988,22 @@ int cmd_top(Args& args, std::ostream& out) {
   std::snprintf(row, sizeof(row),
                 "jobs:  submitted %lld, completed %lld, failed %lld, "
                 "rejected %lld, retries %lld\n",
-                n(get("scheduler", "submitted")),
-                n(get("scheduler", "completed")),
-                n(get("scheduler", "failed")),
-                n(get("scheduler", "rejected")),
-                n(get("scheduler", "retries")));
+                n("stats.scheduler.submitted"), n("stats.scheduler.completed"),
+                n("stats.scheduler.failed"), n("stats.scheduler.rejected"),
+                n("stats.scheduler.retries"));
   out << row;
-  const long long hits = n(get("fleet_cache", "hits"));
-  const long long misses = n(get("fleet_cache", "misses"));
+  const long long hits = n("stats.fleet_cache.hits");
+  const long long misses = n("stats.fleet_cache.misses");
   std::snprintf(row, sizeof(row),
                 "cache: fleet %.1f%% hit (%lld/%lld), job hits %lld",
                 hits + misses > 0 ? 100.0 * static_cast<double>(hits) /
                                         static_cast<double>(hits + misses)
                                   : 0.0,
-                hits, hits + misses,
-                n(get("scheduler", "job_cache_hits")));
+                hits, hits + misses, n("stats.scheduler.job_cache_hits"));
   out << row;
-  const auto disk_hits = get("disk_cache", "hits");
-  if (disk_hits.has_value()) {
-    const long long dh = n(disk_hits);
-    const long long dm = n(get("disk_cache", "misses"));
+  if (snapshot.number_at("stats.disk_cache.hits").has_value()) {
+    const long long dh = n("stats.disk_cache.hits");
+    const long long dm = n("stats.disk_cache.misses");
     std::snprintf(row, sizeof(row), ", disk %.1f%% hit (%lld/%lld)",
                   dh + dm > 0 ? 100.0 * static_cast<double>(dh) /
                                     static_cast<double>(dh + dm)
@@ -1028,21 +1013,25 @@ int cmd_top(Args& args, std::ostream& out) {
   }
   out << "\n";
   std::snprintf(row, sizeof(row), "milp:  solves %lld, %.2fs total\n",
-                n(get("milp", "solves")),
-                get("milp", "solve_seconds").value_or(0.0));
+                n("stats.milp.solves"),
+                snapshot.number_at("stats.milp.solve_seconds").value_or(0.0));
   out << row;
 
   // Per-phase percentiles from the embedded obs summary.
   std::vector<PhaseRow> phases;
-  for (const std::string_view obj :
-       bench_json::find_objects(text, "obs", "phases")) {
-    const auto num = [obj](const char* key) {
-      return bench_json::find_number(obj, "", key).value_or(0.0);
-    };
-    phases.push_back(
-        {std::string(bench_json::find_string(obj, "", "name").value_or("")),
-         static_cast<std::size_t>(num("count")), num("total_s"),
-         num("p50_s"), num("p95_s"), num("p99_s")});
+  const json::Value* rows = snapshot.find_path("obs.phases");
+  if (rows != nullptr && rows->type() == json::Value::Type::kArray) {
+    for (const json::Value& row : rows->items()) {
+      const json::Value* name = row.find("name");
+      if (name == nullptr || !name->is_string()) continue;
+      const auto num = [&row](const char* key) {
+        return row.number_at(key).value_or(0.0);
+      };
+      phases.push_back({name->as_string(),
+                        static_cast<std::size_t>(num("count")),
+                        num("total_s"), num("p50_s"), num("p95_s"),
+                        num("p99_s")});
+    }
   }
   if (!phases.empty()) {
     out << "phases:\n";
