@@ -6,7 +6,7 @@
 /// paper) and the simulation-best one (RC_min, bold xi).
 ///
 /// Structures and annotations are synthesized with the paper's published
-/// statistics (DESIGN.md, substitutions), so absolute numbers differ from
+/// statistics (src/core/README.md, "Substitutions"), so absolute numbers differ from
 /// the paper's row values; the qualitative shape -- several Pareto
 /// points, LP bound optimistic by a few percent to tens of percent, the
 /// last row being the min-delay retiming with Theta = 1 -- must hold.

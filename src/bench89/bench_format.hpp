@@ -6,7 +6,7 @@
 /// getting realistic graph structures" (largest SCC, then random
 /// annotation); the parser handles real `.bench` files when available,
 /// while generator.hpp synthesizes structures with the published
-/// statistics when they are not (see DESIGN.md, substitutions).
+/// statistics when they are not (src/core/README.md, "Substitutions").
 
 #include <string>
 #include <string_view>

@@ -201,7 +201,7 @@ RrModel build_rr_model(const Rrg& rrg, Objective objective, double x_fixed,
       // (6)-(10) follow that orientation. With only simple nodes the flip
       // is harmless (sigma is free, so sigma -> -sigma maps one system to
       // the other), but mixed with (6)-(10) it is unsound; we use the
-      // (4)-consistent orientation. See DESIGN.md, "reproduction notes".
+      // (4)-consistent orientation. See src/core/README.md, note 1.
       // A telescopic consumer adds its expected extra service latency
       // (1-p) * slow_extra to the edge's pipeline latency.
       std::vector<lp::ColEntry> entries{{rr.buf_col[e], -1.0}};

@@ -9,7 +9,7 @@
 ///
 /// Both primitives are *linear* MILPs. The non-convex product x * R0'(e)
 /// of problem (12) disappears after substituting scaled firing counts
-/// (sigma-tilde absorbs x * retiming) -- see DESIGN.md "Key reformulation";
+/// (sigma-tilde absorbs x * retiming) -- src/core/README.md, note 2;
 /// consequently only the buffer counts R'(e) need integrality, and the
 /// integral retiming vector is recovered afterwards with Bellman-Ford.
 

@@ -16,7 +16,8 @@
 ///    hold two tokens) -- the capacity ablation bench quantifies this.
 ///
 /// Zero-latency edges (R = 0) are wires; their backlog is modeled at the
-/// consumer (justified by the same FIFO-sizing assumption; see DESIGN.md).
+/// consumer (justified by the same FIFO-sizing assumption; see
+/// src/core/README.md, "Substitutions").
 ///
 /// Telescopic (variable-latency) nodes are supported with hardware
 /// semantics: a slow operation keeps the unit busy, withholds its

@@ -170,7 +170,7 @@ std::string channel_wire(EdgeId e, const std::string& which) {
 std::string emit_verilog(const Rrg& rrg, const VerilogOptions& options) {
   ELRR_REQUIRE(!rrg.has_telescopic(),
                "Verilog emission models fixed-latency units only; telescopic "
-               "wrappers are out of scope (see DESIGN.md)");
+               "wrappers are out of scope (see src/core/README.md)");
   rrg.validate();
   const Digraph& g = rrg.graph();
   const std::string top = sanitize_identifier(options.top_name);

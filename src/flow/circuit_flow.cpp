@@ -165,6 +165,7 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
     result.candidates_walked = eng.candidates_submitted;
     result.sim_jobs += eng.candidates_submitted;
     result.unique_simulations += eng.unique_simulations;
+    result.exact_thetas = engine.exact_thetas();
     result.walk_seconds = eng.walk_seconds;
     result.sim_wait_seconds = eng.sim_wait_seconds;
     result.milp = eng.milp;
@@ -242,6 +243,7 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
   for (const ScoredPoint& scored : sims) {
     result.unique_simulations += scored.fresh ? 1 : 0;
   }
+  result.exact_thetas = engine.exact_thetas();
 
   double best_sim_xi = 0.0;
   double lp_best_sim_xi = 0.0;

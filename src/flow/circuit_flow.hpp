@@ -131,8 +131,11 @@ struct CircuitResult {
   double seconds = 0.0;
   // Structured progress/stats (the scheduler's per-job report).
   std::size_t candidates_walked = 0;   ///< walk emissions (pre-dedup)
-  std::size_t sim_jobs = 0;            ///< fleet submissions this flow made
+  std::size_t sim_jobs = 0;            ///< candidates this flow scored
   std::size_t unique_simulations = 0;  ///< fresh fleet jobs (rest were cached)
+  /// Distinct candidates scored exactly, with no simulation: their
+  /// throughput bounds met (flow/engine.hpp).
+  std::size_t exact_thetas = 0;
   double walk_seconds = 0.0;           ///< time inside ParetoWalk::advance
   double sim_wait_seconds = 0.0;       ///< time blocked on the fleet
   lp::SessionStats milp;               ///< the walk's MILP-session stats

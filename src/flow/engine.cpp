@@ -1,9 +1,12 @@
 #include "flow/engine.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <utility>
 
 #include "core/analysis.hpp"
+#include "core/tgmg.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
@@ -11,7 +14,26 @@
 
 namespace elrr::flow {
 
+struct Engine::Pending {
+  sim::SimTicket ticket;  ///< invalid when `theta` is exact
+  double theta = 0.0;     ///< the exact theta (no ticket)
+  /// The bounds a fresh simulation is checked against; theta_lp is 0
+  /// where they were not computed (telescopic, unbounded, or a
+  /// configuration this engine scored before).
+  double theta_late = 0.0;
+  double theta_lp = 0.0;
+};
+
 namespace {
+
+/// Relative gap under which theta_late and Theta_lp meet.
+constexpr double kBoundsMeet = 1e-9;
+/// A simulated theta may stray outside [theta_late, Theta_lp] by this
+/// many of its standard errors, and by 1/sqrt(measured cycles) at least,
+/// before it counts as a bound violation. A window of C cycles resolves a
+/// firing rate to about 1/sqrt(C), and with two runs stderr_theta is a
+/// single sample of the spread, sometimes far below it.
+constexpr double kViolationSigmas = 4.0;
 
 /// Releases every ticket on scope exit -- success or unwind. A
 /// simulation failure rethrown by fleet.wait() (or a throwing walk
@@ -19,12 +41,15 @@ namespace {
 /// fleet: the svc::Scheduler catches job failures and keeps the fleet
 /// serving, so a leak here would accumulate forever. Releasing an
 /// in-flight ticket is safe -- the queued slices own their context and
-/// simply finish into the session cache.
+/// simply finish into the session cache. Exact candidates hold none.
+template <class Pending>
 struct TicketGuard {
   sim::SimFleet* fleet;
-  std::vector<sim::SimTicket>* tickets;
+  std::vector<Pending>* pending;
   ~TicketGuard() {
-    for (const sim::SimTicket ticket : *tickets) fleet->release(ticket);
+    for (const Pending& p : *pending) {
+      if (p.ticket.valid()) fleet->release(p.ticket);
+    }
   }
 };
 
@@ -49,11 +74,56 @@ Engine::Engine(const Rrg& rrg, const EngineOptions& options,
   options_.opt.treat_all_simple = false;
 }
 
-sim::SimTicket Engine::submit_candidate(const ParetoPoint& point) {
+Engine::Pending Engine::submit_candidate(const ParetoPoint& point) {
+  Pending pending;
+  const auto [known, first] = known_.try_emplace(point.config);
+  if (!first && known->second.has_value()) {
+    pending.theta = *known->second;
+    return pending;
+  }
+  Rrg configured = apply_config(base_, point.config);
+  if (first && !configured.has_telescopic()) {
+    // The sandwich theta_late <= theta <= Theta_lp (file comment). An
+    // acyclic candidate has no Theta_lp; it simulates unchecked.
+    pending.theta_late = late_eval_throughput(configured);
+    try {
+      pending.theta_lp = throughput_upper_bound(configured);
+    } catch (const InvalidInputError&) {
+      // Unbounded: theta_lp stays 0, and the candidate simulates.
+    }
+    if (pending.theta_lp > 0.0 && pending.theta_lp - pending.theta_late <=
+                                      kBoundsMeet * pending.theta_lp) {
+      known->second = pending.theta_late;
+      ++exact_thetas_;
+      obs::count("flow.exact_thetas");
+      pending.theta = pending.theta_late;
+      return pending;
+    }
+  }
   // Owning submission: the configured candidate moves into the fleet,
   // which keeps it alive until its simulation completes -- no borrow to
   // get wrong while the walk races ahead.
-  return fleet_->submit_async(apply_config(base_, point.config), options_.sim);
+  pending.ticket = fleet_->submit_async(std::move(configured), options_.sim);
+  return pending;
+}
+
+sim::SimReport Engine::collect(const Pending& pending) {
+  if (!pending.ticket.valid()) {
+    sim::SimReport exact;
+    exact.theta = pending.theta;
+    return exact;
+  }
+  const sim::SimReport report = fleet_->wait(pending.ticket);
+  if (pending.ticket.fresh && pending.theta_lp > 0.0) {
+    const double slack =
+        std::max(kViolationSigmas * report.stderr_theta,
+                 1.0 / std::sqrt(static_cast<double>(report.cycles)));
+    if (report.theta < pending.theta_late - slack ||
+        report.theta > pending.theta_lp + slack) {
+      obs::count("flow.bound_violations");
+    }
+  }
+  return report;
 }
 
 EngineResult Engine::run() {
@@ -63,8 +133,8 @@ EngineResult Engine::run() {
   walk.set_cancel(options_.cancelled);
 
   std::vector<ParetoPoint> emitted;        // walk emissions, in order
-  std::vector<sim::SimTicket> tickets;     // aligned with emitted
-  const TicketGuard guard{fleet_, &tickets};
+  std::vector<Pending> pending;            // aligned with emitted
+  const TicketGuard<Pending> guard{fleet_, &pending};
   std::vector<bool> folded;                // feedback: already in best_xi
   double best_xi = 0.0;
   // kOn arms the feedback up front; kAuto waits for evidence the
@@ -73,19 +143,22 @@ EngineResult Engine::run() {
   bool feedback_armed =
       options_.feedback_pruning == FeedbackPruning::kOn;
 
-  // Feedback pruning: fold every *completed* simulation into the best
-  // observed effective cycle time and hand it to the walk as a MILP
-  // cutoff. Only meaningful when candidates stream mid-walk (overlap);
-  // completed results are free to read (the fleet caches them).
+  // Feedback pruning: fold every *completed* simulation, and every
+  // exact theta, into the best observed effective cycle time and hand
+  // it to the walk as a MILP cutoff. Only meaningful when candidates
+  // stream mid-walk (overlap); completed results are free to read (the
+  // fleet caches them).
   const auto poll_feedback = [&] {
     if (!feedback_armed) return;
     bool updated = false;
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-      if (folded[i] || !fleet_->poll(tickets[i])) continue;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const sim::SimTicket ticket = pending[i].ticket;
+      if (folded[i] || (ticket.valid() && !fleet_->poll(ticket))) continue;
       folded[i] = true;
-      const sim::SimReport report = fleet_->wait(tickets[i]);
-      if (report.theta <= 0.0) continue;
-      const double xi = emitted[i].tau / report.theta;
+      const double theta =
+          ticket.valid() ? fleet_->wait(ticket).theta : pending[i].theta;
+      if (theta <= 0.0) continue;
+      const double xi = emitted[i].tau / theta;
       if (best_xi == 0.0 || xi < best_xi) {
         best_xi = xi;
         updated = true;
@@ -119,7 +192,7 @@ EngineResult Engine::run() {
     if (options_.overlap) {
       // The pipeline: this candidate simulates on the fleet's pool while
       // the next MILP step solves right here.
-      tickets.push_back(submit_candidate(*point));
+      pending.push_back(submit_candidate(*point));
       folded.push_back(false);
     }
     if (options_.on_candidate) {
@@ -133,9 +206,9 @@ EngineResult Engine::run() {
   if (!options_.overlap) {
     // Sequential baseline: same submissions, issued only after the walk
     // finished -- the wall-clock difference to overlap is the pipeline.
-    tickets.reserve(emitted.size());
+    pending.reserve(emitted.size());
     for (const ParetoPoint& point : emitted) {
-      tickets.push_back(submit_candidate(point));
+      pending.push_back(submit_candidate(point));
     }
   }
 
@@ -143,8 +216,8 @@ EngineResult Engine::run() {
   result.pruned_steps = walk.pruned_steps();
   result.milp = walk.milp_stats();
   result.candidates_submitted = emitted.size();
-  for (const sim::SimTicket ticket : tickets) {
-    result.unique_simulations += ticket.fresh ? 1 : 0;
+  for (const Pending& p : pending) {
+    result.unique_simulations += p.ticket.fresh ? 1 : 0;
   }
 
   // Quiesce: every outstanding ticket -- frontier or dominated --
@@ -154,12 +227,10 @@ EngineResult Engine::run() {
   // fleet never accumulates this run's handles.
   Stopwatch wait_watch;
   std::vector<sim::SimReport> reports;
-  reports.reserve(tickets.size());
+  reports.reserve(pending.size());
   {
     OBS_SPAN("engine.sim_wait");
-    for (const sim::SimTicket ticket : tickets) {
-      reports.push_back(fleet_->wait(ticket));
-    }
+    for (const Pending& p : pending) reports.push_back(collect(p));
   }
   result.sim_wait_seconds = wait_watch.seconds();
 
@@ -180,7 +251,7 @@ EngineResult Engine::run() {
     scored.point = point;
     scored.sim = reports[index];
     scored.xi_sim = effective_cycle_time(point.tau, scored.sim.theta);
-    scored.fresh = tickets[index].fresh;
+    scored.fresh = pending[index].ticket.fresh;
     result.scored.push_back(std::move(scored));
   }
   result.best_sim_index = 0;
@@ -194,20 +265,21 @@ EngineResult Engine::run() {
 }
 
 std::vector<ScoredPoint> Engine::score(const std::vector<ParetoPoint>& points) {
-  std::vector<sim::SimTicket> tickets;
-  const TicketGuard guard{fleet_, &tickets};
-  tickets.reserve(points.size());
+  OBS_SPAN("engine.score");
+  std::vector<Pending> pending;
+  const TicketGuard<Pending> guard{fleet_, &pending};
+  pending.reserve(points.size());
   for (const ParetoPoint& point : points) {
-    tickets.push_back(submit_candidate(point));
+    pending.push_back(submit_candidate(point));
   }
   std::vector<ScoredPoint> out;
   out.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     ScoredPoint scored;
     scored.point = points[i];
-    scored.sim = fleet_->wait(tickets[i]);
+    scored.sim = collect(pending[i]);
     scored.xi_sim = effective_cycle_time(points[i].tau, scored.sim.theta);
-    scored.fresh = tickets[i].fresh;
+    scored.fresh = pending[i].ticket.fresh;
     out.push_back(std::move(scored));
   }
   return out;

@@ -21,21 +21,35 @@
 /// configurations -- a routine artifact of Pareto walks -- are simulated
 /// once per engine, ever.
 ///
+/// Exact thetas: simulate only what is not known. Early evaluation
+/// never fires later than late evaluation, so every candidate's
+/// throughput lies in the sandwich theta_late <= theta <= Theta_lp
+/// (late_eval_throughput and throughput_upper_bound of the configured
+/// candidate). Where the two bounds meet -- Theta_lp - theta_late <=
+/// 1e-9 Theta_lp -- theta is known exactly: the candidate gets
+/// theta_late, stderr 0 and 0 cycles, and creates no fleet job and no
+/// ticket (`fresh` false). Telescopic RRGs never take the rule:
+/// theta_late ignores their variable latencies, so it bounds nothing
+/// there. Every candidate that still simulates is checked against the
+/// same bounds (obs counter `flow.bound_violations`, expected 0); the
+/// rule's hits count as `flow.exact_thetas` (src/flow/README.md).
+///
 /// Determinism: while feedback pruning is unarmed (kOff, or kAuto on a
 /// walk whose MILPs all finish -- every candidate exact), the engine's
-/// Pareto front and every simulated theta are bit-identical to the
-/// sequential path (min_eff_cyc + per-candidate simulate_throughput of
-/// the same options) at *any* fleet thread count -- the walk runs
+/// Pareto front and every theta are bit-identical to the sequential
+/// path (min_eff_cyc, then per candidate solo simulate_throughput where
+/// the bounds differ and the exact theta_late where they meet, with the
+/// same options) at *any* fleet thread count -- the walk runs
 /// unmodified on one thread and the fleet's determinism contract pins
-/// the thetas. That holds with MILP warm-starting on or off
+/// the simulated thetas. That holds with MILP warm-starting on or off
 /// (opt.milp_warm): the walk's lp::MilpSession is pinned bit-identical
 /// to the cold path by the differential suites. `overlap = false`
 /// degrades gracefully to walk-then-score (same results; the honest
 /// baseline the pipeline benchmarks compare against).
 ///
 /// Feedback pruning (`feedback_pruning`): whenever a candidate's
-/// simulation completes mid-walk, its *measured* effective cycle time is
-/// fed back into the walk as a MILP cutoff
+/// simulation completes mid-walk (an exact theta counts as completed at
+/// the next poll), its effective cycle time is fed back into the walk as a MILP cutoff
 /// (ParetoWalk::set_xi_hint -> MilpOptions::target_obj/futile_bound):
 /// MIN_CYC steps provably unable to beat the best simulated xi are
 /// pruned instead of solved to optimality. This trades frontier
@@ -57,7 +71,10 @@
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "core/opt.hpp"
@@ -110,11 +127,14 @@ struct EngineOptions {
 /// One frontier point with its simulation verdict.
 struct ScoredPoint {
   ParetoPoint point;
+  /// The fleet's report or, where the throughput bounds meet, the exact
+  /// theta with stderr_theta 0 and 0 cycles (file comment).
   sim::SimReport sim;
   double xi_sim = 0.0;  ///< tau / theta_sim (effective cycle time)
   /// True when scoring this point created a new fleet simulation; false
-  /// when the fleet's session cache already held the result (same
-  /// schedule-dependence caveat as EngineResult::unique_simulations).
+  /// when the fleet's session cache already held the result, or when no
+  /// simulation was needed (same schedule-dependence caveat as
+  /// EngineResult::unique_simulations).
   bool fresh = false;
 };
 
@@ -178,9 +198,24 @@ class Engine {
   /// one when the engine was constructed onto it.
   sim::SimFleet& fleet() { return *fleet_; }
   const EngineOptions& options() const { return options_; }
+  /// Distinct configurations this engine scored exactly, without a
+  /// simulation, over every run() and score() so far.
+  std::size_t exact_thetas() const { return exact_thetas_; }
 
  private:
-  sim::SimTicket submit_candidate(const ParetoPoint& point);
+  /// How one candidate is scored (engine.cpp): a fleet ticket or, where
+  /// the throughput bounds meet, no ticket and the exact theta.
+  struct Pending;
+  struct ConfigLess {
+    bool operator()(const RrConfig& a, const RrConfig& b) const {
+      return std::tie(a.tokens, a.buffers) < std::tie(b.tokens, b.buffers);
+    }
+  };
+
+  Pending submit_candidate(const ParetoPoint& point);
+  /// The candidate's report: its exact theta, or the fleet's once the
+  /// simulation completes (a fresh one checked against its bounds).
+  sim::SimReport collect(const Pending& pending);
 
   /// Own copy of the input (treat_all_simple already applied): engine
   /// lifetime never depends on the caller's Rrg staying alive, and
@@ -189,6 +224,10 @@ class Engine {
   EngineOptions options_;
   std::unique_ptr<sim::SimFleet> owned_fleet_;  ///< null on a shared fleet
   sim::SimFleet* fleet_;  ///< owned_fleet_.get() or the shared fleet
+  /// Every configuration scored so far: its exact theta where the bounds
+  /// met, nullopt where it simulates (scored again, it skips the bounds).
+  std::map<RrConfig, std::optional<double>, ConfigLess> known_;
+  std::size_t exact_thetas_ = 0;
 };
 
 }  // namespace elrr::flow

@@ -1,7 +1,9 @@
 #include "retime/leiserson_saxe.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -43,6 +45,53 @@ void check_preconditions(const Rrg& rrg) {
   }
   ELRR_REQUIRE(live, "min-period retiming requires a live circuit "
                "(zero-token cycle through edges", edges, ")");
+}
+
+/// A W/D pair (u, v) keyed by its D: the key's unsigned order is D's.
+struct PairKey {
+  std::uint64_t key;
+  NodeId u;
+  NodeId v;
+};
+
+std::uint64_t order_key(double d) {
+  d += 0.0;  // -0.0 becomes +0.0: equal doubles get equal keys
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof bits);
+  // Flip every bit of a negative value, the sign bit of a positive one.
+  return bits ^ ((bits >> 63) != 0 ? ~std::uint64_t{0} : std::uint64_t{1} << 63);
+}
+
+/// Sorts the pairs by ascending key. A least-significant-digit radix sort
+/// on the keys' upper 32 bits (sign, exponent and 20 bits of mantissa)
+/// orders all but D values within ~1e-6 of each other; a comparison sort
+/// of each run tied there finishes the job. On the heuristic's circuits
+/// every run is one pair long, and std::sort over all pairs, whose
+/// comparisons mispredict, was half of min_period_retiming.
+void sort_by_key(std::vector<PairKey>& pairs) {
+  std::vector<PairKey> buffer(pairs.size());
+  for (int shift = 32; shift < 64; shift += 8) {
+    std::array<std::size_t, 257> start{};
+    for (const PairKey& p : pairs) ++start[((p.key >> shift) & 0xff) + 1];
+    // A digit all keys share moves nothing (the exponent's high bits).
+    if (std::find(start.begin(), start.end(), pairs.size()) != start.end()) {
+      continue;
+    }
+    for (std::size_t b = 0; b < 256; ++b) start[b + 1] += start[b];
+    for (const PairKey& p : pairs) buffer[start[(p.key >> shift) & 0xff]++] = p;
+    pairs.swap(buffer);
+  }
+  for (auto run = pairs.begin(); run != pairs.end();) {
+    const auto tie = std::find_if(run, pairs.end(), [&](const PairKey& p) {
+      return (p.key >> 32) != (run->key >> 32);
+    });
+    if (tie - run > 1) {
+      std::sort(run, tie, [](const PairKey& a, const PairKey& b) {
+        return a.key < b.key;
+      });
+    }
+    run = tie;
+  }
 }
 
 /// Lexicographic (min registers, then max delay) all-pairs paths.
@@ -154,26 +203,19 @@ class ConstraintSystem {
 
 ConstraintSystem::ConstraintSystem(const Rrg& rrg, const WdMatrices& wd) {
   const std::size_t n = rrg.num_nodes();
-  struct Pair {
-    double d;
-    NodeId u;
-    NodeId v;
-    std::int64_t w;
-  };
-  std::vector<Pair> pairs;
+  std::vector<PairKey> pairs;
   for (std::size_t u = 0; u < n; ++u) {
     for (std::size_t v = 0; v < n; ++v) {
       if (wd.W(u, v) >= kInfW) continue;
-      pairs.push_back({wd.D(u, v), static_cast<NodeId>(u),
-                       static_cast<NodeId>(v), wd.W(u, v)});
+      pairs.push_back({order_key(wd.D(u, v)), static_cast<NodeId>(u),
+                       static_cast<NodeId>(v)});
     }
   }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const Pair& a, const Pair& b) { return a.d < b.d; });
+  sort_by_key(pairs);
   std::vector<std::uint32_t> rank(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (i == 0 || pairs[i].d != pairs[i - 1].d) {
-      candidates_.push_back(pairs[i].d);
+    if (i == 0 || pairs[i].key != pairs[i - 1].key) {
+      candidates_.push_back(wd.D(pairs[i].u, pairs[i].v));
     }
     rank[i] = static_cast<std::uint32_t>(candidates_.size() - 1);
   }
@@ -181,7 +223,7 @@ ConstraintSystem::ConstraintSystem(const Rrg& rrg, const WdMatrices& wd) {
   const Digraph& g = rrg.graph();
   begin_.assign(n + 1, 0);
   for (EdgeId e = 0; e < rrg.num_edges(); ++e) ++begin_[g.dst(e) + 1];
-  for (const Pair& p : pairs) ++begin_[p.v + 1];
+  for (const PairKey& p : pairs) ++begin_[p.v + 1];
   for (std::size_t t = 0; t < n; ++t) begin_[t + 1] += begin_[t];
   arcs_.resize(begin_[n]);
   std::vector<std::size_t> fill(begin_.begin(), begin_.end() - 1);
@@ -192,8 +234,8 @@ ConstraintSystem::ConstraintSystem(const Rrg& rrg, const WdMatrices& wd) {
   warm_end_ = fill;
   // r(u) - r(v) <= W(u, v) - 1 while D(u, v) > P; in descending D.
   for (std::size_t i = pairs.size(); i-- > 0;) {
-    const Pair& p = pairs[i];
-    arcs_[fill[p.v]++] = {p.u, rank[i], p.w - 1};
+    const PairKey& p = pairs[i];
+    arcs_[fill[p.v]++] = {p.u, rank[i], wd.W(p.u, p.v) - 1};
   }
 
   warm_.assign(n, 0);

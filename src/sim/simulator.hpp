@@ -3,7 +3,7 @@
 /// \file simulator.hpp
 /// Monte-Carlo throughput estimation of an elastic system with early
 /// evaluation -- the stand-in for the paper's "intensive simulations" of
-/// generated Verilog controllers (see DESIGN.md, substitutions).
+/// generated Verilog controllers (src/core/README.md, "Substitutions").
 ///
 /// The driver runs on the allocation-free FlatKernel fast path with
 /// precomputed chooser tables (falling back to the reference Kernel for

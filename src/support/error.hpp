@@ -3,7 +3,7 @@
 /// \file error.hpp
 /// Error types and checking macros used across ElasticRR.
 ///
-/// Policy (see DESIGN.md): user-facing API misuse and invalid input data
+/// Policy (src/core/README.md, "Error policy"): user-facing API misuse and invalid input data
 /// throw elrr::Error; internal invariant violations throw
 /// elrr::InternalError. Solver outcomes (infeasible, time limit, ...) are
 /// reported through status enums, never through exceptions.

@@ -22,7 +22,7 @@ using bytes::append_value;
 
 constexpr std::uint32_t kMagic = 0x43524c45;  // "ELRC"
 constexpr std::uint32_t kEntryVersion = 1;
-constexpr std::uint32_t kPayloadVersion = 1;
+constexpr std::uint32_t kPayloadVersion = 2;
 
 std::uint64_t fnv1a(const char* data, std::size_t size,
                     std::uint64_t hash = 1469598103934665603ULL) {
@@ -294,6 +294,7 @@ std::string serialize_job_result(const JobResult& result) {
   append_value(out, static_cast<std::uint64_t>(c.candidates_walked));
   append_value(out, static_cast<std::uint64_t>(c.sim_jobs));
   append_value(out, static_cast<std::uint64_t>(c.unique_simulations));
+  append_value(out, static_cast<std::uint64_t>(c.exact_thetas));
   append_value(out, c.walk_seconds);
   append_value(out, c.sim_wait_seconds);
   append_value(out, static_cast<std::uint64_t>(c.candidates.size()));
@@ -349,6 +350,8 @@ std::optional<JobResult> deserialize_job_result(const std::string& payload) {
   c.sim_jobs = static_cast<std::size_t>(u64);
   if (!reader.read_value(&u64)) return std::nullopt;
   c.unique_simulations = static_cast<std::size_t>(u64);
+  if (!reader.read_value(&u64)) return std::nullopt;
+  c.exact_thetas = static_cast<std::size_t>(u64);
   if (!reader.read_value(&c.walk_seconds)) return std::nullopt;
   if (!reader.read_value(&c.sim_wait_seconds)) return std::nullopt;
   std::uint64_t rows = 0;

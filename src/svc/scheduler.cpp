@@ -575,6 +575,7 @@ void Scheduler::run_job(JobEntry& entry, JobStats* stats,
         stats->candidates_walked = result.circuit.candidates_walked;
         stats->sim_jobs = result.circuit.sim_jobs;
         stats->unique_simulations = result.circuit.unique_simulations;
+        stats->exact_thetas = result.circuit.exact_thetas;
         stats->walk_seconds = result.circuit.walk_seconds;
         stats->sim_wait_seconds = result.circuit.sim_wait_seconds;
         result.tau = result.circuit.candidates.empty()
@@ -633,6 +634,7 @@ void Scheduler::run_job(JobEntry& entry, JobStats* stats,
           result.circuit = anytime;
           stats->sim_jobs = anytime.sim_jobs;
           stats->unique_simulations = anytime.unique_simulations;
+          stats->exact_thetas = anytime.exact_thetas;
           stats->walk_seconds = anytime.walk_seconds;
           stats->sim_wait_seconds = anytime.sim_wait_seconds;
           result.state = JobState::kCancelled;
@@ -649,6 +651,7 @@ void Scheduler::run_job(JobEntry& entry, JobStats* stats,
         stats->sim_jobs = anytime.sim_jobs + exact.sim_jobs;
         stats->unique_simulations =
             anytime.unique_simulations + exact.unique_simulations;
+        stats->exact_thetas = anytime.exact_thetas + exact.exact_thetas;
         stats->walk_seconds = anytime.walk_seconds + exact.walk_seconds;
         stats->sim_wait_seconds =
             anytime.sim_wait_seconds + exact.sim_wait_seconds;

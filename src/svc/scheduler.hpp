@@ -134,8 +134,11 @@ struct JobSpec {
 /// while the job runs (status()); the rest settle at completion.
 struct JobStats {
   std::size_t candidates_walked = 0;  ///< Pareto-walk emissions so far
-  std::size_t sim_jobs = 0;           ///< fleet submissions the job made
+  std::size_t sim_jobs = 0;           ///< candidates the job scored
   std::size_t unique_simulations = 0; ///< fresh fleet jobs (rest cached)
+  /// Candidates scored exactly, with no simulation: their throughput
+  /// bounds met (flow/engine.hpp). Score and MIN_CYC jobs always simulate.
+  std::size_t exact_thetas = 0;
   bool job_cache_hit = false;  ///< served from the cross-job result cache
   bool disk_cache_hit = false; ///< served from the persistent disk cache
   std::size_t retries = 0;     ///< transient-failure re-runs this job took

@@ -142,6 +142,10 @@ void run_schedule(const std::string& schedule, bool with_disk_cache) {
   const fs::path dir = fs::temp_directory_path() / "elrr_chaos_disk_cache";
   if (with_disk_cache) fs::remove_all(dir);
 
+  // The oracle runs before the schedule is armed: computed lazily under
+  // it, a fault could land in the oracle's own flow, which no scheduler
+  // retries.
+  (void)baseline();
   failpoint::configure(schedule);
   SchedulerOptions sopt;
   sopt.workers = 2;
@@ -221,6 +225,7 @@ TEST_F(ChaosTest, PortfolioBatchSurvivesChaosSchedules) {
         "walk.step=once"}) {
     SCOPED_TRACE("ELRR_FAILPOINTS=" + schedule);
     const Watchdog watchdog(240.0);
+    (void)baseline();  // fault-free: computed before the schedule arms
     failpoint::configure(schedule);
     SchedulerOptions sopt;
     sopt.workers = 2;

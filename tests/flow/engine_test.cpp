@@ -1,9 +1,10 @@
 /// \file engine_test.cpp
 /// The pipelined flow engine's contract: with feedback pruning off, the
-/// engine's Pareto front and every simulated theta are bit-identical to
-/// the sequential path (min_eff_cyc + per-candidate simulate_throughput)
-/// for every fleet thread count and for overlap on/off -- the pipeline
-/// is purely a wall-clock change. Cancellation stops the walk at a step
+/// engine's Pareto front and every theta are bit-identical to the
+/// sequential path (min_eff_cyc, then per candidate solo
+/// simulate_throughput where the throughput bounds differ and the exact
+/// theta_late where they meet) for every fleet thread count and for
+/// overlap on/off -- the pipeline is purely a wall-clock change. Cancellation stops the walk at a step
 /// boundary and leaves the engine (and its fleet) fully reusable.
 ///
 /// The test circuit (s420) is small enough that every MILP solves to
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "bench89/generator.hpp"
 #include "core/analysis.hpp"
 #include "core/opt.hpp"
+#include "core/tgmg.hpp"
 #include "sim/simulator.hpp"
 
 namespace elrr::flow {
@@ -58,22 +61,34 @@ void expect_same_frontier(const MinEffCycResult& a, const MinEffCycResult& b,
 }
 
 /// The walk streamed through the engine replays min_eff_cyc exactly, and
-/// each scored theta equals solo simulation of the same candidate -- at
-/// thread counts 1, 2 and 4, overlapped and sequential.
+/// each scored theta equals the sequential oracle's -- at thread counts
+/// 1, 2 and 4, overlapped and sequential.
 TEST(FlowEngine, BitExactVsSequentialPathAtAnyThreadCount) {
   const Rrg rrg = test_rrg();
   const EngineOptions base = fast_options();
 
-  // The sequential oracle: plain walk, then per-candidate simulation.
+  // The sequential oracle: plain walk, then per candidate the exact
+  // theta_late where it meets the dense throughput LP (a bound the
+  // engine never computes), solo simulation elsewhere.
   const MinEffCycResult reference = min_eff_cyc(rrg, base.opt);
   ASSERT_TRUE(reference.all_exact)
       << "test circuit must solve exactly for determinism";
   std::vector<double> reference_thetas;
+  std::vector<bool> reference_exact;
   for (const ParetoPoint& point : reference.points) {
     const Rrg candidate = apply_config(rrg, point.config);
+    const double late = late_eval_throughput(candidate);
+    const double lp = tgmg_throughput_bound(refined_tgmg(candidate)).theta;
+    reference_exact.push_back(lp - late <= 1e-9 * lp);
     reference_thetas.push_back(
-        sim::simulate_throughput(candidate, base.sim).theta);
+        reference_exact.back()
+            ? late
+            : sim::simulate_throughput(candidate, base.sim).theta);
   }
+  ASSERT_GT(std::count(reference_exact.begin(), reference_exact.end(), true),
+            0);
+  ASSERT_GT(std::count(reference_exact.begin(), reference_exact.end(), false),
+            0);
 
   for (const bool overlap : {true, false}) {
     for (const std::size_t threads :
@@ -90,6 +105,8 @@ TEST(FlowEngine, BitExactVsSequentialPathAtAnyThreadCount) {
       ASSERT_EQ(result.scored.size(), reference.points.size()) << label;
       for (std::size_t i = 0; i < result.scored.size(); ++i) {
         EXPECT_EQ(result.scored[i].sim.theta, reference_thetas[i])
+            << label << " point " << i;
+        EXPECT_EQ(result.scored[i].sim.cycles == 0, reference_exact[i])
             << label << " point " << i;
       }
     }
@@ -194,17 +211,21 @@ TEST(FlowEngine, CancellationMidWalkLeavesEngineReusable) {
 }
 
 /// score() rides the session cache: rescoring the frontier after run()
-/// adds no new unique simulations and returns bit-identical thetas.
+/// adds no new unique simulations and no new exact thetas, and returns
+/// bit-identical thetas.
 TEST(FlowEngine, ScoreHitsTheSessionCache) {
   const Rrg rrg = test_rrg();
   Engine engine(rrg, fast_options());
   const EngineResult result = engine.run();
   ASSERT_FALSE(result.scored.empty());
+  const std::size_t exact_before = engine.exact_thetas();
+  EXPECT_GT(exact_before, 0u);
 
   const std::uint64_t misses_before = engine.fleet().cache_stats().misses;
   const std::vector<ScoredPoint> rescored = engine.score(result.walk.points);
   EXPECT_EQ(engine.fleet().cache_stats().misses, misses_before)
       << "rescoring the frontier must be pure cache hits";
+  EXPECT_EQ(engine.exact_thetas(), exact_before);
   ASSERT_EQ(rescored.size(), result.scored.size());
   for (std::size_t i = 0; i < rescored.size(); ++i) {
     EXPECT_EQ(rescored[i].sim.theta, result.scored[i].sim.theta);

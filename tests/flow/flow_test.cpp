@@ -50,7 +50,7 @@ TEST_P(FlowInvariants, HoldOnSmallCircuits) {
   // every optimum the flow reports must be at least as good. The late
   // baseline in particular may never exceed xi* (the identity is a valid
   // late-evaluation configuration) -- this regressed once when MILP
-  // budgets starved; see DESIGN.md reproduction note 6.
+  // budgets starved; see src/core/README.md, reproduction note 6.
   EXPECT_GT(r.xi_star, 0.0);
   EXPECT_LE(r.xi_nee, r.xi_star + 1e-6);
   EXPECT_LE(r.xi_sim_min, r.xi_star * 1.02 + 1e-6);  // 2% sim noise head

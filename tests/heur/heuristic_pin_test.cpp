@@ -26,6 +26,7 @@
 #include "core/opt.hpp"
 #include "core/tgmg.hpp"
 #include "heur/heuristic.hpp"
+#include "support/strings.hpp"
 
 namespace elrr {
 namespace {
@@ -48,8 +49,8 @@ std::vector<PinCircuit> pin_circuits() {
   std::vector<PinCircuit> out;
   for (int i = 0; i < 4; ++i) {
     const Rrg h = bench89::make_table2_rrg({"h", 50, 4, 70 + i}, suite_seed(i));
-    out.push_back({"h" + std::to_string(i), h});
-    out.push_back({"h" + std::to_string(i) + "_simple", as_all_simple(h)});
+    out.push_back({indexed_name('h', i), h});
+    out.push_back({indexed_name('h', i) + "_simple", as_all_simple(h)});
   }
   Rrg tele = bench89::make_table2_rrg(bench89::spec_by_name("s27"), 7);
   tele.set_telescopic(0, 0.6, 2);

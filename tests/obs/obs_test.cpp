@@ -26,12 +26,14 @@
 
 #include "bench89/generator.hpp"
 #include "core/opt.hpp"
+#include "flow/engine.hpp"
 #include "heur/heuristic.hpp"
 #include "lp/milp.hpp"
 #include "obs/trace.hpp"
 #include "sim/fleet.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace elrr::obs {
 namespace {
@@ -108,6 +110,45 @@ TEST_F(ObsTest, ArmedHeuristicRecordsItsRunAndEveryEvaluation) {
   EXPECT_GT(evals, 1);
 }
 
+TEST_F(ObsTest, ArmedEngineScoreRecordsItsWaitAndItsCertificates) {
+  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s420"), 1);
+  flow::EngineOptions options;
+  options.opt.epsilon = 0.05;
+  options.sim.measure_cycles = 2000;
+  options.sim.warmup_cycles = 200;
+  options.sim.runs = 2;
+  flow::Engine engine(rrg, options);
+  const std::vector<ParetoPoint> points = min_eff_cyc(rrg, options.opt).points;
+  configure("", 4096);
+  arm(true);
+  const std::vector<flow::ScoredPoint> scored = engine.score(points);
+  arm(false);
+  const std::vector<SpanRecord> spans = snapshot_spans();
+  ASSERT_FALSE(spans.empty());
+  // Sorted by start: the score call opens first and holds the fleet's
+  // slices of its candidates.
+  EXPECT_STREQ(spans[0].name, "engine.score");
+  int slices = 0;
+  for (const SpanRecord& span : spans) {
+    if (std::string(span.name) == "engine.score") {
+      EXPECT_EQ(&span, &spans[0]) << "one span per score() call";
+    }
+    if (std::string(span.name) != "fleet.slice") continue;
+    ++slices;
+    EXPECT_GE(span.start_ns, spans[0].start_ns);
+    EXPECT_LE(span.end_ns, spans[0].end_ns);
+  }
+  EXPECT_GT(slices, 0);
+  // Both certificates are counters: the pinned candidates, and the
+  // simulated thetas outside their bounds (none).
+  std::map<std::string, std::uint64_t> by_name;
+  for (const CounterValue& row : counters()) by_name[row.name] = row.value;
+  EXPECT_EQ(by_name["flow.exact_thetas"], engine.exact_thetas());
+  EXPECT_GT(engine.exact_thetas(), 0u);
+  EXPECT_LT(engine.exact_thetas(), scored.size());
+  EXPECT_EQ(by_name["flow.bound_violations"], 0u);
+}
+
 TEST_F(ObsTest, ArmedBranchAndBoundCountsHowItsNodesWereSolved) {
   configure("", 1024);
   arm(true);
@@ -140,7 +181,7 @@ TEST_F(ObsTest, RingWrapDropsOldestFirst) {
   configure("", 16);
   arm(true);
   for (int i = 0; i < 40; ++i) {
-    const std::string name = "s" + std::to_string(i);
+    const std::string name = indexed_name('s', i);
     record_span(name.c_str(), i + 1, i + 2);
   }
   const std::vector<SpanRecord> spans = snapshot_spans();
@@ -149,7 +190,7 @@ TEST_F(ObsTest, RingWrapDropsOldestFirst) {
   EXPECT_STREQ(spans.front().name, "s24");
   EXPECT_STREQ(spans.back().name, "s39");
   for (std::size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(std::string(spans[i].name), "s" + std::to_string(24 + i));
+    EXPECT_EQ(std::string(spans[i].name), indexed_name('s', 24 + i));
   }
   EXPECT_EQ(dropped_spans(), 24u);
   // The histograms saw every span, wrap or not.

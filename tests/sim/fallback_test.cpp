@@ -16,6 +16,7 @@
 #include "core/figures.hpp"
 #include "sim/fleet.hpp"
 #include "sim/flat_kernel.hpp"
+#include "support/strings.hpp"
 
 namespace elrr::sim {
 namespace {
@@ -66,7 +67,7 @@ Rrg wide_join_rrg(int width) {
   Rrg rrg;
   const NodeId hub = rrg.add_node("hub", 1.0);
   for (int i = 0; i < width; ++i) {
-    const NodeId leaf = rrg.add_node("l" + std::to_string(i), 1.0);
+    const NodeId leaf = rrg.add_node(indexed_name('l', i), 1.0);
     rrg.add_edge(leaf, hub, 1, 1);
     rrg.add_edge(hub, leaf, 1, 1);
   }
@@ -83,13 +84,13 @@ Rrg wide_fanout_rrg(int width) {
   NodeId collect = rrg.add_node("c0", 1.0);
   std::vector<NodeId> leaves;
   for (int i = 0; i < width; ++i) {
-    const NodeId leaf = rrg.add_node("f" + std::to_string(i), 1.0);
+    const NodeId leaf = rrg.add_node(indexed_name('f', i), 1.0);
     rrg.add_edge(src, leaf, 1, 1);
     leaves.push_back(leaf);
   }
   rrg.add_edge(leaves[0], collect, 1, 1);
   for (int i = 1; i < width; ++i) {
-    const NodeId next = rrg.add_node("c" + std::to_string(i), 1.0);
+    const NodeId next = rrg.add_node(indexed_name('c', i), 1.0);
     rrg.add_edge(collect, next, 1, 1);
     rrg.add_edge(leaves[static_cast<std::size_t>(i)], next, 1, 1);
     collect = next;

@@ -21,6 +21,7 @@
 #include "sim/markov.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace elrr::sim {
 namespace {
@@ -34,7 +35,7 @@ Rrg random_rrg(std::uint64_t seed, bool allow_telescopic) {
   const std::size_t n = 3 + static_cast<std::size_t>(rng.uniform_int(0, 4));
   Rrg rrg;
   for (std::size_t i = 0; i < n; ++i) {
-    rrg.add_node("n" + std::to_string(i), 1.0);
+    rrg.add_node(indexed_name('n', i), 1.0);
   }
   const auto random_edge = [&](NodeId u, NodeId v) {
     const int tokens = static_cast<int>(rng.uniform_int(-1, 2));

@@ -20,6 +20,7 @@
 #include "sim/flat_kernel.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace elrr::sim {
 namespace {
@@ -32,7 +33,7 @@ Rrg random_rrg(std::uint64_t seed, bool allow_telescopic) {
   const std::size_t n = 3 + static_cast<std::size_t>(rng.uniform_int(0, 4));
   Rrg rrg;
   for (std::size_t i = 0; i < n; ++i) {
-    rrg.add_node("n" + std::to_string(i), 1.0);
+    rrg.add_node(indexed_name('n', i), 1.0);
   }
   const auto random_edge = [&](NodeId u, NodeId v) {
     const int tokens = static_cast<int>(rng.uniform_int(-1, 2));
@@ -382,7 +383,7 @@ TEST(FlatKernelCaps, DegreeAndSizeCapsAreClassified) {
   Rrg star;
   const NodeId hub = star.add_node("hub", 1.0);
   for (int i = 0; i < 300; ++i) {
-    const NodeId leaf = star.add_node("l" + std::to_string(i), 1.0);
+    const NodeId leaf = star.add_node(indexed_name('l', i), 1.0);
     star.add_edge(leaf, hub, 0, 0);
   }
   EXPECT_EQ(FlatKernel::unsupported_reason(star), FlatCap::kInDegreeCap);
@@ -391,7 +392,7 @@ TEST(FlatKernelCaps, DegreeAndSizeCapsAreClassified) {
   Rrg fan;
   const NodeId src = fan.add_node("src", 1.0);
   for (int i = 0; i < 300; ++i) {
-    const NodeId leaf = fan.add_node("f" + std::to_string(i), 1.0);
+    const NodeId leaf = fan.add_node(indexed_name('f', i), 1.0);
     fan.add_edge(src, leaf, 0, 0);
   }
   EXPECT_EQ(FlatKernel::unsupported_reason(fan), FlatCap::kOutDegreeCap);

@@ -57,7 +57,7 @@ TEST(Kernel, Figure2FiresEveryCycleWhenMuxAlwaysPicksTop) {
 }
 
 TEST(Kernel, Figure2BottomChoiceCostsThreeCycles) {
-  // Hand-traced in DESIGN.md: a bottom-guard firing of m completes exactly
+  // Hand-traced (src/core/README.md): a bottom-guard firing of m completes exactly
   // 3 cycles after the previous firing (anti-tokens must drain first).
   const Rrg rrg = figure2(0.9);
   const Kernel kernel(rrg);

@@ -17,6 +17,7 @@
 #include "sim/simulator.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace elrr::sim {
 namespace {
@@ -381,7 +382,7 @@ Rrg random_mixed_rrg(std::uint64_t seed) {
   const std::size_t n = 3 + static_cast<std::size_t>(rng.uniform_int(0, 2));
   Rrg rrg;
   for (std::size_t i = 0; i < n; ++i) {
-    rrg.add_node("n" + std::to_string(i), 1.0);
+    rrg.add_node(indexed_name('n', i), 1.0);
   }
   for (std::size_t i = 0; i < n; ++i) {
     const int tokens = static_cast<int>(rng.uniform_int(0, 1));

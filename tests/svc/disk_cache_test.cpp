@@ -83,6 +83,7 @@ JobResult sample_result() {
   result.circuit.candidates_walked = 6;
   result.circuit.sim_jobs = 4;
   result.circuit.unique_simulations = 3;
+  result.circuit.exact_thetas = 1;
   result.circuit.walk_seconds = 0.25;
   result.circuit.sim_wait_seconds = 0.125;
   for (int i = 0; i < 3; ++i) {

@@ -280,7 +280,8 @@ int cmd_flow(Args& args, std::ostream& out) {
   if (r.pruned_steps > 0) out << ", " << r.pruned_steps << " steps pruned";
   out << "\n";
   out << "fleet: " << r.candidates_submitted << " candidates streamed, "
-      << r.unique_simulations << " unique simulations\n";
+      << r.unique_simulations << " unique simulations, "
+      << engine.exact_thetas() << " exact thetas\n";
   out << "   #      tau   Theta_lp   Theta_sim     xi_sim\n";
   std::size_t shown = 0;
   for (std::size_t i = 0; i < r.scored.size() && shown < k; ++i, ++shown) {
@@ -542,12 +543,13 @@ void print_batch_result(std::ostream& out, const svc::JobResult& result) {
                 ", \"cache_hit\": %s, \"disk_cache_hit\": %s, "
                 "\"retries\": %zu, \"stalled_workers\": %zu, "
                 "\"candidates_walked\": %zu, "
-                "\"sim_jobs\": %zu, \"unique_sims\": %zu, \"wall_s\": %.4f}",
+                "\"sim_jobs\": %zu, \"unique_sims\": %zu, "
+                "\"exact_thetas\": %zu, \"wall_s\": %.4f}",
                 stats.job_cache_hit ? "true" : "false",
                 stats.disk_cache_hit ? "true" : "false", stats.retries,
                 stats.stalled_workers, stats.candidates_walked,
                 stats.sim_jobs, stats.unique_simulations,
-                stats.wall_seconds);
+                stats.exact_thetas, stats.wall_seconds);
   out << buf << "\n";
 }
 
