@@ -208,23 +208,6 @@ void BM_TokenSimulationMultiRun(benchmark::State& state) {
 }
 BENCHMARK(BM_TokenSimulationMultiRun)->Arg(10000);
 
-// The same medium workload pinned to the reference kernel: the flat-path
-// speedup is BM_TokenSimulation* / BM_TokenSimulationReference.
-void BM_TokenSimulationReference(benchmark::State& state) {
-  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s526"), 1);
-  sim::SimOptions options;
-  options.warmup_cycles = 100;
-  options.measure_cycles = static_cast<std::size_t>(state.range(0));
-  options.runs = 1;
-  options.force_reference = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::simulate_throughput(rrg, options).theta);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_TokenSimulationReference)->Arg(10000);
-
 void BM_MarkovFigure1b(benchmark::State& state) {
   const Rrg rrg = figures::figure1b(0.5, true);
   for (auto _ : state) {
@@ -335,30 +318,10 @@ void BM_RrgFormatRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_RrgFormatRoundTrip);
 
-void BM_TelescopicKernelStep(benchmark::State& state) {
-  Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s526"), 1);
-  // Make a fifth of the nodes telescopic to stress the busy machinery.
-  for (NodeId n = 0; n < rrg.num_nodes(); n += 5) {
-    rrg.set_telescopic(n, 0.8, 2);
-  }
-  const sim::Kernel kernel(rrg);
-  sim::SyncState st = kernel.initial_state();
-  Rng rng(3);
-  const sim::Kernel::GuardChooser guard = [&](NodeId n) {
-    return static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(rrg.graph().in_degree(n)) - 1));
-  };
-  const sim::Kernel::LatencyChooser latency = [&](NodeId) {
-    return rng.bernoulli(0.2);
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel.step(st, guard, latency));
-  }
-}
-BENCHMARK(BM_TelescopicKernelStep);
-
-// The flat fast path on the identical telescopic workload: SoA state,
-// bit-ring channels, table choosers inlined through the step template.
+// One solo kernel step on s526 with a fifth of the nodes telescopic (fast
+// with probability 0.8, two extra cycles when slow), which stresses the
+// busy machinery: SoA state, bit-ring channels, table choosers inlined
+// through the step template.
 void BM_TelescopicFlatKernelStep(benchmark::State& state) {
   Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s526"), 1);
   for (NodeId n = 0; n < rrg.num_nodes(); n += 5) {

@@ -114,8 +114,8 @@ class ControlNetwork {
   /// slow): the unit goes busy for slow_extra cycles and its outputs are
   /// withheld; the release itself waits for output room (backpressure
   /// stalls a slow completion like any other transfer).
-  std::uint32_t step(const sim::Kernel::GuardChooser& choose_guard,
-                     const sim::Kernel::LatencyChooser& choose_latency = {}) {
+  template <class GuardFn, class LatencyFn>
+  std::uint32_t step(GuardFn&& choose_guard, LatencyFn&& choose_latency) {
     const Digraph& g = rrg_.graph();
     for (ChannelState& ch : channels_) ch.prev = ch.occ;
     std::uint32_t firings = 0;
@@ -193,8 +193,7 @@ class ControlNetwork {
 
       if (fires) {
         ++firings;
-        const bool slow = rrg_.is_telescopic(n) && choose_latency &&
-                          choose_latency(n);
+        const bool slow = rrg_.is_telescopic(n) && choose_latency(n);
         if (slow) {
           busy_[n] =
               static_cast<std::int32_t>(rrg_.telescopic(n).slow_extra);
@@ -269,10 +268,10 @@ sim::SimResult simulate_control_throughput(const Rrg& rrg,
     for (std::size_t n = 0; n < rrg.num_nodes(); ++n) {
       streams.push_back(master.split());
     }
-    const sim::Kernel::GuardChooser chooser = [&](NodeId n) {
+    const auto chooser = [&](NodeId n) {
       return streams[n].discrete(weights[n]);
     };
-    const sim::Kernel::LatencyChooser latency = [&](NodeId n) {
+    const auto latency = [&](NodeId n) {
       return streams[n].uniform01() >= rrg.telescopic(n).fast_prob;
     };
 

@@ -250,7 +250,7 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
   for (std::size_t i = 0; i < simulate.size(); ++i) {
     const std::size_t index = simulate[i];
     const ParetoPoint& point = early.points[index];
-    const sim::SimReport& sim = sims[i].sim;
+    const sim::SimResult& sim = sims[i].sim;
 
     CandidateRow row;
     row.tau = point.tau;

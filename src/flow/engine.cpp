@@ -107,13 +107,13 @@ Engine::Pending Engine::submit_candidate(const ParetoPoint& point) {
   return pending;
 }
 
-sim::SimReport Engine::collect(const Pending& pending) {
+sim::SimResult Engine::collect(const Pending& pending) {
   if (!pending.ticket.valid()) {
-    sim::SimReport exact;
+    sim::SimResult exact;
     exact.theta = pending.theta;
     return exact;
   }
-  const sim::SimReport report = fleet_->wait(pending.ticket);
+  const sim::SimResult report = fleet_->wait(pending.ticket);
   if (pending.ticket.fresh && pending.theta_lp > 0.0) {
     const double slack =
         std::max(kViolationSigmas * report.stderr_theta,
@@ -226,7 +226,7 @@ EngineResult Engine::run() {
   // are kept locally: tickets are released below, so a long-lived shared
   // fleet never accumulates this run's handles.
   Stopwatch wait_watch;
-  std::vector<sim::SimReport> reports;
+  std::vector<sim::SimResult> reports;
   reports.reserve(pending.size());
   {
     OBS_SPAN("engine.sim_wait");

@@ -129,7 +129,7 @@ struct ScoredPoint {
   ParetoPoint point;
   /// The fleet's report or, where the throughput bounds meet, the exact
   /// theta with stderr_theta 0 and 0 cycles (file comment).
-  sim::SimReport sim;
+  sim::SimResult sim;
   double xi_sim = 0.0;  ///< tau / theta_sim (effective cycle time)
   /// True when scoring this point created a new fleet simulation; false
   /// when the fleet's session cache already held the result, or when no
@@ -215,7 +215,7 @@ class Engine {
   Pending submit_candidate(const ParetoPoint& point);
   /// The candidate's report: its exact theta, or the fleet's once the
   /// simulation completes (a fresh one checked against its bounds).
-  sim::SimReport collect(const Pending& pending);
+  sim::SimResult collect(const Pending& pending);
 
   /// Own copy of the input (treat_all_simple already applied): engine
   /// lifetime never depends on the caller's Rrg staying alive, and

@@ -6,46 +6,8 @@
 
 namespace elrr::sim {
 
-const char* to_string(FlatCap cap) {
-  switch (cap) {
-    case FlatCap::kNone:
-      return "none";
-    case FlatCap::kDeepEbChain:
-      return "EB chain deeper than the 64-bit ring window";
-    case FlatCap::kTooManyNodes:
-      return "more than 65535 nodes";
-    case FlatCap::kInDegreeCap:
-      return "in-degree beyond the 8-bit node program field";
-    case FlatCap::kOutDegreeCap:
-      return "out-degree beyond the 8-bit node program field";
-  }
-  return "unknown";
-}
-
-FlatCap FlatKernel::unsupported_reason(const Rrg& rrg) {
-  if (rrg.num_nodes() > 0xffff) {
-    return FlatCap::kTooManyNodes;  // NodeProg::node is u16
-  }
-  for (EdgeId e = 0; e < rrg.num_edges(); ++e) {
-    if (rrg.buffers(e) > 64) {
-      return FlatCap::kDeepEbChain;  // bit-ring window is one u64
-    }
-  }
-  for (NodeId n = 0; n < rrg.num_nodes(); ++n) {
-    // Degree fields are u8 (127 for early nodes: the guard encoding).
-    if (rrg.graph().in_degree(n) > (rrg.is_early(n) ? 127u : 255u)) {
-      return FlatCap::kInDegreeCap;
-    }
-    if (rrg.graph().out_degree(n) > 255) return FlatCap::kOutDegreeCap;
-  }
-  return FlatCap::kNone;
-}
-
 FlatKernel::FlatKernel(const Rrg& rrg) : rrg_(rrg) {
   rrg_.validate();
-  ELRR_REQUIRE(supports(rrg),
-               "FlatKernel supports EB chains of at most 64 buffers; use "
-               "sim::Kernel for deeper chains");
   num_nodes_ = rrg.num_nodes();
   num_edges_ = static_cast<EdgeId>(rrg.num_edges());
   const Digraph& g = rrg.graph();
@@ -93,14 +55,13 @@ FlatKernel::FlatKernel(const Rrg& rrg) : rrg_(rrg) {
 
   // Build the node program in the same firing order; out-edge slices are
   // slot ids so the inner loop never leaves slot space.
-  prog_.reserve(num_nodes_);
+  prog_.reserve(num_nodes_ + 1);
   out_csr_.reserve(num_edges_);
   EdgeId in_base = 0;
   for (const NodeId n : order_) {
     NodeProg p;
-    p.node = static_cast<std::uint16_t>(n);
+    p.node = n;
     p.in_begin = in_base;
-    p.in_count = static_cast<std::uint8_t>(g.in_degree(n));
     in_base += static_cast<EdgeId>(g.in_degree(n));
     p.out_begin = static_cast<std::uint32_t>(out_csr_.size());
     // The out slice groups combinational edges first, buffered ones last
@@ -132,6 +93,9 @@ FlatKernel::FlatKernel(const Rrg& rrg) : rrg_(rrg) {
     }
     prog_.push_back(p);
   }
+  NodeProg sentinel;
+  sentinel.in_begin = in_base;  // ends the last node's input run
+  prog_.push_back(sentinel);
   // Stable NodeId-ordered views (the enumerator / test API).
   for (NodeId n = 0; n < num_nodes_; ++n) {
     if (rrg.is_early(n)) early_nodes_.push_back(n);
@@ -141,26 +105,25 @@ FlatKernel::FlatKernel(const Rrg& rrg) : rrg_(rrg) {
   inject_bit_.assign(num_edges_, 0);
   buffers_.assign(num_edges_, 0);
   for (EdgeId e = 0; e < num_edges_; ++e) {
-    const int r = rrg.buffers(e);
-    const EdgeId s = slot_of_edge_[e];
-    buffers_[s] = r;
-    if (r > 0) inject_bit_[s] = std::uint64_t{1} << (r - 1);
+    buffers_[slot_of_edge_[e]] = rrg.buffers(e);
   }
   for (EdgeId s = 0; s < num_edges_; ++s) {
-    if (buffers_[s] > 0) buffered_slots_.push_back(s);
+    const int r = buffers_[s];
+    if (r == 0) continue;
+    inject_bit_[s] = std::uint64_t{1} << ((r - 1) % 64);
+    if (r <= 64) {
+      buffered_slots_.push_back(s);
+      continue;
+    }
+    // The words below the producer-side one: ceil(r / 64) - 1 of them.
+    const auto words = static_cast<std::uint32_t>((r - 1) / 64);
+    deep_chains_.push_back(DeepChain{s, words, deep_words_});
+    deep_words_ += words;
   }
 }
 
 FlatState FlatKernel::initial_state() const {
-  FlatState state;
-  state.tokens.resize(num_edges_);
-  state.window.assign(num_edges_, 0);
-  for (EdgeId s = 0; s < num_edges_; ++s) {
-    state.tokens[s] = rrg_.tokens(edge_of_slot_[s]);
-  }
-  state.pending_guard.assign(num_nodes_, kNoGuard);
-  state.busy.assign(num_nodes_, 0);
-  return state;
+  return extract_run(initial_batch_state(1), 0);
 }
 
 FlatBatchState FlatKernel::initial_batch_state(std::size_t runs) const {
@@ -169,6 +132,7 @@ FlatBatchState FlatKernel::initial_batch_state(std::size_t runs) const {
   state.runs = runs;
   state.tokens.resize(num_edges_ * runs);
   state.window.assign(num_edges_ * runs, 0);
+  state.deep.assign(deep_words_ * runs, 0);
   for (EdgeId s = 0; s < num_edges_; ++s) {
     for (std::size_t r = 0; r < runs; ++r) {
       state.tokens[s * runs + r] = rrg_.tokens(edge_of_slot_[s]);
@@ -182,68 +146,42 @@ FlatBatchState FlatKernel::initial_batch_state(std::size_t runs) const {
 FlatState FlatKernel::extract_run(const FlatBatchState& state,
                                   std::size_t run) const {
   ELRR_REQUIRE(run < state.runs, "run index out of range");
+  const auto lane = [&](const auto& lanes, auto& out) {
+    out.resize(lanes.size() / state.runs);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = lanes[i * state.runs + run];
+    }
+  };
   FlatState flat;
-  flat.tokens.resize(num_edges_);
-  flat.window.resize(num_edges_);
-  for (EdgeId s = 0; s < num_edges_; ++s) {
-    flat.tokens[s] = state.tokens[s * state.runs + run];
-    flat.window[s] = state.window[s * state.runs + run];
-  }
-  flat.pending_guard.resize(num_nodes_);
-  flat.busy.resize(num_nodes_);
-  for (NodeId n = 0; n < num_nodes_; ++n) {
-    flat.pending_guard[n] = state.pending_guard[n * state.runs + run];
-    flat.busy[n] = state.busy[n * state.runs + run];
-  }
+  lane(state.tokens, flat.tokens);
+  lane(state.window, flat.window);
+  lane(state.deep, flat.deep);
+  lane(state.pending_guard, flat.pending_guard);
+  lane(state.busy, flat.busy);
   return flat;
 }
 
-SyncState FlatKernel::to_sync(const FlatState& state) const {
-  SyncState sync;
-  sync.edges.resize(num_edges_);
-  for (EdgeId e = 0; e < num_edges_; ++e) {
-    const EdgeId s = slot_of_edge_[e];
-    EdgeState& edge = sync.edges[e];
-    edge.ready = std::max(state.tokens[s], 0);
-    edge.anti = std::max(-state.tokens[s], 0);
-    edge.inflight.resize(static_cast<std::size_t>(buffers_[s]));
-    for (int k = 0; k < buffers_[s]; ++k) {
-      edge.inflight[static_cast<std::size_t>(k)] =
-          static_cast<std::uint8_t>((state.window[s] >> k) & 1);
-    }
+std::uint64_t FlatKernel::chain_word(const FlatState& state, EdgeId s,
+                                     std::size_t j) const {
+  const auto deep = std::lower_bound(
+      deep_chains_.begin(), deep_chains_.end(), s,
+      [](const DeepChain& d, EdgeId slot) { return d.slot < slot; });
+  if (deep == deep_chains_.end() || deep->slot != s || j == deep->words) {
+    return state.window[s];
   }
-  sync.pending_guard = state.pending_guard;
-  sync.busy = state.busy;
-  return sync;
+  return state.deep[deep->first + j];
 }
 
-FlatState FlatKernel::from_sync(const SyncState& state) const {
-  ELRR_REQUIRE(state.edges.size() == num_edges_,
-               "state does not match this kernel's RRG");
-  FlatState flat;
-  flat.tokens.resize(num_edges_);
-  flat.window.assign(num_edges_, 0);
-  for (EdgeId e = 0; e < num_edges_; ++e) {
-    const EdgeId s = slot_of_edge_[e];
-    const EdgeState& edge = state.edges[e];
-    ELRR_REQUIRE(edge.ready == 0 || edge.anti == 0,
-                 "ready and anti tokens cannot coexist on one edge");
-    flat.tokens[s] = edge.ready - edge.anti;
-    for (std::size_t k = 0; k < edge.inflight.size(); ++k) {
-      if (edge.inflight[k] != 0) flat.window[s] |= std::uint64_t{1} << k;
-    }
-  }
-  flat.pending_guard = state.pending_guard;
-  flat.busy = state.busy;
-  return flat;
+bool FlatKernel::in_flight(const FlatState& state, EdgeId e, int k) const {
+  const EdgeId s = slot_of_edge_[e];
+  ELRR_REQUIRE(k >= 0 && k < buffers_[s], "EB stage out of range");
+  const auto stage = static_cast<std::size_t>(k);
+  return ((chain_word(state, s, stage / 64) >> (stage % 64)) & 1) != 0;
 }
 
 std::vector<std::uint8_t> FlatKernel::encode(const FlatState& state) const {
-  // Byte-identical to SyncState::encode() of the corresponding state --
-  // EdgeId order, translated from slot order -- so enumeration caches
-  // built against either kernel agree.
   std::vector<std::uint8_t> bytes;
-  bytes.reserve(num_edges_ * 4 + num_nodes_ * 2);
+  bytes.reserve(num_edges_ * 5 + num_nodes_ * 5);
   for (EdgeId e = 0; e < num_edges_; ++e) {
     const EdgeId s = slot_of_edge_[e];
     const std::int32_t ready = std::max(state.tokens[s], 0);
@@ -253,15 +191,18 @@ std::vector<std::uint8_t> FlatKernel::encode(const FlatState& state) const {
     bytes.push_back(static_cast<std::uint8_t>(ready >> 8));
     bytes.push_back(static_cast<std::uint8_t>(anti & 0xff));
     bytes.push_back(static_cast<std::uint8_t>(anti >> 8));
-    // The window's low R(e) bits, least significant first, in byte groups
-    // -- the same packing SyncState::encode applies to `inflight`.
+    // The chain's R(e) stage bits, stage 0 first, in byte groups (a group
+    // never straddles two 64-bit words).
     for (int base = 0; base < buffers_[s]; base += 8) {
+      const auto stage = static_cast<std::size_t>(base);
       bytes.push_back(static_cast<std::uint8_t>(
-          (state.window[s] >> base) & 0xff));
+          (chain_word(state, s, stage / 64) >> (stage % 64)) & 0xff));
     }
   }
-  for (std::int8_t guard : state.pending_guard) {
-    bytes.push_back(static_cast<std::uint8_t>(guard));
+  for (const std::uint32_t guard : state.pending_guard) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      bytes.push_back(static_cast<std::uint8_t>((guard >> shift) & 0xff));
+    }
   }
   bytes.insert(bytes.end(), state.busy.begin(), state.busy.end());
   return bytes;

@@ -1,73 +1,118 @@
 #pragma once
 
 /// \file flat_kernel.hpp
-/// Allocation-free, cache-friendly fast path of the synchronous elastic
-/// semantics. Implements *exactly* the transition function of sim::Kernel
-/// (kernel.hpp) -- differential tests assert bit-exact agreement per cycle
-/// -- but with a data layout built for throughput:
+/// The simulation kernel: one clock cycle of an elastic system with early
+/// evaluation, laid out for throughput. It represents every RRG that
+/// Rrg::validate accepts.
 ///
-///  * structure of arrays: all edge `ready`/`anti` counters and node
+/// Model (one clock cycle):
+///  * every edge e is a FIFO with latency R(e) (its EB chain) and
+///    unbounded capacity -- the paper's footnote 1 assumes FIFOs sized so
+///    that back-pressure never limits throughput;
+///  * tokens ready at the consumer are annihilated 1:1 against pending
+///    anti-tokens;
+///  * nodes are processed in topological order of the combinational
+///    subgraph (R = 0 edges): a token produced onto a zero-latency edge is
+///    consumable in the same cycle (combinational propagation);
+///  * a simple node fires iff every input edge has a ready token; an
+///    early node samples a guard input (probability gamma) *when its
+///    previous firing has completed* and fires iff that input has a ready
+///    token, sending anti-tokens to the other inputs (DAC'07 semantics);
+///    a sampled-but-unsatisfied guard stays pending -- the select token
+///    waits for the selected data;
+///  * every node fires at most once per cycle (hardware semantics);
+///  * initial tokens R0 > 0 start ready; R0 < 0 preloads anti-tokens;
+///  * a *telescopic* node (variable latency, the paper's future-work
+///    extension) samples its latency when it fires: fast (probability p)
+///    behaves normally; slow makes the unit busy for `slow_extra` extra
+///    cycles -- it cannot fire again and its outputs are withheld until
+///    the busy period ends (results of a slow operation are registered,
+///    so consumers see them one EB-chain latency after release).
+///
+/// The layout:
+///
+///  * structure of arrays: all edge token counters and node
 ///    `pending_guard`/`busy` flags live in contiguous vectors (FlatState),
-///    so a step streams over dense arrays instead of chasing
-///    vector-of-vector payloads;
+///    so a step streams over dense arrays;
 ///  * bit-ring channels: an EB chain's occupancy is one uint64 window per
 ///    edge (bit k set <=> a token arrives at the consumer after k + 1
 ///    end-of-cycle boundaries). Injection ORs bit R-1, the end-of-cycle
-///    advance tests bit 0 and shifts the window right -- O(1) per edge,
-///    no inner shift loop, no per-edge heap storage (this caps supported
-///    chains at 64 EBs; see supports());
+///    advance tests bit 0 and shifts the window right -- O(1) per edge.
+///    A chain deeper than 64 EBs keeps its producer-side stages in that
+///    window and the 64 * w stages nearest the consumer in w extra words
+///    (FlatState::deep), which an end-of-cycle loop of their own advances;
 ///  * level-scheduled edge renumbering: nodes are sorted into
 ///    combinational *levels* (registered producers -- no zero-buffer
 ///    in-edges -- first, then combs by longest zero-buffer distance), and
 ///    every edge is renumbered to an internal *slot* assigned in consumer
 ///    order, so each node's in-edges occupy one contiguous slot run.
-///    The per-node in-edge CSR indirection collapses into a (base, degree)
-///    slice, input token reads stream the state array front to back, and
-///    an in-cycle store-to-load chain spans exactly one level;
+///    The per-node in-edge CSR indirection collapses into a slot range,
+///    input token reads stream the state array front to back, and an
+///    in-cycle store-to-load chain spans exactly one level;
 ///  * per-node programs: kind/degree/latency attributes are packed into
-///    dense 16-byte records at construction, so the inner loop never
+///    dense 24-byte records at construction, so the inner loop never
 ///    touches Rrg or Digraph;
 ///  * templated choosers and lane width: step() is a template over the
 ///    guard/latency chooser types, and step_batch<K> over the lane width,
 ///    so Monte-Carlo drivers pay zero std::function dispatch (see
-///    choosers.hpp) and the K-lane token movement vectorizes; flexible
-///    std::function-style lambdas still work for the Markov enumerator.
+///    choosers.hpp) and the K-lane token movement vectorizes; plain
+///    lambdas still work for the Markov enumerator.
 ///
-/// See src/sim/README.md for the full architecture note.
+/// tests/sim/oracle.hpp keeps a readable reference implementation of the
+/// same transition function; the differential suites assert bit-exact
+/// agreement with it per cycle. See src/sim/README.md for the full
+/// architecture note.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/rrg.hpp"
-#include "sim/kernel.hpp"
 #include "support/error.hpp"
 
 namespace elrr::sim {
 
-/// Full synchronous state in structure-of-arrays layout. Semantically
-/// identical to SyncState (FlatKernel::to_sync converts); all vectors are
+/// pending_guard value of a node with no sampled guard.
+inline constexpr std::uint32_t kNoGuard = 0xffffffffu;
+
+/// Runaway-queue guard for ready/anti token counters: a live strongly
+/// connected system keeps these bounded; hitting the cap means the RRG is
+/// not strongly connected (tokens pile up at a sink-side join forever).
+inline constexpr std::int32_t kTokenQueueCap = 1 << 20;
+
+/// Full synchronous state in structure-of-arrays layout; all vectors are
 /// sized once by initial_state() and never reallocated by step().
 ///
 /// Per-edge quantities are indexed by the kernel's internal *slot* order
 /// (each consumer's in-edges contiguous, consumers in level-scheduled
-/// firing order), not by EdgeId; the conversions to/from SyncState and
-/// encode() translate through the kernel's slot permutation, so the
-/// external representation is unchanged.
+/// firing order), not by EdgeId; encode() and the edge accessors
+/// translate through the kernel's slot permutation.
 ///
 /// Ready and anti-token counters are merged into one signed count per
-/// edge: `tokens > 0` is the reference state's `ready`, `tokens < 0` is
-/// `-anti`. The merge is lossless because the reference semantics keep
-/// `ready * anti == 0` invariant -- deposits annihilate against pending
-/// anti-tokens before becoming ready, and anti-tokens are only minted
-/// while no ready token is present. It also makes every token movement a
-/// single unconditional +-1: a deposit is ++tokens (annihilation is
-/// automatic), and an early firing decrements *all* its inputs (selected
-/// token, late-token cancellation and anti-token mint are all -1).
+/// edge: `tokens > 0` is the number of ready tokens, `tokens < 0` minus
+/// the number of pending anti-tokens. The merge is lossless because the
+/// semantics keep `ready * anti == 0` invariant -- deposits annihilate
+/// against pending anti-tokens before becoming ready, and anti-tokens are
+/// only minted while no ready token is present. It also makes every token
+/// movement a single unconditional +-1: a deposit is ++tokens
+/// (annihilation is automatic), and an early firing decrements *all* its
+/// inputs (selected token, late-token cancellation and anti-token mint
+/// are all -1).
 struct FlatState {
   std::vector<std::int32_t> tokens;    ///< per slot: ready (>0) / -anti (<0)
-  std::vector<std::uint64_t> window;   ///< per slot: EB-chain bit-ring
-  std::vector<std::int8_t> pending_guard;  ///< per node (kNoGuard = none)
-  std::vector<std::uint8_t> busy;          ///< per node: slow countdown
+  /// Per slot: the producer-side word of the EB-chain bit ring -- the
+  /// whole chain when it has at most 64 EBs.
+  std::vector<std::uint64_t> window;
+  /// The remaining words of chains deeper than 64 EBs, consumer side
+  /// first (empty unless the RRG has such a chain).
+  std::vector<std::uint64_t> deep;
+  /// Per node: for early nodes, the in-edge *position* (index into
+  /// in_edges(n)) currently awaited, or kNoGuard if the next firing's
+  /// guard has not been sampled yet. Always kNoGuard for simple nodes.
+  std::vector<std::uint32_t> pending_guard;
+  /// Per node: remaining busy cycles of a slow telescopic operation
+  /// (0 = idle). Set to slow_extra + 1 at the slow firing; the withheld
+  /// outputs are released when the countdown reaches 1.
+  std::vector<std::uint8_t> busy;
 
   bool operator==(const FlatState&) const = default;
 };
@@ -81,35 +126,21 @@ struct NeverSlow {
   bool operator()(NodeId, std::size_t) const { return false; }
 };
 
-/// Why the flat layout cannot represent an RRG (kNone = it can). Every
-/// cap mirrors a fixed-width field of the flat encoding; the driver
-/// reports the reason through SimReport so fallbacks to the reference
-/// kernel are observable instead of silently slow.
-enum class FlatCap : std::uint8_t {
-  kNone = 0,       ///< flat fast path available
-  kDeepEbChain,    ///< an EB chain deeper than the 64-bit ring window
-  kTooManyNodes,   ///< more nodes than NodeProg::node (u16) can index
-  kInDegreeCap,    ///< in-degree beyond NodeProg::in_count (u8; i8 guards)
-  kOutDegreeCap,   ///< out-degree beyond NodeProg::out_comb/out_ring (u8)
-};
-
-/// Human-readable form of a FlatCap (stable, for logs and reports).
-const char* to_string(FlatCap cap);
-
 /// K interleaved independent runs in one state block: every per-edge /
-/// per-node quantity is stored K-wide (index `id * K + run`, lane-major),
-/// so the masked per-lane token updates are contiguous K-vectors the
-/// compiler vectorizes. Stepping all runs through one pass amortizes the
-/// graph metadata across runs and gives the CPU K independent dependency
-/// chains -- the instruction-level analogue of the thread-level multi-run
-/// driver (essential on few-core hosts). Runs are bit-exactly the runs
-/// the solo path would produce; the differential tests pin that for every
-/// supported lane width.
+/// per-node quantity (and every deep-chain word) is stored K-wide (index
+/// `id * K + run`, lane-major), so the masked per-lane token updates are
+/// contiguous K-vectors the compiler vectorizes. Stepping all runs
+/// through one pass amortizes the graph metadata across runs and gives
+/// the CPU K independent dependency chains -- the instruction-level
+/// analogue of the thread-level multi-run driver (essential on few-core
+/// hosts). Runs are bit-exactly the runs the solo path would produce;
+/// the differential tests pin that for every supported lane width.
 struct FlatBatchState {
   std::size_t runs = 0;
   std::vector<std::int32_t> tokens;
   std::vector<std::uint64_t> window;
-  std::vector<std::int8_t> pending_guard;
+  std::vector<std::uint64_t> deep;
+  std::vector<std::uint32_t> pending_guard;
   std::vector<std::uint8_t> busy;
 };
 
@@ -119,16 +150,6 @@ class FlatKernel {
   /// stay structurally unchanged while the kernel is in use.
   explicit FlatKernel(const Rrg& rrg);
   FlatKernel(Rrg&&) = delete;  // would dangle: the kernel keeps a reference
-
-  /// True iff the flat layout can represent the RRG: every EB chain fits
-  /// the 64-bit ring window and every degree/size fits its NodeProg
-  /// field. Callers fall back to the reference Kernel for (rare) graphs
-  /// beyond the caps; unsupported_reason() names the first violated cap.
-  static bool supports(const Rrg& rrg) {
-    return unsupported_reason(rrg) == FlatCap::kNone;
-  }
-  /// The first cap the RRG violates, or FlatCap::kNone if supported.
-  static FlatCap unsupported_reason(const Rrg& rrg);
 
   const Rrg& rrg() const { return rrg_; }
   std::size_t num_nodes() const { return num_nodes_; }
@@ -145,15 +166,17 @@ class FlatKernel {
   /// One run's state out of a batch (differential tests).
   FlatState extract_run(const FlatBatchState& state, std::size_t run) const;
 
-  /// Conversions to/from the reference representation (differential tests
-  /// and mixed pipelines); translate between internal slot order and
-  /// EdgeId order.
-  SyncState to_sync(const FlatState& state) const;
-  FlatState from_sync(const SyncState& state) const;
+  /// Edge e's merged token count in `state`: ready tokens (> 0) or minus
+  /// pending anti-tokens (< 0).
+  std::int32_t edge_tokens(const FlatState& state, EdgeId e) const {
+    return state.tokens[slot_of_edge_[e]];
+  }
+  /// Whether stage k of edge e's EB chain holds a token, 0 <= k < R(e);
+  /// stage k reaches the consumer after k + 1 end-of-cycle boundaries.
+  bool in_flight(const FlatState& state, EdgeId e, int k) const;
 
-  /// Compact byte encoding for hashing / state enumeration. Identical
-  /// bytes to SyncState::encode() of the corresponding state (EdgeId
-  /// order, not slot order).
+  /// Compact byte encoding for hashing / state enumeration, in EdgeId
+  /// order (not slot order).
   std::vector<std::uint8_t> encode(const FlatState& state) const;
 
   /// Early nodes that will sample a guard during the next step.
@@ -218,13 +241,80 @@ class FlatKernel {
   }
 
  private:
+  /// One node's share of the step, in level-scheduled firing order: slot
+  /// slices, kind flags and telescopic countdown packed into a single
+  /// 24-byte record so the hot loop streams one contiguous array instead
+  /// of gathering from parallel per-attribute vectors. prog_ ends in a
+  /// sentinel record whose in_begin is num_edges(), so a node's in-degree
+  /// is the next record's in_begin minus its own (in_count()).
+  struct NodeProg {
+    static constexpr std::uint8_t kEarly = 1;    ///< early-evaluation node
+    static constexpr std::uint8_t kOut1Ring = 2; ///< sole out-edge is an EB chain
+
+    /// First input slot: the node's in-edges occupy the contiguous slot
+    /// run [in_begin, next record's in_begin), in in_edges(n) order (no
+    /// CSR indirection on the input side at all).
+    std::uint32_t in_begin = 0;
+    /// Slice start into out_csr_ -- except for out-degree-1 nodes, where
+    /// the field holds the single out slot id directly.
+    std::uint32_t out_begin = 0;
+    NodeId node = 0;  ///< index into per-node state arrays
+    /// Out-degree, split: the node's out_csr_ slice holds its
+    /// combinational (R = 0) edges first, then its buffered ones, so
+    /// emit needs no per-edge kind lookup.
+    std::uint32_t out_comb = 0;
+    std::uint32_t out_ring = 0;
+    std::uint8_t flags = 0;
+    /// slow_extra + 1 for telescopic nodes, 0 otherwise (doubles as the
+    /// is-telescopic flag on the firing path; Rrg caps slow_extra at 200).
+    std::uint8_t slow_countdown = 0;
+
+    std::uint32_t in_count() const { return this[1].in_begin - in_begin; }
+  };
+  static_assert(sizeof(NodeProg) == 24, "keep the hot records three words");
+
+  /// A chain deeper than 64 EBs: window[slot] holds its producer-side
+  /// stages, the `words` words of FlatState::deep from `first` (times the
+  /// lane count in a batch) the 64 * words stages nearest the consumer.
+  struct DeepChain {
+    EdgeId slot = 0;
+    std::uint32_t words = 0;
+    std::size_t first = 0;
+  };
+
+  /// End-of-cycle advance of the deep chains in a K-lane layout (K = 1
+  /// is the solo state): deposit stage 0, then shift every word of the
+  /// chain one stage toward the consumer, carrying across word borders.
+  template <std::size_t K>
+  void advance_deep_chains(std::int32_t* tokens, std::uint64_t* window,
+                           std::uint64_t* deep) const {
+    for (const DeepChain& d : deep_chains_) {
+      std::int32_t* const t = tokens + static_cast<std::size_t>(d.slot) * K;
+      std::uint64_t* const top = window + static_cast<std::size_t>(d.slot) * K;
+      std::uint64_t* const w = deep + d.first * K;
+      for (std::size_t r = 0; r < K; ++r) {
+        t[r] += static_cast<std::int32_t>(w[r] & 1);
+      }
+      for (std::size_t j = 0; j + 1 < d.words; ++j) {
+        for (std::size_t r = 0; r < K; ++r) {
+          w[j * K + r] = (w[j * K + r] >> 1) | (w[(j + 1) * K + r] << 63);
+        }
+      }
+      std::uint64_t* const last = w + (d.words - 1) * K;
+      for (std::size_t r = 0; r < K; ++r) {
+        last[r] = (last[r] >> 1) | (top[r] << 63);
+        top[r] >>= 1;
+      }
+    }
+  }
+
   template <std::size_t K, bool kTelescopic, class GuardFn, class LatencyFn>
   void step_batch_impl(FlatBatchState& state, GuardFn&& choose_guard,
                        LatencyFn&& choose_latency,
                        std::uint64_t* totals) const {
     std::int32_t* const __restrict__ tokens = state.tokens.data();
     std::uint64_t* const __restrict__ window = state.window.data();
-    std::int8_t* const __restrict__ pending = state.pending_guard.data();
+    std::uint32_t* const __restrict__ pending = state.pending_guard.data();
     std::uint8_t* const __restrict__ busy = state.busy.data();
     const EdgeId* const __restrict__ out_csr = out_csr_.data();
     const std::uint64_t* const __restrict__ inject_bit = inject_bit_.data();
@@ -263,12 +353,13 @@ class FlatKernel {
       const EdgeId* out = out_csr + p.out_begin;
       std::uint32_t j = 0;
       for (; j < p.out_comb; ++j) emit_comb(out[j], mask);
-      for (; j < static_cast<std::uint32_t>(p.out_comb + p.out_ring); ++j) {
-        emit_ring(out[j], mask);
-      }
+      for (; j < p.out_comb + p.out_ring; ++j) emit_ring(out[j], mask);
     };
 
-    for (const NodeProg& p : prog_) {
+    const NodeProg* const prog_end = prog_.data() + num_nodes_;
+    for (const NodeProg* pp = prog_.data(); pp != prog_end; ++pp) {
+      const NodeProg& p = *pp;
+      const std::uint32_t in_count = p.in_count();
       std::int32_t fire[K];
       // A lane whose node is mid slow telescopic operation does nothing
       // this cycle: no guard draw, no token consumption, no firing --
@@ -286,7 +377,7 @@ class FlatKernel {
       std::int32_t* const __restrict__ in =
           tokens + static_cast<std::size_t>(p.in_begin) * K;
       if ((p.flags & NodeProg::kEarly) == 0) {
-        if (p.in_count == 1) {  // the most common shape: a chain node
+        if (in_count == 1) {  // the most common shape: a chain node
           for (std::size_t r = 0; r < K; ++r) {
             fire[r] = static_cast<std::int32_t>(in[r] > 0);
             if constexpr (kTelescopic) fire[r] &= avail[r];
@@ -296,19 +387,20 @@ class FlatKernel {
           for (std::size_t r = 0; r < K; ++r) {
             fire[r] = kTelescopic ? avail[r] : 1;
           }
-          for (std::uint32_t i = 0; i < p.in_count; ++i) {
-            const std::int32_t* const t = in + i * K;
+          for (std::uint32_t i = 0; i < in_count; ++i) {
+            const std::int32_t* const t = in + std::size_t{i} * K;
             for (std::size_t r = 0; r < K; ++r) {
               fire[r] &= static_cast<std::int32_t>(t[r] > 0);
             }
           }
-          for (std::uint32_t i = 0; i < p.in_count; ++i) {
-            std::int32_t* const t = in + i * K;
+          for (std::uint32_t i = 0; i < in_count; ++i) {
+            std::int32_t* const t = in + std::size_t{i} * K;
             for (std::size_t r = 0; r < K; ++r) t[r] -= fire[r];
           }
         }
       } else {
-        std::int8_t* const pg = pending + static_cast<std::size_t>(p.node) * K;
+        std::uint32_t* const pg =
+            pending + static_cast<std::size_t>(p.node) * K;
         for (std::size_t r = 0; r < K; ++r) {
           if constexpr (kTelescopic) {
             if (avail[r] == 0) {
@@ -316,18 +408,18 @@ class FlatKernel {
               continue;
             }
           }
-          std::int8_t guard = pg[r];
+          std::uint32_t guard = pg[r];
           if (guard == kNoGuard) {
             const std::size_t pos = choose_guard(p.node, r);
-            ELRR_HOT_ASSERT(pos < p.in_count, "guard chooser out of range");
-            guard = static_cast<std::int8_t>(pos);
+            ELRR_HOT_ASSERT(pos < in_count, "guard chooser out of range");
+            guard = static_cast<std::uint32_t>(pos);
           }
-          const auto gpos = static_cast<std::uint32_t>(guard);
-          fire[r] = static_cast<std::int32_t>(in[gpos * K + r] > 0);
+          const std::int32_t* const selected = in + std::size_t{guard} * K;
+          fire[r] = static_cast<std::int32_t>(selected[r] > 0);
           pg[r] = fire[r] ? kNoGuard : guard;
         }
-        for (std::uint32_t i = 0; i < p.in_count; ++i) {
-          std::int32_t* const t = in + i * K;
+        for (std::uint32_t i = 0; i < in_count; ++i) {
+          std::int32_t* const t = in + std::size_t{i} * K;
           for (std::size_t r = 0; r < K; ++r) t[r] -= fire[r];
         }
       }
@@ -360,6 +452,7 @@ class FlatKernel {
         w[r] >>= 1;
       }
     }
+    advance_deep_chains<K>(tokens, window, state.deep.data());
     if constexpr (kTelescopic) {
       // Per-lane slow countdowns; release the withheld outputs when a
       // lane's countdown hits 1 (after the shift, exactly like the solo
@@ -391,7 +484,7 @@ class FlatKernel {
     // (signed/unsigned int arrays may alias under TBAA).
     std::int32_t* const __restrict__ tokens = state.tokens.data();
     std::uint64_t* const __restrict__ window = state.window.data();
-    std::int8_t* const __restrict__ pending = state.pending_guard.data();
+    std::uint32_t* const __restrict__ pending = state.pending_guard.data();
     std::uint8_t* const __restrict__ busy = state.busy.data();
     const EdgeId* const __restrict__ out_csr = out_csr_.data();
     const std::uint64_t* const __restrict__ inject_bit = inject_bit_.data();
@@ -436,7 +529,7 @@ class FlatKernel {
                         "unbounded token accumulation: is the RRG strongly "
                         "connected?");
       }
-      for (; j < static_cast<std::uint32_t>(p.out_comb + p.out_ring); ++j) {
+      for (; j < p.out_comb + p.out_ring; ++j) {
         const EdgeId s = out[j];
         ELRR_HOT_ASSERT(fire == 0 || (window[s] & inject_bit[s]) == 0,
                         "double injection into EB chain");
@@ -444,7 +537,9 @@ class FlatKernel {
       }
     };
 
-    for (const NodeProg& p : prog_) {
+    const NodeProg* const prog_end = prog_.data() + num_nodes_;
+    for (const NodeProg* pp = prog_.data(); pp != prog_end; ++pp) {
+      const NodeProg& p = *pp;
       const NodeId n = p.node;
       if constexpr (kTelescopic) {
         if (busy[n] > 0) continue;  // mid slow telescopic operation
@@ -453,35 +548,35 @@ class FlatKernel {
       // in_begin, one counter per in-edge, in in_edges(n) order (guard
       // positions index straight into it).
       std::int32_t* const __restrict__ in = tokens + p.in_begin;
+      const std::uint32_t in_count = p.in_count();
       std::int32_t fire;
       if ((p.flags & NodeProg::kEarly) == 0) {
         // Simple join: fires iff every input has a ready token.
-        if (p.in_count == 1) {  // the most common shape: a chain node
+        if (in_count == 1) {  // the most common shape: a chain node
           fire = static_cast<std::int32_t>(in[0] > 0);
           in[0] -= fire;
         } else {
           fire = 1;
-          for (std::uint32_t i = 0; i < p.in_count; ++i) {
+          for (std::uint32_t i = 0; i < in_count; ++i) {
             fire &= static_cast<std::int32_t>(in[i] > 0);
           }
-          for (std::uint32_t i = 0; i < p.in_count; ++i) in[i] -= fire;
+          for (std::uint32_t i = 0; i < in_count; ++i) in[i] -= fire;
         }
       } else {
-        std::int8_t guard = pending[n];
+        std::uint32_t guard = pending[n];
         if (guard == kNoGuard) {
           const std::size_t pos = choose_guard(n);
-          ELRR_HOT_ASSERT(pos < p.in_count, "guard chooser out of range");
-          guard = static_cast<std::int8_t>(pos);
+          ELRR_HOT_ASSERT(pos < in_count, "guard chooser out of range");
+          guard = static_cast<std::uint32_t>(pos);
         }
-        const auto gpos = static_cast<std::uint32_t>(guard);
-        fire = static_cast<std::int32_t>(in[gpos] > 0);
+        fire = static_cast<std::int32_t>(in[guard] > 0);
         // A satisfied guard resets to kNoGuard (the firing completes it);
         // an unsatisfied one stays pending. Branch-free select.
         pending[n] = fire ? kNoGuard : guard;
         // An early firing decrements every input: the selected token is
         // consumed, a late token is cancelled, a missing one leaves an
         // anti-token -- all -1 on the merged counter.
-        for (std::uint32_t i = 0; i < p.in_count; ++i) {
+        for (std::uint32_t i = 0; i < in_count; ++i) {
           in[i] -= fire;
           ELRR_HOT_ASSERT(in[i] > -kTokenQueueCap, "anti-token runaway");
         }
@@ -509,6 +604,7 @@ class FlatKernel {
       tokens[s] += static_cast<std::int32_t>(w & 1);
       window[s] = w >> 1;
     }
+    advance_deep_chains<1>(tokens, window, state.deep.data());
     if constexpr (kTelescopic) {
       // Slow telescopic countdowns; release the withheld outputs when the
       // countdown hits 1 (registered: the EB chain receives them after
@@ -522,45 +618,18 @@ class FlatKernel {
     return total_firings;
   }
 
-  /// One node's share of the step, in level-scheduled firing order: slot
-  /// slices, kind flags and telescopic countdown packed into a single
-  /// 16-byte record so the hot loop streams one contiguous array (two
-  /// 64-bit loads per node) instead of gathering from parallel
-  /// per-attribute vectors. The u8/u16 field widths cap what the flat
-  /// kernel represents; supports() diverts larger graphs to the
-  /// reference kernel.
-  struct NodeProg {
-    static constexpr std::uint8_t kEarly = 1;    ///< early-evaluation node
-    static constexpr std::uint8_t kOut1Ring = 2; ///< sole out-edge is an EB chain
-
-    /// First input slot: the node's in-edges occupy the contiguous slot
-    /// run [in_begin, in_begin + in_count), in in_edges(n) order (no CSR
-    /// indirection on the input side at all).
-    std::uint32_t in_begin = 0;
-    /// Slice start into out_csr_ -- except for out-degree-1 nodes, where
-    /// the field holds the single out slot id directly.
-    std::uint32_t out_begin = 0;
-    std::uint16_t node = 0;  ///< index into per-node state arrays
-    std::uint8_t in_count = 0;
-    /// Out-degree, split: the node's out_csr_ slice holds its
-    /// combinational (R = 0) edges first, then its buffered ones, so
-    /// emit needs no per-edge kind lookup.
-    std::uint8_t out_comb = 0;
-    std::uint8_t out_ring = 0;
-    std::uint8_t flags = 0;
-    /// slow_extra + 1 for telescopic nodes, 0 otherwise (doubles as the
-    /// is-telescopic flag on the firing path).
-    std::uint8_t slow_countdown = 0;
-    std::uint8_t pad_ = 0;
-  };
-  static_assert(sizeof(NodeProg) == 16, "keep the hot records two words");
+  /// Word j of slot s's EB-chain ring in `state` (bit b is stage
+  /// 64 * j + b).
+  std::uint64_t chain_word(const FlatState& state, EdgeId s,
+                           std::size_t j) const;
 
   const Rrg& rrg_;
   EdgeId num_edges_ = 0;
   std::size_t num_nodes_ = 0;
   std::size_t num_levels_ = 0;
 
-  std::vector<NodeProg> prog_;  ///< nodes in level-scheduled firing order
+  /// Nodes in level-scheduled firing order, then the sentinel record.
+  std::vector<NodeProg> prog_;
   std::vector<NodeId> order_;   ///< the same order as bare node ids
   std::vector<NodeId> early_nodes_;
   std::vector<NodeId> telescopic_nodes_;
@@ -576,9 +645,13 @@ class FlatKernel {
   std::vector<EdgeId> out_csr_;
 
   // Dense per-slot attributes.
-  std::vector<std::uint64_t> inject_bit_;  ///< 1 << (R-1); 0 = combinational
+  /// 1 << ((R-1) mod 64): the injection bit in the producer-side window
+  /// word; 0 = combinational.
+  std::vector<std::uint64_t> inject_bit_;
   std::vector<std::int32_t> buffers_;
-  std::vector<EdgeId> buffered_slots_;  ///< slots with R > 0, ascending
+  std::vector<EdgeId> buffered_slots_;  ///< slots with 0 < R <= 64, ascending
+  std::vector<DeepChain> deep_chains_;  ///< slots with R > 64, ascending
+  std::size_t deep_words_ = 0;          ///< FlatState::deep size
 };
 
 }  // namespace elrr::sim

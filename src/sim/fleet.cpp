@@ -1,7 +1,6 @@
 #include "sim/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -52,9 +51,8 @@ std::size_t next_slice_width(std::size_t lane_cap, std::size_t remaining) {
   return 1;
 }
 
-/// Independent per-node streams, derived exactly like the reference
-/// driver always has: one master stream split once per node, so adding a
-/// node does not perturb the others' select sequences.
+/// Independent per-node streams: one master stream split once per node,
+/// so adding a node does not perturb the others' select sequences.
 std::vector<Rng> node_streams(std::uint64_t seed, std::size_t num_nodes) {
   Rng master(seed);
   std::vector<Rng> streams;
@@ -122,36 +120,7 @@ void run_flat_batch(const FlatKernel& kernel, const GuardTable& guards,
   }
 }
 
-/// One replication on the reference kernel (fallback for RRGs the flat
-/// layout cannot represent, and the anchor of the differential tests).
-/// Draws the same per-node streams through the same table arithmetic, so
-/// theta is bit-identical to run_flat.
-double run_reference(const Kernel& kernel, const GuardTable& guards,
-                     const LatencyTable& latencies, std::uint64_t seed,
-                     const SimOptions& options) {
-  const std::size_t num_nodes = kernel.rrg().num_nodes();
-  std::vector<Rng> streams = node_streams(seed, num_nodes);
-  const Kernel::GuardChooser guard = [&](NodeId n) {
-    return guards.sample(n, streams[n]);
-  };
-  const Kernel::LatencyChooser latency = [&](NodeId n) {
-    return latencies.sample(n, streams[n]);
-  };
-
-  SyncState state = kernel.initial_state();
-  for (std::size_t t = 0; t < options.warmup_cycles; ++t) {
-    kernel.step(state, guard, latency);
-  }
-  std::uint64_t firings = 0;
-  for (std::size_t t = 0; t < options.measure_cycles; ++t) {
-    firings += kernel.step(state, guard, latency);
-  }
-  return static_cast<double>(firings) /
-         (static_cast<double>(options.measure_cycles) *
-          static_cast<double>(num_nodes));
-}
-
-/// Everything one unique job needs at execution time. Kernels and tables
+/// Everything one unique job needs at execution time. The kernel and tables
 /// are built once per unique job (on the submitting thread) and shared
 /// read-only by all workers; per-run theta slots are written by exactly
 /// one work slice each (disjoint ranges), so workers never contend.
@@ -167,33 +136,21 @@ struct JobContext {
 
   std::unique_ptr<Rrg> rrg;  ///< the candidate, owned until completion
   SimOptions options;
-  SimPath path = SimPath::kFlat;
-  FlatCap fallback = FlatCap::kNone;
   std::size_t lane_cap = 1;  ///< batch width cap this job's slices use
-  std::unique_ptr<FlatKernel> flat_kernel;
-  std::unique_ptr<Kernel> ref_kernel;
+  std::unique_ptr<FlatKernel> kernel;
   std::unique_ptr<GuardTable> guards;
   std::unique_ptr<LatencyTable> latencies;
   std::vector<double> per_run;  ///< run-indexed theta slots
 
   std::size_t remaining = 0;  ///< slices still to finish (fleet mutex)
   std::exception_ptr failure;  ///< first slice failure (fleet mutex)
-  /// Flat-path containment: a slice whose FlatKernel execution throws is
-  /// re-run on the reference kernel (built on demand, once) instead of
-  /// failing the job. The reference path draws the identical per-run
-  /// seeds, so a degraded slice's thetas are bit-identical to the flat
-  /// ones -- degradation is observable only through this counter.
-  std::once_flag ref_fallback_once;
-  std::atomic<std::uint32_t> degraded_slices{0};
-
   bool done() const { return remaining == 0; }
 
   /// Frees everything execution needed once the last slice lands: the
-  /// session cache keeps only per_run/path/fallback (cheap) for report
-  /// merging, never the candidate, kernels or tables.
+  /// session cache keeps only per_run (cheap) for report merging, never
+  /// the candidate, kernel or tables.
   void release_execution_state() {
-    flat_kernel.reset();
-    ref_kernel.reset();
+    kernel.reset();
     guards.reset();
     latencies.reset();
     rrg.reset();
@@ -212,74 +169,37 @@ struct QueueEntry {
   std::uint32_t count = 0;
 };
 
-void run_reference_slice(JobContext& ctx, std::uint32_t first,
-                         std::uint32_t count) {
-  double* const thetas = ctx.per_run.data() + first;
-  for (std::uint32_t r = 0; r < count; ++r) {
-    thetas[r] = run_reference(*ctx.ref_kernel, *ctx.guards, *ctx.latencies,
-                              run_seed(ctx.options.seed, first + r),
-                              ctx.options);
-  }
-}
-
-/// Flat execution of one slice; throws on a FlatKernel fault (including
-/// the `fleet.flat` injection site). Split out so execute_slice can
-/// contain the fault and re-run the slice on the reference kernel.
-void run_flat_slice(JobContext& ctx, std::uint32_t first,
-                    std::uint32_t count) {
-  failpoint::trip("fleet.flat");
+/// Runs one slice: `count` consecutive runs from `first`, solo or as one
+/// step_batch lane pack.
+void execute_slice(JobContext& ctx, std::uint32_t first, std::uint32_t count) {
   double* const thetas = ctx.per_run.data() + first;
   switch (count) {
     case 1:
-      thetas[0] = run_flat(*ctx.flat_kernel, *ctx.guards, *ctx.latencies,
+      thetas[0] = run_flat(*ctx.kernel, *ctx.guards, *ctx.latencies,
                            run_seed(ctx.options.seed, first), ctx.options);
       break;
     case 2:
-      run_flat_batch<2>(*ctx.flat_kernel, *ctx.guards, *ctx.latencies,
+      run_flat_batch<2>(*ctx.kernel, *ctx.guards, *ctx.latencies,
                         ctx.options.seed, first, ctx.options, thetas);
       break;
     case 3:
-      run_flat_batch<3>(*ctx.flat_kernel, *ctx.guards, *ctx.latencies,
+      run_flat_batch<3>(*ctx.kernel, *ctx.guards, *ctx.latencies,
                         ctx.options.seed, first, ctx.options, thetas);
       break;
     case 4:
-      run_flat_batch<4>(*ctx.flat_kernel, *ctx.guards, *ctx.latencies,
+      run_flat_batch<4>(*ctx.kernel, *ctx.guards, *ctx.latencies,
                         ctx.options.seed, first, ctx.options, thetas);
       break;
     case 8:
-      run_flat_batch<8>(*ctx.flat_kernel, *ctx.guards, *ctx.latencies,
+      run_flat_batch<8>(*ctx.kernel, *ctx.guards, *ctx.latencies,
                         ctx.options.seed, first, ctx.options, thetas);
       break;
     case 16:
-      run_flat_batch<16>(*ctx.flat_kernel, *ctx.guards, *ctx.latencies,
+      run_flat_batch<16>(*ctx.kernel, *ctx.guards, *ctx.latencies,
                          ctx.options.seed, first, ctx.options, thetas);
       break;
     default:
       ELRR_ASSERT(false, "unsupported lane width ", count);
-  }
-}
-
-void execute_slice(JobContext& ctx, std::uint32_t first, std::uint32_t count) {
-  if (ctx.path != SimPath::kFlat) {
-    run_reference_slice(ctx, first, count);
-    return;
-  }
-  try {
-    run_flat_slice(ctx, first, count);
-  } catch (...) {
-    // Per-slice graceful degradation: a flat-path fault costs one
-    // reference re-run of this slice, not the job. The reference kernel
-    // is built lazily (most jobs never need it) and exactly once even
-    // when several slices of the same job fault concurrently; guards,
-    // latency tables and per-run seeds are shared with the flat path, so
-    // the recomputed thetas are bit-identical and the job's report --
-    // aside from degraded_slices -- is indistinguishable from a clean
-    // run. A *reference* fault here is not containable and propagates.
-    std::call_once(ctx.ref_fallback_once, [&ctx] {
-      ctx.ref_kernel = std::make_unique<Kernel>(*ctx.rrg);
-    });
-    run_reference_slice(ctx, first, count);
-    ctx.degraded_slices.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -298,34 +218,18 @@ std::string canonical_key(const Rrg& rrg, const SimOptions& options) {
   append_value(key, static_cast<std::uint64_t>(options.warmup_cycles));
   append_value(key, static_cast<std::uint64_t>(options.measure_cycles));
   append_value(key, static_cast<std::uint64_t>(options.runs));
-  append_value(key, static_cast<std::uint8_t>(options.force_reference));
   return key;
 }
 
-/// Classifies the execution path and builds kernels, chooser tables,
-/// result slots and the slice partition for one unique job. Runs on the
-/// submitting thread, outside the fleet mutex.
+/// Builds the kernel, chooser tables, result slots and the slice
+/// partition for one unique job. Runs on the submitting thread, outside
+/// the fleet mutex.
 void build_context(JobContext& ctx, std::vector<QueueEntry>* entries,
                    const std::shared_ptr<JobContext>& self) {
-  ctx.fallback = ctx.options.force_reference
-                     ? FlatCap::kNone
-                     : FlatKernel::unsupported_reason(*ctx.rrg);
-  if (ctx.options.force_reference) {
-    ctx.path = SimPath::kReferenceForced;
-  } else if (ctx.fallback != FlatCap::kNone) {
-    ctx.path = SimPath::kReference;
-  } else {
-    ctx.path = SimPath::kFlat;
-  }
-  if (ctx.path == SimPath::kFlat) {
-    ctx.flat_kernel = std::make_unique<FlatKernel>(*ctx.rrg);
-    ctx.lane_cap = ctx.options.max_batch == 0
-                       ? kDefaultLane
-                       : std::min(ctx.options.max_batch, kMaxLane);
-  } else {
-    ctx.ref_kernel = std::make_unique<Kernel>(*ctx.rrg);
-    ctx.lane_cap = 1;
-  }
+  ctx.kernel = std::make_unique<FlatKernel>(*ctx.rrg);
+  ctx.lane_cap = ctx.options.max_batch == 0
+                     ? kDefaultLane
+                     : std::min(ctx.options.max_batch, kMaxLane);
   ctx.guards = std::make_unique<GuardTable>(*ctx.rrg);
   ctx.latencies = std::make_unique<LatencyTable>(*ctx.rrg);
   ctx.per_run.assign(ctx.options.runs, 0.0);
@@ -340,17 +244,13 @@ void build_context(JobContext& ctx, std::vector<QueueEntry>* entries,
 
 /// Merges one unique job's per-run thetas in run order -- neither the
 /// queue interleaving, the pool size nor dedup can reach this reduction.
-SimReport report_for(const JobContext& ctx) {
+SimResult report_for(const JobContext& ctx) {
   RunningStats across_runs;
   for (const double theta : ctx.per_run) across_runs.add(theta);
-  SimReport report;
+  SimResult report;
   report.theta = across_runs.mean();
   report.stderr_theta = across_runs.stderr_mean();
   report.cycles = ctx.options.runs * ctx.options.measure_cycles;
-  report.path = ctx.path;
-  report.fallback = ctx.fallback;
-  report.degraded_slices =
-      ctx.degraded_slices.load(std::memory_order_relaxed);
   return report;
 }
 
@@ -576,10 +476,9 @@ void SimFleet::worker_main(std::size_t slot) {
     std::exception_ptr failure;
     if (!skip) {
       try {
-        // `fleet.worker` is the whole-worker fault. Unlike `fleet.flat`
-        // (contained inside execute_slice by the reference fallback) a
-        // throw here fails the slice's job -- the transient the
-        // scheduler's retry budget exists for. Its `stall:` mode sleeps
+        // `fleet.worker` is the whole-worker fault: a throw here fails
+        // the slice's job -- the transient the scheduler's retry budget
+        // exists for. Its `stall:` mode sleeps
         // with the heartbeat set, which is what stuck_workers() reads.
         failpoint::trip("fleet.worker");
         OBS_SPAN_ID("fleet.slice", entry.first);
@@ -703,7 +602,7 @@ bool SimFleet::poll(SimTicket ticket) const {
   return it->second->done();
 }
 
-SimReport SimFleet::wait(SimTicket ticket) {
+SimResult SimFleet::wait(SimTicket ticket) {
   FleetCore& core = *core_;
   std::unique_lock<std::mutex> lock(core.mutex);
   ELRR_REQUIRE(ticket.valid(), "invalid simulation ticket");
@@ -718,7 +617,7 @@ SimReport SimFleet::wait(SimTicket ticket) {
   return fleet_detail::report_for(*ctx);
 }
 
-std::optional<SimReport> SimFleet::wait_for(SimTicket ticket,
+std::optional<SimResult> SimFleet::wait_for(SimTicket ticket,
                                             double seconds) {
   FleetCore& core = *core_;
   std::unique_lock<std::mutex> lock(core.mutex);

@@ -134,13 +134,13 @@ class SimFleet {
   /// Blocks until the ticket's job completes and returns its report
   /// (rethrows the job's failure, if any). Re-waitable until released.
   /// Thread-safe.
-  SimReport wait(SimTicket ticket);
+  SimResult wait(SimTicket ticket);
   /// Bounded wait: blocks at most `seconds`, then returns nullopt if the
   /// job is still running (no side effects; wait again later). On
   /// completion behaves exactly like wait(). The scheduler's deadline
   /// loop polls through this so a stuck worker can never wedge a client
   /// past its wall budget. Thread-safe.
-  std::optional<SimReport> wait_for(SimTicket ticket, double seconds);
+  std::optional<SimResult> wait_for(SimTicket ticket, double seconds);
   /// Drops the fleet's reference for this ticket: later poll/wait on it
   /// throw, and -- once every aliasing ticket is released and the cache
   /// entry evicted -- the job's memory is freed. Long-lived clients (the

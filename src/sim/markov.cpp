@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/flat_kernel.hpp"
-#include "sim/kernel.hpp"
 #include "support/error.hpp"
 
 namespace elrr::sim {
@@ -28,37 +27,26 @@ struct Transition {
   double prob;
 };
 
-std::vector<std::uint8_t> encode_state(const FlatKernel& kernel,
-                                       const FlatState& state) {
-  return kernel.encode(state);
-}
-
-std::vector<std::uint8_t> encode_state(const Kernel&, const SyncState& state) {
-  return state.encode();
-}
+}  // namespace
 
 /// Breadth-first enumeration of the reachable state space + damped power
-/// iteration. Templated over the kernel so the fast FlatKernel path (the
-/// default) and the reference Kernel fallback (EB chains deeper than the
-/// flat bit-ring) share one implementation; the choosers stay flexible
-/// lambdas -- the enumerator dictates every draw, so chooser dispatch is
-/// never the bottleneck here.
-template <class KernelT, class StateT>
-MarkovResult enumerate_chain(const Rrg& rrg, const KernelT& kernel,
-                             const MarkovOptions& options) {
+/// iteration. The choosers are plain lambdas -- the enumerator dictates
+/// every draw, so chooser dispatch is never the bottleneck here.
+MarkovResult exact_throughput(const Rrg& rrg, const MarkovOptions& options) {
+  const FlatKernel kernel(rrg);
   const Digraph& g = rrg.graph();
   const double num_nodes = static_cast<double>(rrg.num_nodes());
 
   MarkovResult result;
 
   std::unordered_map<std::vector<std::uint8_t>, std::uint32_t, ByteHash> ids;
-  std::vector<StateT> states;
+  std::vector<FlatState> states;
   std::vector<std::vector<Transition>> transitions;
   std::vector<double> expected_firings;  // per state, per cycle
   const std::size_t transition_cap = options.max_states * 8;
 
-  const auto intern = [&](const StateT& state) -> std::uint32_t {
-    auto bytes = encode_state(kernel, state);
+  const auto intern = [&](const FlatState& state) -> std::uint32_t {
+    auto bytes = kernel.encode(state);
     const auto it = ids.find(bytes);
     if (it != ids.end()) return it->second;
     const auto id = static_cast<std::uint32_t>(states.size());
@@ -75,7 +63,7 @@ MarkovResult enumerate_chain(const Rrg& rrg, const KernelT& kernel,
         num_transitions > transition_cap) {
       return result;  // ok == false: state space too large
     }
-    const StateT base = states[id];  // copy: `states` may reallocate
+    const FlatState base = states[id];  // copy: `states` may reallocate
     const std::vector<NodeId> sampling = kernel.sampling_nodes(base);
     const std::vector<NodeId> latency = kernel.latency_nodes(base);
 
@@ -100,7 +88,7 @@ MarkovResult enumerate_chain(const Rrg& rrg, const KernelT& kernel,
         const double fast = rrg.telescopic(latency[i]).fast_prob;
         prob *= combo[sampling.size() + i] == 0 ? fast : 1.0 - fast;
       }
-      StateT next = base;
+      FlatState next = base;
       const auto chooser = [&](NodeId n) -> std::size_t {
         for (std::size_t i = 0; i < sampling.size(); ++i) {
           if (sampling[i] == n) return combo[i];
@@ -165,17 +153,6 @@ MarkovResult enumerate_chain(const Rrg& rrg, const KernelT& kernel,
   result.num_transitions = num_transitions;
   result.iterations = iter;
   return result;
-}
-
-}  // namespace
-
-MarkovResult exact_throughput(const Rrg& rrg, const MarkovOptions& options) {
-  if (FlatKernel::supports(rrg)) {
-    const FlatKernel kernel(rrg);
-    return enumerate_chain<FlatKernel, FlatState>(rrg, kernel, options);
-  }
-  const Kernel kernel(rrg);
-  return enumerate_chain<Kernel, SyncState>(rrg, kernel, options);
 }
 
 }  // namespace elrr::sim

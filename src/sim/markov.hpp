@@ -6,7 +6,7 @@
 /// example in Section 1.4: Theta(fig 1b) = 0.491 at alpha = 0.5, and
 /// Theta(fig 2) = 1/(3 - 2 alpha)).
 ///
-/// The chain's states are the reachable SyncStates of the shared kernel;
+/// The chain's states are the reachable FlatStates of the simulation kernel;
 /// transitions branch over the guard choices of early nodes whose previous
 /// firing has completed, weighted by the product of their probabilities.
 /// The long-run firing rate is computed by damped power iteration from the

@@ -11,7 +11,7 @@ std::uint64_t run_seed(std::uint64_t seed, std::size_t run) {
   return splitmix64(state);
 }
 
-SimReport simulate_throughput(const Rrg& rrg, const SimOptions& options) {
+SimResult simulate_throughput(const Rrg& rrg, const SimOptions& options) {
   // A one-ticket fleet: same kernels, same per-run streams, same
   // run-order merge -- simulate_throughput is the single-candidate
   // spelling of the fleet scheduler, so every determinism property is

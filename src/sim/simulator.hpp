@@ -5,11 +5,10 @@
 /// evaluation -- the stand-in for the paper's "intensive simulations" of
 /// generated Verilog controllers (src/core/README.md, "Substitutions").
 ///
-/// The driver runs on the allocation-free FlatKernel fast path with
-/// precomputed chooser tables (falling back to the reference Kernel for
-/// RRGs the flat layout cannot represent), interleaves replications
-/// through the batched stepper -- telescopic graphs included -- and can
-/// spread runs across worker threads. Results are deterministic in
+/// The driver runs on the allocation-free FlatKernel with precomputed
+/// chooser tables, interleaves replications through the batched stepper
+/// -- telescopic graphs included -- and can spread runs across worker
+/// threads. Results are deterministic in
 /// (rrg, options.seed, options.runs) alone: every run draws from its own
 /// splitmix64-derived stream and results are merged in run order, so
 /// neither `threads` nor `max_batch` ever changes theta.
@@ -21,9 +20,6 @@
 #include <cstdint>
 
 #include "core/rrg.hpp"
-#include "sim/flat_kernel.hpp"
-#include "sim/kernel.hpp"
-#include "support/stats.hpp"
 
 namespace elrr::sim {
 
@@ -43,9 +39,6 @@ struct SimOptions {
   /// when a job carries that many runs. Purely a wall-clock knob: theta
   /// is identical for every value (lane-packing invariance is tested).
   std::size_t max_batch = 0;
-  /// Force the reference Kernel path (testing / debugging). The fast path
-  /// is bit-exact against it, so results do not change -- only speed.
-  bool force_reference = false;
 };
 
 struct SimResult {
@@ -54,31 +47,11 @@ struct SimResult {
   std::size_t cycles = 0;    ///< total measured cycles
 };
 
-/// Which kernel a simulation actually ran on.
-enum class SimPath : std::uint8_t {
-  kFlat = 0,          ///< FlatKernel batched fast path
-  kReference,         ///< reference Kernel: the RRG exceeds a flat cap
-  kReferenceForced,   ///< reference Kernel: options.force_reference
-};
-
-/// SimResult plus the execution-path report: which kernel ran, and -- when
-/// the reference fallback was taken because of a flat-layout cap -- which
-/// cap (FlatCap::kNone otherwise). Telescopic graphs are *not* a fallback:
-/// they run on the batched flat path like everything else.
-struct SimReport : SimResult {
-  SimPath path = SimPath::kFlat;
-  FlatCap fallback = FlatCap::kNone;
-  /// Slices the fleet re-ran on the reference kernel after a flat-path
-  /// fault (fail-point or real). Thetas of a degraded slice are
-  /// bit-identical to the flat ones; this counter is the only trace.
-  std::uint32_t degraded_slices = 0;
-};
-
 /// Long-run throughput Theta(RRG) by simulation. Guards are sampled i.i.d.
 /// with the RRG's gamma probabilities (per-node independent streams).
 /// Equivalent to one SimFleet ticket (submit_async, then wait) on a fleet
 /// of options.threads workers.
-SimReport simulate_throughput(const Rrg& rrg, const SimOptions& options = {});
+SimResult simulate_throughput(const Rrg& rrg, const SimOptions& options = {});
 
 /// The per-run RNG seed: run `run` of a simulation seeded with `seed`.
 /// splitmix64 over state seed + run * golden-gamma -- nearby user seeds

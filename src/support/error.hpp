@@ -79,8 +79,10 @@ std::string concat(Args&&... args) {
 /// Invariant check on a simulation hot path: a full ELRR_ASSERT in debug
 /// builds, compiled out under NDEBUG. The inlined throw/ostringstream
 /// machinery of ELRR_ASSERT measurably slows tight kernels; hot loops use
-/// this variant for invariants that the reference implementation (which
-/// keeps full checks) and the differential tests already enforce.
+/// this variant for invariants that the differential tests enforce
+/// against the test-only oracle kernel (tests/sim/oracle.hpp), which
+/// keeps full checks. Production runs no second kernel: a Release step
+/// never throws, and a Debug violation fails the slice's job.
 #ifdef NDEBUG
 #define ELRR_HOT_ASSERT(cond, ...) \
   do {                             \

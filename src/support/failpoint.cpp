@@ -165,9 +165,9 @@ void trip_slow(const char* site) {
 
 const std::vector<std::string>& known_sites() {
   static const std::vector<std::string> sites = {
-      "fleet.worker",     "fleet.flat",      "walk.step",
-      "milp.solve",       "milp.warm",       "milp.node_warm",
-      "svc.manifest",     "disk_cache.load", "disk_cache.store",
+      "fleet.worker",    "walk.step",        "milp.solve",
+      "milp.warm",       "milp.node_warm",   "svc.manifest",
+      "disk_cache.load", "disk_cache.store",
   };
   return sites;
 }

@@ -52,8 +52,6 @@ class FailPointError : public TransientError {
 /// be silently untestable).
 ///
 ///   fleet.worker      sim fleet worker loop, once per dequeued slice
-///   fleet.flat        FlatKernel slice execution (degradable: the fleet
-///                     re-runs the slice on the reference kernel)
 ///   walk.step         flow::Engine, before each Pareto walk step
 ///   milp.solve        lp::solve_milp / lp::MilpSession::solve entry
 ///   milp.warm         lp::MilpSession warm-start restore (firing models

@@ -38,7 +38,7 @@ class DeadlineExceeded : public Error {
 /// a deadline expiry names that same threshold in its error. Unlimited
 /// deadlines take the plain blocking wait -- the happy path is
 /// unchanged.
-sim::SimReport wait_with_deadline(sim::SimFleet& fleet, sim::SimTicket ticket,
+sim::SimResult wait_with_deadline(sim::SimFleet& fleet, sim::SimTicket ticket,
                                   const Deadline& deadline,
                                   double stall_threshold_s,
                                   std::size_t* stalled_peak) {
@@ -46,7 +46,7 @@ sim::SimReport wait_with_deadline(sim::SimFleet& fleet, sim::SimTicket ticket,
   for (;;) {
     const double slice =
         std::min(0.05, std::max(0.001, deadline.remaining()));
-    std::optional<sim::SimReport> report = fleet.wait_for(ticket, slice);
+    std::optional<sim::SimResult> report = fleet.wait_for(ticket, slice);
     if (report.has_value()) return *report;
     const std::size_t stuck = fleet.stuck_workers(stall_threshold_s);
     *stalled_peak = std::max(*stalled_peak, stuck);
@@ -690,7 +690,7 @@ void Scheduler::run_job(JobEntry& entry, JobStats* stats,
         // and a leaked ticket would pin its job in the shared fleet for
         // the scheduler's lifetime.
         const TicketRelease release{&fleet_, ticket};
-        const sim::SimReport report =
+        const sim::SimResult report =
             wait_with_deadline(fleet_, ticket, deadline,
                                options_.stall_threshold_s,
                                &stats->stalled_workers);
@@ -723,7 +723,7 @@ void Scheduler::run_job(JobEntry& entry, JobStats* stats,
         Stopwatch sim_watch;
         const sim::SimTicket ticket = fleet_.submit_async(Rrg(tuned), sopt);
         const TicketRelease release{&fleet_, ticket};
-        const sim::SimReport report =
+        const sim::SimResult report =
             wait_with_deadline(fleet_, ticket, deadline,
                                options_.stall_threshold_s,
                                &stats->stalled_workers);

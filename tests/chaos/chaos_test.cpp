@@ -198,12 +198,6 @@ TEST_F(ChaosTest, WalkStepFaultIsRetriedToGreen) {
   run_schedule("walk.step=once", /*with_disk_cache=*/false);
 }
 
-TEST_F(ChaosTest, FlatKernelFaultDegradesPerSliceInvisibly) {
-  // fleet.flat is *contained*: the slice re-runs on the reference
-  // kernel, bit-identically -- no job-level failure, no retry needed.
-  run_schedule("fleet.flat=once", /*with_disk_cache=*/false);
-}
-
 TEST_F(ChaosTest, WarmStartFaultFallsBackToColdInvisibly) {
   // milp.warm is *contained* inside the MILP session: an injected
   // basis-restore corruption makes the session fall back to the

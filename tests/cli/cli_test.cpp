@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -306,11 +307,35 @@ TEST(Cli, TraceSummaryJsonPinsTheSchema) {
   // Nothing dropped: no ELRR_OBS_BUF advice on stderr.
   EXPECT_EQ(js.err.find("dropped"), std::string::npos) << js.err;
 
+  // The trace's counters, equal to the batch stream's trace_summary
+  // record's (both read the one obs registry at the end of the batch).
+  const json::Value summary = json::parse(js.out);
+  const json::Value* counters = summary.find("counters");
+  ASSERT_NE(counters, nullptr) << js.out;
+  ASSERT_TRUE(counters->is_object());
+  const json::Value* batch_counters = nullptr;
+  std::istringstream lines(r.out);
+  std::optional<json::Value> record;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"trace_summary\"") == std::string::npos) continue;
+    record = json::parse(line);
+    batch_counters = record->find("counters");
+  }
+  ASSERT_NE(batch_counters, nullptr) << r.out;
+  ASSERT_FALSE(batch_counters->members().empty());
+  ASSERT_EQ(counters->members().size(), batch_counters->members().size());
+  for (const json::Value::Member& member : batch_counters->members()) {
+    const json::Value* value = counters->find(member.key);
+    ASSERT_NE(value, nullptr) << member.key;
+    EXPECT_EQ(value->as_number(), member.value.as_number()) << member.key;
+  }
+
   const CliResult txt = run_cli({"trace-summary", trace_path});
   EXPECT_EQ(txt.code, 0) << txt.err;
   EXPECT_NE(txt.out.find("spans dropped: 0 (per-thread ring capacity "),
             std::string::npos)
       << txt.out;
+  EXPECT_NE(txt.out.find("counters:\n"), std::string::npos) << txt.out;
 
   obs::reset();
 }

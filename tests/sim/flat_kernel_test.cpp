@@ -1,11 +1,12 @@
 /// \file flat_kernel_test.cpp
-/// The flat fast path's contract: bit-exact semantic equivalence with the
-/// reference Kernel. Randomized differential tests drive both kernels
-/// (and the batched variant) through identical chooser sequences on
-/// random RRGs mixing early and telescopic nodes, asserting per-cycle
-/// firing counts and full states match exactly; driver-level tests pin
-/// theta equality between the fast and reference simulate paths, thread-
-/// count invariance, and a fixed-seed golden value.
+/// The simulation kernel's contract: bit-exact semantic equivalence with
+/// the oracle Kernel (tests/sim/oracle.hpp). Randomized differential
+/// tests drive both kernels (and the batched variant) through identical
+/// chooser sequences on random RRGs mixing early and telescopic nodes,
+/// asserting per-cycle firing counts and full states match exactly;
+/// driver-level tests pin theta equality between simulate_throughput and
+/// the oracle driver, thread-count invariance, and a fixed-seed golden
+/// value.
 
 #include "sim/flat_kernel.hpp"
 
@@ -17,11 +18,11 @@
 #include "bench89/generator.hpp"
 #include "core/figures.hpp"
 #include "sim/choosers.hpp"
-#include "sim/kernel.hpp"
 #include "sim/markov.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "tests/sim/oracle.hpp"
 
 namespace elrr::sim {
 namespace {
@@ -108,7 +109,7 @@ struct SyntheticChoosers {
 
 /// Differential property: per-cycle firing counts, per-node firing flags
 /// and the full synchronous state stay bit-exactly equal between the
-/// reference Kernel and the FlatKernel over a long horizon.
+/// oracle Kernel and the FlatKernel over a long horizon.
 class FlatVsReference : public ::testing::TestWithParam<int> {};
 
 TEST_P(FlatVsReference, BitExactOverHorizon) {
@@ -122,7 +123,7 @@ TEST_P(FlatVsReference, BitExactOverHorizon) {
 
     SyncState ref_state = reference.initial_state();
     FlatState flat_state = flat.initial_state();
-    ASSERT_EQ(flat.to_sync(flat_state), ref_state);
+    ASSERT_EQ(to_sync(flat, flat_state), ref_state);
 
     SyntheticChoosers chooser{&rrg};
     std::vector<std::uint8_t> ref_fired(rrg.num_nodes());
@@ -144,7 +145,7 @@ TEST_P(FlatVsReference, BitExactOverHorizon) {
       ASSERT_EQ(flat_total, ref_total)
           << "cycle " << chooser.cycle << " telescopic=" << telescopic;
       ASSERT_EQ(flat_fired, ref_fired) << "cycle " << chooser.cycle;
-      ASSERT_EQ(flat.to_sync(flat_state), ref_state)
+      ASSERT_EQ(to_sync(flat, flat_state), ref_state)
           << "cycle " << chooser.cycle << " telescopic=" << telescopic;
       ASSERT_EQ(flat.encode(flat_state), ref_state.encode())
           << "cycle " << chooser.cycle;
@@ -253,8 +254,8 @@ TEST(FlatKernel, CombOrderIsLevelScheduled) {
   }
 }
 
-/// Telescopic batched stepping against the reference kernel, cycle by
-/// cycle: every lane of a step_batch advance must reproduce the reference
+/// Telescopic batched stepping against the oracle kernel, cycle by
+/// cycle: every lane of a step_batch advance must reproduce the oracle
 /// Kernel's full synchronous state (busy countdowns included) when driven
 /// through the same (cycle, node, run)-deterministic chooser sequence.
 class TelescopicBatchVsReference : public ::testing::TestWithParam<int> {};
@@ -297,7 +298,7 @@ TEST_P(TelescopicBatchVsReference, LanesMatchReferencePerCycle) {
       ref_totals[r] += reference.step(
           ref_states[r], [&](NodeId n) { return guard_for(cycle, n, r); },
           [&](NodeId n) { return latency_for(cycle, n, r); });
-      ASSERT_EQ(flat.to_sync(flat.extract_run(batch, r)), ref_states[r])
+      ASSERT_EQ(to_sync(flat, flat.extract_run(batch, r)), ref_states[r])
           << "cycle " << cycle << " run " << r;
     }
   }
@@ -309,8 +310,8 @@ TEST_P(TelescopicBatchVsReference, LanesMatchReferencePerCycle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TelescopicBatchVsReference,
                          ::testing::Range(0, 12));
 
-/// Driver-level: the fast path and the reference path of
-/// simulate_throughput produce bit-identical theta for fixed seeds.
+/// Driver-level: simulate_throughput and the oracle driver produce
+/// bit-identical theta for fixed seeds.
 class FastVsReferenceDriver : public ::testing::TestWithParam<int> {};
 
 TEST_P(FastVsReferenceDriver, ThetaBitExact) {
@@ -323,8 +324,7 @@ TEST_P(FastVsReferenceDriver, ThetaBitExact) {
     options.measure_cycles = 3000;
     options.runs = 3;
     const SimResult fast = simulate_throughput(rrg, options);
-    options.force_reference = true;
-    const SimResult reference = simulate_throughput(rrg, options);
+    const SimResult reference = simulate_on_oracle(rrg, options);
     ASSERT_EQ(fast.theta, reference.theta) << "telescopic=" << telescopic;
     ASSERT_EQ(fast.stderr_theta, reference.stderr_theta);
   }
@@ -356,8 +356,7 @@ TEST(FlatSimulator, Table2CircuitsMatchTheReferencePath) {
     options.runs = 4;
     options.threads = 1;
     const SimResult fast = simulate_throughput(rrg, options);
-    options.force_reference = true;
-    const SimResult reference = simulate_throughput(rrg, options);
+    const SimResult reference = simulate_on_oracle(rrg, options);
     EXPECT_EQ(fast.theta, reference.theta)
         << c.circuit << " telescopic=" << c.telescopic;
     EXPECT_EQ(fast.stderr_theta, reference.stderr_theta) << c.circuit;
@@ -396,12 +395,11 @@ TEST(FlatSimulator, GoldenFixedSeedTheta) {
   options.measure_cycles = 20000;
   options.runs = 3;
   const SimResult result = simulate_throughput(figure1b(0.5, true), options);
-  // Derived once on the reference implementation (which the fast path
-  // matches bit-exactly); both paths must keep reproducing it.
+  // Derived once on the oracle (which the production driver matches
+  // bit-exactly); both must keep reproducing it.
   EXPECT_DOUBLE_EQ(result.theta, kGoldenTheta);
-  options.force_reference = true;
   const SimResult reference =
-      simulate_throughput(figure1b(0.5, true), options);
+      simulate_on_oracle(figure1b(0.5, true), options);
   EXPECT_DOUBLE_EQ(reference.theta, kGoldenTheta);
 }
 
@@ -420,16 +418,14 @@ TEST(FlatSimulator, RunSeedsAreDecorrelated) {
   EXPECT_GT(differing_bits, 16);  // avalanche, not a linear nudge
 }
 
-TEST(FlatKernel, FallsBackGracefullyBeyondTheBitRing) {
-  // An EB chain deeper than 64 stages is outside the flat layout;
-  // supports() must say so and the driver must fall back to the
-  // reference kernel without changing results.
+TEST(FlatKernel, DeepEbChainRunsPastTheBitRing) {
+  // An EB chain deeper than 64 stages spills into FlatState::deep; the
+  // ring's period stays exact.
   Rrg rrg;
   const NodeId a = rrg.add_node("a", 1.0);
   const NodeId b = rrg.add_node("b", 1.0);
   rrg.add_edge(a, b, 1, 70);
   rrg.add_edge(b, a, 1, 1);
-  EXPECT_FALSE(FlatKernel::supports(rrg));
   SimOptions options;
   options.warmup_cycles = 200;
   options.measure_cycles = 2000;
@@ -447,18 +443,24 @@ TEST(FlatKernel, RejectsTemporaries) {
   EXPECT_EQ(&kernel.rrg(), &rrg);
 }
 
-TEST(FlatKernel, ConversionsRoundTrip) {
-  const Rrg rrg = random_rrg(99, true);
+TEST(FlatKernel, ReadoutsAgree) {
+  // The per-edge accessors (through the oracle's to_sync) and encode()
+  // read the same state, deep chains and pending guards included.
+  Rrg rrg = random_rrg(99, true);
+  const NodeId a = rrg.add_node("deep_a", 1.0);
+  const NodeId b = rrg.add_node("deep_b", 1.0);
+  rrg.add_edge(a, b, 2, 130);
+  rrg.add_edge(b, a, 1, 3);
   const FlatKernel flat(rrg);
-  const Kernel reference(rrg);
   FlatState state = flat.initial_state();
   SyntheticChoosers chooser{&rrg};
   const auto guard = [&](NodeId n) { return chooser.guard(n); };
   const auto latency = [&](NodeId n) { return chooser.latency(n); };
   for (chooser.cycle = 0; chooser.cycle < 50; ++chooser.cycle) {
     flat.step(state, guard, latency);
+    EXPECT_EQ(to_sync(flat, state).encode(), flat.encode(state))
+        << "cycle " << chooser.cycle;
   }
-  EXPECT_EQ(flat.from_sync(flat.to_sync(state)), state);
 }
 
 }  // namespace

@@ -89,14 +89,14 @@ SimOptions async_options(std::uint64_t seed) {
 /// One ticket wave: submits a copy of every candidate in order, then
 /// waits for the tickets in order. Returns the reports in submission
 /// order.
-std::vector<SimReport> run_wave(SimFleet& fleet,
+std::vector<SimResult> run_wave(SimFleet& fleet,
                                 const std::vector<const Rrg*>& candidates,
                                 const SimOptions& options) {
   std::vector<SimTicket> tickets;
   for (const Rrg* rrg : candidates) {
     tickets.push_back(fleet.submit_async(Rrg(*rrg), options));
   }
-  std::vector<SimReport> reports;
+  std::vector<SimResult> reports;
   for (const SimTicket ticket : tickets) reports.push_back(fleet.wait(ticket));
   return reports;
 }
@@ -119,19 +119,19 @@ TEST(SimFleetAsync, TicketsMatchDrainAndSolo) {
           fleet.submit_async(Rrg(candidates[i]), async_options(10 + i)));
       EXPECT_TRUE(tickets.back().valid());
     }
-    std::vector<SimReport> reports(candidates.size());
+    std::vector<SimResult> reports(candidates.size());
     for (std::size_t i = candidates.size(); i-- > 0;) {
       reports[i] = fleet.wait(tickets[i]);
     }
 
     SimFleet plain_fleet(threads, /*dedup=*/false);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const std::vector<SimReport> plain =
+      const std::vector<SimResult> plain =
           run_wave(plain_fleet, {&candidates[i]}, async_options(10 + i));
       EXPECT_EQ(reports[i].theta, plain[0].theta)
           << "threads " << threads << " job " << i;
       EXPECT_EQ(reports[i].stderr_theta, plain[0].stderr_theta);
-      const SimReport solo =
+      const SimResult solo =
           simulate_throughput(candidates[i], async_options(10 + i));
       EXPECT_EQ(reports[i].theta, solo.theta) << "job " << i;
     }
@@ -148,15 +148,15 @@ TEST(SimFleetAsync, WaitByTicketInAnyOrder) {
   const SimTicket ta = fleet.submit_async(Rrg(a), async_options(1));
   const SimTicket tb = fleet.submit_async(Rrg(b), async_options(2));
 
-  const SimReport rb = fleet.wait(tb);  // reverse order
-  const SimReport ra = fleet.wait(ta);
+  const SimResult rb = fleet.wait(tb);  // reverse order
+  const SimResult ra = fleet.wait(ta);
   EXPECT_TRUE(fleet.poll(ta));
   EXPECT_TRUE(fleet.poll(tb));
   EXPECT_EQ(ra.theta, simulate_throughput(a, async_options(1)).theta);
   EXPECT_EQ(rb.theta, simulate_throughput(b, async_options(2)).theta);
 
   // Re-wait: the cached result is bit-identical.
-  const SimReport ra2 = fleet.wait(ta);
+  const SimResult ra2 = fleet.wait(ta);
   EXPECT_EQ(ra2.theta, ra.theta);
   EXPECT_EQ(ra2.stderr_theta, ra.stderr_theta);
 }
@@ -174,7 +174,7 @@ TEST(SimFleetAsync, OwningSubmitOutlivesTheCaller) {
     Rrg temporary = keeper;  // dies at scope end -- the fleet's copy lives
     ticket = fleet.submit_async(std::move(temporary), options);
   }
-  const SimReport async_report = fleet.wait(ticket);
+  const SimResult async_report = fleet.wait(ticket);
   EXPECT_EQ(async_report.theta, simulate_throughput(keeper, options).theta);
 
   // A wave of temporaries, waited in order after the originals are
@@ -191,7 +191,7 @@ TEST(SimFleetAsync, OwningSubmitOutlivesTheCaller) {
   }
   const Rrg live = random_rrg(302, false);
   tickets.push_back(wave_fleet.submit_async(Rrg(live), options));
-  std::vector<SimReport> reports;
+  std::vector<SimResult> reports;
   for (const SimTicket t : tickets) reports.push_back(wave_fleet.wait(t));
   ASSERT_EQ(reports.size(), 4u);
   EXPECT_EQ(reports[0].theta, simulate_throughput(keeper, options).theta);
@@ -209,7 +209,7 @@ TEST(SimFleetAsync, SessionCachePersistsAcrossWaves) {
   const SimOptions options = async_options(3);
 
   SimFleet fleet(2);
-  const std::vector<SimReport> first =
+  const std::vector<SimResult> first =
       run_wave(fleet, {&rrg, &other}, options);
   ASSERT_EQ(first.size(), 2u);
   EXPECT_EQ(fleet.cache_stats().entries, 2u);
@@ -217,7 +217,7 @@ TEST(SimFleetAsync, SessionCachePersistsAcrossWaves) {
   // Second wave: one repeat (cache hit), one fresh candidate.
   const Rrg copy = rrg;  // identical content, different object
   const Rrg fresh = random_rrg(402, false);
-  const std::vector<SimReport> second =
+  const std::vector<SimResult> second =
       run_wave(fleet, {&copy, &fresh}, options);
   ASSERT_EQ(second.size(), 2u);
   EXPECT_EQ(fleet.cache_stats().entries, 3u);  // only `fresh` was new
@@ -228,7 +228,7 @@ TEST(SimFleetAsync, SessionCachePersistsAcrossWaves) {
   // With dedup off every submission is its own simulation -- results
   // still identical by the determinism contract.
   SimFleet no_dedup(2, /*dedup=*/false);
-  const std::vector<SimReport> dup = run_wave(no_dedup, {&rrg, &rrg}, options);
+  const std::vector<SimResult> dup = run_wave(no_dedup, {&rrg, &rrg}, options);
   EXPECT_EQ(no_dedup.cache_stats().misses, 2u);
   EXPECT_EQ(dup[0].theta, dup[1].theta);
   EXPECT_EQ(dup[0].theta, first[0].theta);

@@ -67,13 +67,13 @@ TEST(SimFleetCache, ByteCapEvictsLruAndStaysCorrect) {
 
   SimFleet fleet(1, /*dedup=*/true, /*cache_cap_bytes=*/1);
   const SimTicket ta = fleet.submit_async(Rrg(a), options);
-  const SimReport ra = fleet.wait(ta);
+  const SimResult ra = fleet.wait(ta);
   EXPECT_TRUE(ta.fresh);
 
   // Submitting b evicts a (cap fits at most one entry; the newest
   // survives -- the cache never evicts below one entry).
   const SimTicket tb = fleet.submit_async(Rrg(b), options);
-  const SimReport rb = fleet.wait(tb);
+  const SimResult rb = fleet.wait(tb);
   SimCacheStats stats = fleet.cache_stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.evictions, 1u);
@@ -129,7 +129,7 @@ TEST(SimFleetCache, ReleaseForgetsTheTicketOnly) {
   SimFleet fleet(1);
   const SimTicket keep = fleet.submit_async(Rrg(a), options);
   const SimTicket drop = fleet.submit_async(Rrg(a), options);  // alias
-  const SimReport report = fleet.wait(keep);
+  const SimResult report = fleet.wait(keep);
 
   fleet.release(drop);
   fleet.release(drop);  // idempotent
@@ -215,7 +215,7 @@ TEST(SimFleetCache, ConcurrentReleaseAndEvictionUnderInjectedFailure) {
         const SimTicket ticket =
             fleet.submit_async(Rrg(candidates[pick]), options);
         try {
-          const SimReport report = fleet.wait(ticket);
+          const SimResult report = fleet.wait(ticket);
           EXPECT_EQ(report.theta, solo[pick])
               << "client " << c << " round " << r;
           successes.fetch_add(1);

@@ -1,11 +1,10 @@
 /// \file fleet_test.cpp
 /// The cross-candidate simulation fleet's contract: a fleet job is
 /// bit-identical to sequential simulation of the same (rrg, options) --
-/// anchored against the reference kernel, which shares no code with the
+/// anchored against the oracle kernel, which shares no code with the
 /// batched flat path -- regardless of worker-pool size, lane packing
 /// (max_batch) or how many other candidates share the queue. Also pins
-/// the execution-path report (flat vs reference, fallback reason) and the
-/// worker-count resolution edge cases (hardware_concurrency() == 0,
+/// the worker-count resolution edge cases (hardware_concurrency() == 0,
 /// threads > work items).
 
 #include "sim/fleet.hpp"
@@ -18,6 +17,7 @@
 
 #include "core/figures.hpp"
 #include "sim/flat_kernel.hpp"
+#include "tests/sim/oracle.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -100,13 +100,13 @@ struct Job {
 /// tickets in order. Returns the reports in submission order; `fresh`
 /// (optional) counts the submissions that started a new simulation
 /// rather than aliasing an earlier one.
-std::vector<SimReport> run_wave(SimFleet& fleet, const std::vector<Job>& jobs,
+std::vector<SimResult> run_wave(SimFleet& fleet, const std::vector<Job>& jobs,
                                 std::size_t* fresh = nullptr) {
   std::vector<SimTicket> tickets;
   for (const Job& job : jobs) {
     tickets.push_back(fleet.submit_async(Rrg(*job.rrg), job.options));
   }
-  std::vector<SimReport> reports;
+  std::vector<SimResult> reports;
   for (const SimTicket ticket : tickets) {
     reports.push_back(fleet.wait(ticket));
     if (fresh != nullptr && ticket.fresh) ++*fresh;
@@ -115,10 +115,10 @@ std::vector<SimReport> run_wave(SimFleet& fleet, const std::vector<Job>& jobs,
 }
 
 /// Differential anchor: a fleet wave over early-only and telescopic
-/// candidates in one queue reproduces, job for job, the reference
-/// kernel's theta bit-exactly. The reference path shares no stepping
-/// code with the batched flat path, so this pins the whole chain
-/// (lane packing, busy countdowns, run-order merge) at once.
+/// candidates in one queue reproduces, job for job, the oracle driver's
+/// theta bit-exactly. The oracle shares no stepping code with the
+/// batched kernel, so this pins the whole chain (lane packing, busy
+/// countdowns, run-order merge) at once.
 class FleetVsReference : public ::testing::TestWithParam<int> {};
 
 TEST_P(FleetVsReference, ThetaBitExactPerJob) {
@@ -128,22 +128,17 @@ TEST_P(FleetVsReference, ThetaBitExactPerJob) {
   const SimOptions options = fleet_options(seed + 31);
 
   SimFleet fleet(3);
-  const std::vector<SimReport> reports =
+  const std::vector<SimResult> reports =
       run_wave(fleet, {{&plain, options}, {&telescopic, options}});
   ASSERT_EQ(reports.size(), 2u);
 
-  SimOptions reference = options;
-  reference.force_reference = true;
-  const SimReport ref_plain = simulate_throughput(plain, reference);
-  const SimReport ref_telescopic = simulate_throughput(telescopic, reference);
+  const SimResult ref_plain = simulate_on_oracle(plain, options);
+  const SimResult ref_telescopic = simulate_on_oracle(telescopic, options);
 
   EXPECT_EQ(reports[0].theta, ref_plain.theta);
   EXPECT_EQ(reports[0].stderr_theta, ref_plain.stderr_theta);
   EXPECT_EQ(reports[1].theta, ref_telescopic.theta);
   EXPECT_EQ(reports[1].stderr_theta, ref_telescopic.stderr_theta);
-  EXPECT_EQ(reports[0].path, SimPath::kFlat);
-  EXPECT_EQ(reports[1].path, SimPath::kFlat);
-  EXPECT_EQ(ref_plain.path, SimPath::kReferenceForced);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetVsReference, ::testing::Range(0, 60));
@@ -164,11 +159,11 @@ TEST(SimFleet, WorkerCountNeverChangesResults) {
     SimFleet fleet(threads);
     return run_wave(fleet, jobs);
   };
-  const std::vector<SimReport> solo = run_with(1);
+  const std::vector<SimResult> solo = run_with(1);
   ASSERT_EQ(solo.size(), candidates.size());
   for (const std::size_t threads : {std::size_t{2}, std::size_t{5},
                                     std::size_t{64}, std::size_t{0}}) {
-    const std::vector<SimReport> pooled = run_with(threads);
+    const std::vector<SimResult> pooled = run_with(threads);
     ASSERT_EQ(pooled.size(), solo.size()) << "threads " << threads;
     for (std::size_t i = 0; i < solo.size(); ++i) {
       EXPECT_EQ(pooled[i].theta, solo[i].theta)
@@ -190,12 +185,12 @@ TEST(SimFleet, LanePackingNeverChangesResults) {
     options.runs = 17;
     options.measure_cycles = 400;  // 17 runs x 6 widths: keep each short
     options.max_batch = 1;
-    const SimReport solo = simulate_throughput(rrg, options);
+    const SimResult solo = simulate_throughput(rrg, options);
     for (const std::size_t width :
          {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8},
           std::size_t{16}, std::size_t{0}}) {
       options.max_batch = width;
-      const SimReport packed = simulate_throughput(rrg, options);
+      const SimResult packed = simulate_throughput(rrg, options);
       EXPECT_EQ(packed.theta, solo.theta)
           << "telescopic " << telescopic << " max_batch " << width;
       EXPECT_EQ(packed.stderr_theta, solo.stderr_theta);
@@ -219,19 +214,19 @@ TEST(SimFleet, DedupSharesScoresAcrossIdenticalCandidates) {
 
   SimFleet dedup_fleet(2, /*dedup=*/true);
   std::size_t dedup_fresh = 0;
-  const std::vector<SimReport> deduped =
+  const std::vector<SimResult> deduped =
       run_wave(dedup_fleet, jobs, &dedup_fresh);
   ASSERT_EQ(deduped.size(), 4u);
   EXPECT_EQ(dedup_fresh, 2u);
 
   SimFleet plain_fleet(2, /*dedup=*/false);
   std::size_t plain_fresh = 0;
-  const std::vector<SimReport> undeduped =
+  const std::vector<SimResult> undeduped =
       run_wave(plain_fleet, jobs, &plain_fresh);
   ASSERT_EQ(undeduped.size(), 4u);
   EXPECT_EQ(plain_fresh, 4u);
 
-  const SimReport solo = simulate_throughput(original, options);
+  const SimResult solo = simulate_throughput(original, options);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(deduped[i].theta, undeduped[i].theta) << "job " << i;
     EXPECT_EQ(deduped[i].stderr_theta, undeduped[i].stderr_theta);
@@ -249,7 +244,7 @@ TEST(SimFleet, DedupDistinguishesOptions) {
   longer.measure_cycles += 500;
   SimFleet fleet(1);
   std::size_t fresh = 0;
-  const std::vector<SimReport> reports = run_wave(
+  const std::vector<SimResult> reports = run_wave(
       fleet,
       {{&rrg, fleet_options(1)},
        {&rrg, fleet_options(2)},  // different seed
@@ -297,9 +292,9 @@ TEST(SimFleet, WorkerPoolPersistsAcrossDrains) {
   SimFleet fleet(3, /*dedup=*/false);
   EXPECT_EQ(fleet.pool_size(), 0u);  // no submission yet: nothing spawned
 
-  const std::vector<SimReport> first = run_wave(fleet, jobs);
+  const std::vector<SimResult> first = run_wave(fleet, jobs);
   EXPECT_EQ(fleet.pool_size(), 3u);
-  const std::vector<SimReport> second = run_wave(fleet, jobs);
+  const std::vector<SimResult> second = run_wave(fleet, jobs);
   EXPECT_EQ(fleet.pool_size(), 3u);  // reused, not respawned
   ASSERT_EQ(second.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -343,67 +338,33 @@ TEST(SimFleet, SpawnCountEdgeCases) {
   EXPECT_EQ(resolve_worker_count(3, 1000, 10), 3u);
 }
 
-/// Telescopic graphs run on the batched flat path -- they are no longer a
-/// silent fallback to solo or reference execution.
+/// Telescopic graphs run on the batched path like everything else and
+/// match the oracle driver.
 TEST(SimFleet, TelescopicTakesTheBatchedFlatPath) {
   const Rrg rrg = random_rrg(77, true);
   ASSERT_TRUE(rrg.has_telescopic());
-  const SimReport report = simulate_throughput(rrg, fleet_options(3));
-  EXPECT_EQ(report.path, SimPath::kFlat);
-  EXPECT_EQ(report.fallback, FlatCap::kNone);
+  SimOptions options = fleet_options(3);
+  options.runs = 8;
+  options.max_batch = 8;
+  const SimResult report = simulate_throughput(rrg, options);
+  const SimResult oracle = simulate_on_oracle(rrg, options);
+  EXPECT_EQ(report.theta, oracle.theta);
+  EXPECT_EQ(report.stderr_theta, oracle.stderr_theta);
 }
 
-/// Every remaining supports() cap is observable: the report names the
-/// reference path and the first violated cap.
-TEST(SimFleet, DeepEbChainFallbackIsReported) {
+/// An EB chain deeper than the 64-bit window runs on the same kernel and
+/// matches the oracle driver bit for bit.
+TEST(SimFleet, DeepEbChainMatchesTheOracle) {
   Rrg rrg;
   const NodeId a = rrg.add_node("a", 1.0);
   const NodeId b = rrg.add_node("b", 1.0);
   rrg.add_edge(a, b, 1, 70);  // deeper than the 64-bit ring window
   rrg.add_edge(b, a, 1, 1);
-  EXPECT_EQ(FlatKernel::unsupported_reason(rrg), FlatCap::kDeepEbChain);
-  const SimReport report = simulate_throughput(rrg, fleet_options(9));
-  EXPECT_EQ(report.path, SimPath::kReference);
-  EXPECT_EQ(report.fallback, FlatCap::kDeepEbChain);
-  EXPECT_STRNE(to_string(report.fallback), "");
+  const SimResult report = simulate_throughput(rrg, fleet_options(9));
+  const SimResult oracle = simulate_on_oracle(rrg, fleet_options(9));
+  EXPECT_EQ(report.theta, oracle.theta);
+  EXPECT_EQ(report.stderr_theta, oracle.stderr_theta);
   EXPECT_NEAR(report.theta, 2.0 / 71.0, 1e-2);
-}
-
-TEST(SimFleet, ForcedReferenceIsReported) {
-  SimOptions options = fleet_options(4);
-  options.force_reference = true;
-  const SimReport report =
-      simulate_throughput(figures::figure1b(0.5, true), options);
-  EXPECT_EQ(report.path, SimPath::kReferenceForced);
-  EXPECT_EQ(report.fallback, FlatCap::kNone);
-}
-
-TEST(FlatKernelCaps, DegreeAndSizeCapsAreClassified) {
-  // In-degree past the u8 node-program field (simple-node cap 255).
-  Rrg star;
-  const NodeId hub = star.add_node("hub", 1.0);
-  for (int i = 0; i < 300; ++i) {
-    const NodeId leaf = star.add_node(indexed_name('l', i), 1.0);
-    star.add_edge(leaf, hub, 0, 0);
-  }
-  EXPECT_EQ(FlatKernel::unsupported_reason(star), FlatCap::kInDegreeCap);
-
-  // Out-degree past the u8 field.
-  Rrg fan;
-  const NodeId src = fan.add_node("src", 1.0);
-  for (int i = 0; i < 300; ++i) {
-    const NodeId leaf = fan.add_node(indexed_name('f', i), 1.0);
-    fan.add_edge(src, leaf, 0, 0);
-  }
-  EXPECT_EQ(FlatKernel::unsupported_reason(fan), FlatCap::kOutDegreeCap);
-
-  // More nodes than the u16 NodeProg::node index.
-  Rrg huge;
-  for (int i = 0; i < 0x10000 + 1; ++i) huge.add_node("", 1.0);
-  EXPECT_EQ(FlatKernel::unsupported_reason(huge), FlatCap::kTooManyNodes);
-
-  EXPECT_EQ(FlatKernel::unsupported_reason(figures::figure2(0.5)),
-            FlatCap::kNone);
 }
 
 /// Worker-count resolution: never under-spawn below one worker (even
@@ -437,9 +398,9 @@ TEST(SimFleet, MoreThreadsThanRuns) {
   SimOptions options = fleet_options(12);
   options.runs = 2;
   options.threads = 1;
-  const SimReport solo = simulate_throughput(rrg, options);
+  const SimResult solo = simulate_throughput(rrg, options);
   options.threads = 32;
-  const SimReport pooled = simulate_throughput(rrg, options);
+  const SimResult pooled = simulate_throughput(rrg, options);
   EXPECT_EQ(pooled.theta, solo.theta);
   EXPECT_EQ(pooled.stderr_theta, solo.stderr_theta);
 }

@@ -1,4 +1,4 @@
-#include "sim/kernel.hpp"
+#include "tests/sim/oracle.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,49 +1,29 @@
 #pragma once
 
-/// \file kernel.hpp
-/// The synchronous execution semantics of an elastic system with early
-/// evaluation, shared by the Monte-Carlo simulator and the exact Markov
-/// analysis so that both implement *literally the same* transition
-/// function.
+/// \file oracle.hpp
+/// The reference implementation of the synchronous execution semantics
+/// (the model is documented in src/sim/flat_kernel.hpp): readable,
+/// assert-heavy, std::function choosers, per-edge `inflight` vectors. It
+/// is the oracle of the differential suites -- flat, fleet, telescopic
+/// and Markov -- which assert that sim::FlatKernel, the production
+/// kernel, agrees with it bit for bit. Nothing in src/ uses it.
 ///
-/// Model (one clock cycle):
-///  * every edge e is a FIFO with latency R(e) (its EB chain) and
-///    unbounded capacity -- the paper's footnote 1 assumes FIFOs sized so
-///    that back-pressure never limits throughput;
-///  * tokens ready at the consumer are annihilated 1:1 against pending
-///    anti-tokens;
-///  * nodes are processed in topological order of the combinational
-///    subgraph (R = 0 edges): a token produced onto a zero-latency edge is
-///    consumable in the same cycle (combinational propagation);
-///  * a simple node fires iff every input edge has a ready token; an
-///    early node samples a guard input (probability gamma) *when its
-///    previous firing has completed* and fires iff that input has a ready
-///    token, sending anti-tokens to the other inputs (DAC'07 semantics);
-///    a sampled-but-unsatisfied guard stays pending -- the select token
-///    waits for the selected data;
-///  * every node fires at most once per cycle (hardware semantics);
-///  * initial tokens R0 > 0 start ready; R0 < 0 preloads anti-tokens;
-///  * a *telescopic* node (variable latency, the paper's future-work
-///    extension) samples its latency when it fires: fast (probability p)
-///    behaves normally; slow makes the unit busy for `slow_extra` extra
-///    cycles -- it cannot fire again and its outputs are withheld until
-///    the busy period ends (results of a slow operation are registered,
-///    so consumers see them one EB-chain latency after release).
+/// Next to the kernel: the readout of a FlatState in this
+/// representation (to_sync), the Monte-Carlo driver on this kernel
+/// (simulate_on_oracle, the same per-run streams and table arithmetic as
+/// simulate_throughput) and the Markov enumeration on it
+/// (exact_throughput_on_oracle).
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "core/rrg.hpp"
+#include "sim/flat_kernel.hpp"
+#include "sim/markov.hpp"
+#include "sim/simulator.hpp"
 
 namespace elrr::sim {
-
-inline constexpr std::int8_t kNoGuard = -1;
-
-/// Runaway-queue guard for ready/anti token counters: a live strongly
-/// connected system keeps these bounded; hitting the cap means the RRG is
-/// not strongly connected (tokens pile up at a sink-side join forever).
-inline constexpr std::int32_t kTokenQueueCap = 1 << 20;
 
 /// Dynamic state of one channel.
 struct EdgeState {
@@ -63,7 +43,7 @@ struct SyncState {
   /// Per node: for early nodes, the in-edge *position* (index into
   /// in_edges(n)) currently awaited, or kNoGuard if the next firing's
   /// guard has not been sampled yet. Always kNoGuard for simple nodes.
-  std::vector<std::int8_t> pending_guard;
+  std::vector<std::uint32_t> pending_guard;
   /// Per node: remaining busy cycles of a slow telescopic operation
   /// (0 = idle). Set to slow_extra + 1 at the slow firing; the withheld
   /// outputs are released when the countdown reaches 1. Always 0 for
@@ -80,10 +60,7 @@ struct SyncState {
 ///
 /// Holds a *reference* to the graph: the Rrg must outlive the kernel and
 /// stay structurally unchanged while the kernel is in use (constructing
-/// from a temporary is rejected at compile time). This is the flexible
-/// reference implementation; the performance path is sim::FlatKernel
-/// (flat_kernel.hpp), which is differentially tested to be bit-exact
-/// against this one.
+/// from a temporary is rejected at compile time).
 class Kernel {
  public:
   explicit Kernel(const Rrg& rrg);
@@ -131,5 +108,20 @@ class Kernel {
   std::vector<NodeId> early_nodes_;
   std::vector<NodeId> telescopic_nodes_;
 };
+
+/// `state` in the oracle's representation (EdgeId order, ready/anti
+/// split, one inflight entry per EB stage).
+SyncState to_sync(const FlatKernel& kernel, const FlatState& state);
+
+/// simulate_throughput on the oracle kernel: every run draws the same
+/// per-node streams through the same chooser tables, and runs merge in
+/// run order, so theta and its standard error are bit-identical to the
+/// production driver's.
+SimResult simulate_on_oracle(const Rrg& rrg, const SimOptions& options);
+
+/// exact_throughput's enumeration and power iteration on the oracle
+/// kernel.
+MarkovResult exact_throughput_on_oracle(const Rrg& rrg,
+                                        const MarkovOptions& options = {});
 
 }  // namespace elrr::sim

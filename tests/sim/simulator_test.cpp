@@ -4,9 +4,9 @@
 
 #include "core/analysis.hpp"
 #include "core/figures.hpp"
-#include "sim/kernel.hpp"
 #include "sim/markov.hpp"
 #include "support/rng.hpp"
+#include "tests/sim/oracle.hpp"
 
 namespace elrr::sim {
 namespace {

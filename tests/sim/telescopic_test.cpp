@@ -12,12 +12,12 @@
 #include "core/analysis.hpp"
 #include "core/figures.hpp"
 #include "core/tgmg.hpp"
-#include "sim/kernel.hpp"
 #include "sim/markov.hpp"
 #include "sim/simulator.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "tests/sim/oracle.hpp"
 
 namespace elrr::sim {
 namespace {

@@ -139,12 +139,13 @@ TEST_F(FailPointTest, TripOnUnknownSiteIsAnInternalError) {
 
 TEST_F(FailPointTest, KnownSitesListTheCompiledInSites) {
   const std::vector<std::string>& sites = known_sites();
-  for (const char* site : {"fleet.worker", "fleet.flat", "walk.step",
-                           "milp.solve", "milp.node_warm", "svc.manifest",
+  for (const char* site : {"fleet.worker", "walk.step", "milp.solve",
+                           "milp.node_warm", "svc.manifest",
                            "disk_cache.load", "disk_cache.store"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
         << site;
   }
+  EXPECT_EQ(sites.size(), 8u);
 }
 
 }  // namespace

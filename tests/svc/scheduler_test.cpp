@@ -159,7 +159,7 @@ TEST(Scheduler, ScoreOnlyAndMinCycModesMatchDirectCalls) {
 
   const JobResult scored = scheduler.wait(score_id);
   ASSERT_EQ(scored.state, JobState::kDone) << scored.error;
-  const sim::SimReport solo =
+  const sim::SimResult solo =
       sim::simulate_throughput(rrg, flow::scoring_options(options));
   EXPECT_EQ(scored.theta_sim, solo.theta);
   EXPECT_EQ(scored.stats.sim_jobs, 1u);
@@ -174,7 +174,7 @@ TEST(Scheduler, ScoreOnlyAndMinCycModesMatchDirectCalls) {
   const RcSolveResult solve = min_cyc(rrg, 1.0, opt);
   ASSERT_TRUE(solve.feasible);
   const Rrg tuned = apply_config(rrg, solve.config);
-  const sim::SimReport tuned_solo =
+  const sim::SimResult tuned_solo =
       sim::simulate_throughput(tuned, flow::scoring_options(options));
   EXPECT_EQ(optimized.theta_sim, tuned_solo.theta);
   EXPECT_LE(optimized.tau, scored.tau);  // MIN_CYC can only improve tau

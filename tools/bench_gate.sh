@@ -10,13 +10,16 @@
 #      its bit-exact pins). The ctest runs are traced: ELRR_TRACE
 #      is exported to every test process, and any written trace lands
 #      in $BUILD_DIR/obs_traces/ -- a CI failure artifact;
-#   2. the `lp` suite once more in a host-tuned Release build
-#      (-DELRR_NATIVE=ON, i.e. -march=native). The suite pins simplex
+#   2. the `lp` and `sim` suites once more in a host-tuned Release build
+#      (-DELRR_NATIVE=ON, i.e. -march=native). The `lp` suite pins simplex
 #      work counters, golden models and walk results bit for bit. They
 #      hold on an FMA host only because the build passes
 #      -ffp-contract=off (CMakeLists.txt): otherwise GCC fuses
 #      `a -= c * b` into fused multiply-adds, even in ISO C++20 mode, and
-#      the pivots' low bits move. This step fails if that flag is dropped;
+#      the pivots' low bits move. This step fails if that flag is dropped.
+#      The `sim` suite runs here because the 8- and 16-lane step_batch
+#      loops vectorize to their intended width only under -march=native:
+#      its lane-packing and oracle differentials must hold there too;
 #   3. an ASan/UBSan build (-DELRR_SANITIZE=address,undefined) of the
 #      `sim` + `svc` + `lp` + `obs` + `heur` suites (the scheduler/fleet
 #      sharing, the failure-unwind paths, the MILP session's persistent
@@ -58,10 +61,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target elrr elrr_sim_tests elrr_svc_t
 ELRR_TRACE="$GATE_TRACE" ELRR_POSTMORTEM_DIR="$PM_DIR" \
   ctest --test-dir "$BUILD_DIR" -L 'sim|svc|chaos|lp|obs|heur' --output-on-failure -j "$(nproc)"
 
-echo "== [2/3] host-tuned (-march=native) Release build + ctest -L lp =="
+echo "== [2/3] host-tuned (-march=native) Release build + ctest -L lp|sim =="
 cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DELRR_NATIVE=ON
-cmake --build "$NATIVE_BUILD_DIR" -j "$(nproc)" --target elrr_lp_tests
-ctest --test-dir "$NATIVE_BUILD_DIR" -L lp --output-on-failure -j "$(nproc)"
+cmake --build "$NATIVE_BUILD_DIR" -j "$(nproc)" --target elrr_lp_tests elrr_sim_tests
+ctest --test-dir "$NATIVE_BUILD_DIR" -L 'lp|sim' --output-on-failure -j "$(nproc)"
 
 if [ "${ELRR_SKIP_SANITIZE:-0}" = "1" ]; then
   echo "== [3/3] sanitizer sweep skipped (ELRR_SKIP_SANITIZE=1) =="

@@ -102,8 +102,8 @@ commands:
               written by --trace / ELRR_TRACE; exact percentiles from
               the recorded span durations. The footer reports spans
               dropped to ring wrap + the ring capacity (raise
-              ELRR_OBS_BUF if nonzero). --json emits the same rows
-              machine-readable
+              ELRR_OBS_BUF if nonzero), then the trace's named
+              counters. --json emits the same rows machine-readable
   postmortem  <file>  -- render a flight-recorder crash dump (written
               to ELRR_POSTMORTEM_DIR by a crashing elrr process) as a
               human report: crash reason, in-flight job/slice
@@ -777,6 +777,20 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
       trace.number_at("otherData.dropped_spans");
   const std::optional<double> capacity =
       trace.number_at("otherData.ring_capacity");
+  // Every other otherData member is a named obs counter (the certificate
+  // counters among them), rendered in name order whatever the layout.
+  std::map<std::string, std::uint64_t> counters;
+  if (const json::Value* other = trace.find("otherData");
+      other != nullptr && other->is_object()) {
+    for (const json::Value::Member& member : other->members()) {
+      if (member.key == "dropped_spans" || member.key == "ring_capacity" ||
+          !member.value.is_number()) {
+        continue;
+      }
+      counters[member.key] =
+          static_cast<std::uint64_t>(member.value.as_number());
+    }
+  }
 
   // One row per phase, in name order; both output formats only render
   // these.
@@ -793,8 +807,8 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
 
   if (json) {
     // Machine-readable twin of the table: one top-level object,
-    // per-phase rows in an array, ring health at the tail. Exit code
-    // unchanged.
+    // per-phase rows in an array, then ring health and the counters.
+    // Exit code unchanged.
     char buf[256];
     out << "{\n  \"input\": \"" << json::escape(path)
         << "\",\n  \"phases\": [\n";
@@ -817,13 +831,25 @@ int cmd_trace_summary(Args& args, std::ostream& out, std::ostream& err) {
       out << ",\n  \"ring_capacity\": "
           << static_cast<std::uint64_t>(*capacity);
     }
-    out << "\n}\n";
+    out << ",\n  \"counters\": {";
+    const char* sep = "";
+    for (const auto& [name, value] : counters) {
+      out << sep << "\"" << json::escape(name) << "\": " << value;
+      sep = ", ";
+    }
+    out << "}\n}\n";
   } else {
     print_phase_table(out, rows, "");
     if (dropped.has_value() && capacity.has_value()) {
       out << "spans dropped: " << static_cast<std::uint64_t>(*dropped)
           << " (per-thread ring capacity "
           << static_cast<std::uint64_t>(*capacity) << ")\n";
+    }
+    if (!counters.empty()) {
+      out << "counters:\n";
+      for (const auto& [name, value] : counters) {
+        out << "  " << name << " " << value << "\n";
+      }
     }
   }
   if (dropped.has_value() && capacity.has_value()) {
